@@ -76,33 +76,6 @@ def awgn_transmit(x: np.ndarray, sigma: float, noise_seed: int) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class ChannelConfig:
-    sigma2: float
-    P: float
-
-    def __post_init__(self) -> None:
-        if self.sigma2 <= 0 or self.P <= 0:
-            raise ValueError("sigma2 and P must be positive")
-
-    @property
-    def snr(self) -> float:
-        return self.P / self.sigma2
-
-    @property
-    def snr_db(self) -> float:
-        return 10.0 * math.log10(self.snr)
-
-    @property
-    def outside_theorem_scope(self) -> bool:
-        """Capacity results assume snr > 1; smaller snr still simulates."""
-        return self.snr <= 1.0
-
-    @property
-    def alpha(self) -> float:
-        return wiener(self.P, self.sigma2)
-
-
-@dataclass(frozen=True)
 class RatePlan:
     """A rate choice targeting a fraction gamma of capacity.
 

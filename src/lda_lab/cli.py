@@ -84,6 +84,9 @@ class ExperimentConfig:
                     f"delta_p = {cfg.delta_p} below threshold {threshold:.3f} "
                     f"(D = {cfg.D}); pass --allow-below-threshold to override"
                 )
+        for name in ("trials", "threads"):
+            if getattr(cfg, name) < 1:
+                raise ValueError(f"{name} must be at least 1, got {getattr(cfg, name)}")
         if cfg.decoder not in ("exact", "bp"):
             raise ValueError(f"unknown decoder {cfg.decoder!r}")
         if cfg.decoder == "bp" and cfg.kind != "lda":
@@ -246,63 +249,72 @@ def _pair_for_trial(cfg: ExperimentConfig, trial: int) -> codec.NestedLatticePai
     )
 
 
-def _run_trial(cfg: ExperimentConfig, snr_db: float, trial: int,
-               fixed_pair: codec.NestedLatticePair | None) -> tuple[TrialRecord, float]:
+def _run_trial(cfg: ExperimentConfig, trial: int,
+               fixed_pair: codec.NestedLatticePair | None) -> tuple[list[TrialRecord], float]:
+    """One trial at every grid point: the pair, message and sent point do
+    not depend on the SNR, so they are drawn and encoded once; only the
+    noise is drawn per grid point.  Returns one record per grid point, in
+    grid order, and the realized power of the sent point."""
     pair = fixed_pair if fixed_pair is not None else _pair_for_trial(cfg, trial)
     P = channel.default_power(cfg.p, cfg.R)
-    sigma2 = P / (10.0 ** (snr_db / 10.0))
     gen = rng.generator(cfg.master_seed, "message", trial)
     message = gen.integers(0, cfg.p, size=pair.ell, dtype=np.int64)
     x = codec.encode(pair, message, budget=cfg.quantizer_budget).point
-    noise_seed = rng.derive_key(cfg.master_seed, "noise", snr_db, trial)
-    y = channel.awgn_transmit(x.astype(float), math.sqrt(sigma2), noise_seed)
-    if cfg.decoder == "exact":
-        decoded = codec.mmse_decode_exact(pair, y, P, sigma2, budget=cfg.quantizer_budget)
-        status = "verified"
-    else:
-        result = codec.bp_decode(pair, y, P, sigma2, iters=cfg.bp_iters, damping=cfg.bp_damping)
-        decoded = result.message
-        status = "verified" if result.verified else "unverified"
-    errs = int(np.count_nonzero(decoded != message))
-    record = TrialRecord(
-        trial_index=trial,
-        message_digest=blake2b(message.tobytes(), digest_size=8).hexdigest(),
-        sent_norm=float(np.linalg.norm(x)),
-        noise_seed=noise_seed,
-        symbol_error_count=errs,
-        word_error=errs > 0,
-        decoder_status=status,
-    )
-    return record, float(x @ x) / pair.n
+    digest = blake2b(message.tobytes(), digest_size=8).hexdigest()
+    sent_norm = float(np.linalg.norm(x))
+    sent = x.astype(float)
+    records = []
+    for snr_db in cfg.snr_db_grid:
+        sigma2 = P / (10.0 ** (snr_db / 10.0))
+        noise_seed = rng.derive_key(cfg.master_seed, "noise", snr_db, trial)
+        y = channel.awgn_transmit(sent, math.sqrt(sigma2), noise_seed)
+        if cfg.decoder == "exact":
+            decoded = codec.mmse_decode_exact(pair, y, P, sigma2, budget=cfg.quantizer_budget)
+            status = "verified"
+        else:
+            result = codec.bp_decode(pair, y, P, sigma2, iters=cfg.bp_iters, damping=cfg.bp_damping)
+            decoded = result.message
+            status = "verified" if result.verified else "unverified"
+        errs = int(np.count_nonzero(decoded != message))
+        records.append(TrialRecord(
+            trial_index=trial,
+            message_digest=digest,
+            sent_norm=sent_norm,
+            noise_seed=noise_seed,
+            symbol_error_count=errs,
+            word_error=errs > 0,
+            decoder_status=status,
+        ))
+    return records, float(x @ x) / pair.n
 
 
 def run_monte_carlo(config: ExperimentConfig) -> list[SnrResult]:
     """One SnrResult per grid point; deterministic in (config, master_seed)
     and independent of the worker count.
 
-    Budget refusals surface before any trial runs: the first trial's pair
-    is built (and its decoder budget exercised) up front.
+    Trials run in the outer loop and the SNR grid in the inner one, so each
+    trial's pair and sent point are built once and shared by every grid
+    point.  A budget refusal comes from trial 0's own codeword-table size
+    check, before that table is built.
     """
     cfg = config.resolve()
-    fixed_pair = None
-    if not cfg.resample_lattice:
-        fixed_pair = _pair_for_trial(cfg, 0)
-    probe = fixed_pair if fixed_pair is not None else _pair_for_trial(cfg, 0)
-    # Budget refusals surface up front; for a shared pair this also builds
-    # the codeword tables once before worker threads start.
-    probe.shaping.codewords(cfg.quantizer_budget)
-    if cfg.decoder == "exact":
-        probe.fine.codewords(cfg.quantizer_budget)
+    fixed_pair = None if cfg.resample_lattice else _pair_for_trial(cfg, 0)
+
+    def job(t: int):
+        return _run_trial(cfg, t, fixed_pair)
+
+    if cfg.threads > 1:
+        pool = ThreadPoolExecutor(max_workers=cfg.threads)
+        try:
+            rows = list(pool.map(job, range(cfg.trials)))
+        finally:
+            pool.shutdown(cancel_futures=True)
+    else:
+        rows = [job(t) for t in range(cfg.trials)]
+    mean_power = sum(pw for _recs, pw in rows) / len(rows)
     results = []
-    for snr_db in cfg.snr_db_grid:
-        def job(t: int):
-            return _run_trial(cfg, snr_db, t, fixed_pair)
-        if cfg.threads > 1:
-            with ThreadPoolExecutor(max_workers=cfg.threads) as pool:
-                outcomes = list(pool.map(job, range(cfg.trials)))
-        else:
-            outcomes = [job(t) for t in range(cfg.trials)]
-        records = tuple(rec for rec, _pw in outcomes)
+    for i, snr_db in enumerate(cfg.snr_db_grid):
+        records = tuple(recs[i] for recs, _pw in rows)
         results.append(
             SnrResult(
                 snr_db=snr_db,
@@ -310,7 +322,7 @@ def run_monte_carlo(config: ExperimentConfig) -> list[SnrResult]:
                 symbol_errors=sum(r.symbol_error_count for r in records),
                 word_errors=sum(r.word_error for r in records),
                 records=records,
-                mean_power=sum(pw for _rec, pw in outcomes) / max(len(outcomes), 1),
+                mean_power=mean_power,
             )
         )
     return results
@@ -322,13 +334,10 @@ def emit_csv(results: list[SnrResult], path: str) -> None:
     lines = [CSV_HEADER]
     for res in results:
         cfg = res.config
-        ell = int(cfg.n * (cfg.R_f - cfg.R))
-        ser = res.symbol_errors / (res.trials * ell)
-        wer = res.word_errors / res.trials
         lo, hi = wilson_interval(res.word_errors, res.trials)
         lines.append(
             f"{res.snr_db!r},{cfg.n},{cfg.p},{cfg.R},{cfg.R_f},{cfg.kind},{cfg.decoder},"
-            f"{res.trials},{res.symbol_errors},{res.word_errors},{ser!r},{wer!r},"
+            f"{res.trials},{res.symbol_errors},{res.word_errors},{res.ser!r},{res.wer!r},"
             f"{lo!r},{hi!r},{cfg.master_seed}"
         )
     with open(path, "w", encoding="utf-8") as fh:
@@ -342,14 +351,7 @@ def emit_plot_data(results: list[SnrResult], path_prefix: str) -> None:
     for series in ("ser", "wer"):
         with open(f"{path_prefix}.{series}.dat", "w", encoding="utf-8") as fh:
             for res in results:
-                cfg = res.config
-                ell = int(cfg.n * (cfg.R_f - cfg.R))
-                value = (
-                    res.symbol_errors / (res.trials * ell)
-                    if series == "ser"
-                    else res.word_errors / res.trials
-                )
-                fh.write(f"{res.snr_db!r} {value!r}\n")
+                fh.write(f"{res.snr_db!r} {getattr(res, series)!r}\n")
 
 
 # ---------------------------------------------------------------------------
@@ -467,7 +469,7 @@ def verify_expansion(n_left: int = 200, f: Fraction = Fraction(1, 4), D: float =
     clean = 0
     for g in range(graphs):
         graph = expander.build_graph(n_left, f, delta,
-                                     seed=rng.derive_key(master_seed, "expansion", g)).unify()
+                                     seed=rng.derive_key(master_seed, "expansion", g))
         verdict = expander.check_d_good(graph, D, "both", "randomized", budget,
                                         seed=rng.derive_key(master_seed, "check", g))
         clean += not verdict.found_violation
@@ -679,7 +681,7 @@ def main(argv: list[str] | None = None) -> int:
         out = args.out or "results.csv"
         emit_csv(results, out)
         emit_plot_data(results, out.removesuffix(".csv"))
-        cfg = cfg.resolve()
+        cfg = results[0].config
         flags = " allow_below_threshold" if cfg.allow_below_threshold else ""
         print(f"wrote {out} (n={cfg.n} p={cfg.p} lambda={cfg.realized_lambda:.4f} "
               f"kind={cfg.kind} decoder={cfg.decoder} mean_power={results[0].mean_power:.4f}{flags})")
@@ -698,24 +700,25 @@ def main(argv: list[str] | None = None) -> int:
         print(f"wrote {out} (regenerations={pair.regenerations})")
         return 0
 
-    if args.command == "encode":
-        with open(args.pair, encoding="utf-8") as fh:
-            pair = codec.pair_from_text(fh.read())
-        message = np.array([int(t) for t in args.message.split(",")], dtype=np.int64)
-        print(",".join(str(int(v)) for v in codec.encode(pair, message).point))
-        return 0
-
-    if args.command == "decode":
-        with open(args.pair, encoding="utf-8") as fh:
-            pair = codec.pair_from_text(fh.read())
-        y = np.array([float(t) for t in args.y.split(",")])
-        P = channel.default_power(pair.p, pair.R)
-        sigma2 = P / (10.0 ** (args.snr_db / 10.0))
-        if args.decoder == "exact":
-            message = codec.mmse_decode_exact(pair, y, P, sigma2)
-        else:
-            message = codec.bp_decode(pair, y, P, sigma2).message
-        print(",".join(str(int(v)) for v in message))
+    if args.command in ("encode", "decode"):
+        try:
+            with open(args.pair, encoding="utf-8") as fh:
+                pair = codec.pair_from_text(fh.read())
+            if args.command == "encode":
+                message = np.array([int(t) for t in args.message.split(",")], dtype=np.int64)
+                out = codec.encode(pair, message).point
+            else:
+                y = np.array([float(t) for t in args.y.split(",")])
+                P = channel.default_power(pair.p, pair.R)
+                sigma2 = P / (10.0 ** (args.snr_db / 10.0))
+                if args.decoder == "exact":
+                    out = codec.mmse_decode_exact(pair, y, P, sigma2)
+                else:
+                    out = codec.bp_decode(pair, y, P, sigma2).message
+        except (BudgetExceededError, ValueError) as exc:
+            print(f"refused: {exc}", file=sys.stderr)
+            return 2
+        print(",".join(str(int(v)) for v in out))
         return 0
 
     if args.command == "verify-noise":

@@ -69,7 +69,7 @@ def _dense_blocks(n: int, p: int, ell: int, r: int, seed: int, attempt: int):
 
 
 def _label_graph(graph: TannerGraph, rows: int, n: int, p: int, seed: int, tag: str, attempt: int) -> GfMatrix:
-    """Put i.i.d. uniform GF(p) labels on the unified edges, in the fixed
+    """Put i.i.d. uniform GF(p) labels on the merged edges, in the fixed
     lexicographic edge order."""
     gen = rng.generator(seed, "labels", tag, attempt)
     labels = gen.integers(0, p, size=len(graph.edges), dtype=np.int64)
@@ -112,8 +112,8 @@ def build_pair(
             raise ValueError("LDA pairs need delta_p")
         if (delta_p * (1 - R_f)).denominator != 1 or (delta_p * (R_f - R)).denominator != 1:
             raise ValueError(f"delta_p = {delta_p} gives non-integer variable degrees")
-        fine_graph = build_graph(n, Fraction(r, n), delta_p, rng.derive_key(seed, "skeleton-fine")).unify()
-        upper_graph = build_graph(n, Fraction(ell, n), delta_p, rng.derive_key(seed, "skeleton-upper")).unify()
+        fine_graph = build_graph(n, Fraction(r, n), delta_p, rng.derive_key(seed, "skeleton-fine"))
+        upper_graph = build_graph(n, Fraction(ell, n), delta_p, rng.derive_key(seed, "skeleton-upper"))
     elif kind != "dense":
         raise ValueError(f"unknown ensemble kind {kind!r}")
 
@@ -196,6 +196,14 @@ def extract_message(pair: NestedLatticePair, x: np.ndarray) -> np.ndarray:
 # Decoding
 
 
+def _channel_output(y: np.ndarray) -> np.ndarray:
+    """y as a float vector; NaN or infinite samples are refused."""
+    y = np.asarray(y, dtype=float)
+    if not np.isfinite(y).all():
+        raise ValueError("channel output has non-finite samples")
+    return y
+
+
 def mmse_decode_exact(
     pair: NestedLatticePair,
     y: np.ndarray,
@@ -210,8 +218,9 @@ def mmse_decode_exact(
     ``alpha`` overrides the MMSE coefficient (alpha = 1 disables scaling,
     for comparison experiments).
     """
+    y = _channel_output(y)
     a = wiener(P, sigma2) if alpha is None else alpha
-    x_hat = pair.fine.quantize(a * np.asarray(y, dtype=float), budget=budget)
+    x_hat = pair.fine.quantize(a * y, budget=budget)
     return extract_message(pair, x_hat)
 
 
@@ -331,8 +340,9 @@ def bp_decode(
     """
     if pair.kind != "lda":
         raise ValueError("bp_decode requires an LDA pair")
+    y = _channel_output(y)
     a = wiener(P, sigma2) if alpha is None else alpha
-    z = a * np.asarray(y, dtype=float)
+    z = a * y
     noise_var = max(effective_noise_variance(P, sigma2), 1e-12)
     point, verified, used_iters = _sum_product_point(
         pair.stack.lower, z, noise_var, iters, damping
@@ -413,7 +423,7 @@ def build_fine_lattice(
     r = n * (1 - R_f)
     if r.denominator != 1 or (delta_p * (1 - R_f)).denominator != 1:
         raise ValueError("R_f and delta_p must give integral row counts and degrees")
-    graph = build_graph(n, Fraction(int(r), n), delta_p, rng.derive_key(seed, "skeleton-fine")).unify()
+    graph = build_graph(n, Fraction(int(r), n), delta_p, rng.derive_key(seed, "skeleton-fine"))
     H = _label_graph(graph, int(r), n, p, seed, "fine", attempt=0)
     return ConstructionALattice(H), graph
 
@@ -487,40 +497,55 @@ def pair_to_text(pair: NestedLatticePair) -> str:
 
 
 def pair_from_text(text: str) -> NestedLatticePair:
+    """Inverse of :func:`pair_to_text`.  Malformed input (empty, truncated,
+    an out-of-range edge or edge index) raises ValueError naming the line."""
     lines = [ln.rstrip() for ln in text.strip().splitlines()]
-    if lines[0] != "ldapair v1":
-        raise ValueError("not a pair file")
-    head = dict(kv.split("=", 1) for kv in lines[1].split())
-    n, p = int(head["n"]), int(head["p"])
-    R, R_f = Fraction(head["R"]), Fraction(head["Rf"])
-    kind, seed = head["kind"], int(head["seed"])
-    delta_p, regen = int(head["deltap"]), int(head["regen"])
-    blocks: dict[str, tuple[GfMatrix, TannerGraph | None]] = {}
-    i = 2
-    rows_by_name = {"upper": int(n * (R_f - R)), "fine": int(n * (1 - R_f))}
-    while i < len(lines) and lines[i] != "end":
-        if not lines[i].startswith("block "):
-            raise ValueError(f"expected block header at line {i}")
-        name = lines[i].split()[1]
-        n_left, n_right, delta, gseed = (int(t) for t in lines[i + 1].split())
-        i += 2
-        cells = []
-        while lines[i] != "labels":
-            l, r, m = (int(t) for t in lines[i].split())
-            cells.append((l, r, m))
+    i = 0
+    try:
+        if lines[0] != "ldapair v1":
+            raise ValueError("not a pair file")
+        i = 1
+        head = dict(kv.split("=", 1) for kv in lines[1].split())
+        n, p = int(head["n"]), int(head["p"])
+        R, R_f = Fraction(head["R"]), Fraction(head["Rf"])
+        kind, seed = head["kind"], int(head["seed"])
+        delta_p, regen = int(head["deltap"]), int(head["regen"])
+        blocks: dict[str, tuple[GfMatrix, TannerGraph | None]] = {}
+        i = 2
+        rows_by_name = {"upper": int(n * (R_f - R)), "fine": int(n * (1 - R_f))}
+        while lines[i] != "end":
+            if not lines[i].startswith("block "):
+                raise ValueError("expected a block header")
+            name = lines[i].split()[1]
+            rows = rows_by_name[name]
             i += 1
-        i += 1
-        arr = np.zeros((rows_by_name[name], n), dtype=np.int64)
-        while i < len(lines) and lines[i] != "end" and not lines[i].startswith("block "):
-            idx, lab = (int(t) for t in lines[i].split())
-            l, r, _m = cells[idx]
-            arr[r, l] = lab
+            n_left, n_right, delta, gseed = (int(t) for t in lines[i].split())
             i += 1
-        graph = None
-        if kind == "lda":
-            graph = TannerGraph(n_left, n_right, delta, gseed, True, tuple(sorted(cells)))
-        blocks[name] = (GfMatrix(arr, p), graph)
-    stack = StackedParityCheck(upper=blocks["upper"][0], lower=blocks["fine"][0], n=n, R=R, R_f=R_f)
+            cells = []
+            while lines[i] != "labels":
+                l, r, m = (int(t) for t in lines[i].split())
+                if not (0 <= l < n and 0 <= r < rows):
+                    raise ValueError(f"edge ({l}, {r}) out of range")
+                cells.append((l, r, m))
+                i += 1
+            i += 1
+            arr = np.zeros((rows, n), dtype=np.int64)
+            while lines[i] != "end" and not lines[i].startswith("block "):
+                idx, lab = (int(t) for t in lines[i].split())
+                if not 0 <= idx < len(cells):
+                    raise ValueError(f"edge index {idx} out of range for {len(cells)} edges")
+                l, r, _m = cells[idx]
+                arr[r, l] = lab
+                i += 1
+            graph = None
+            if kind == "lda":
+                graph = TannerGraph(n_left, n_right, delta, gseed, tuple(sorted(cells)))
+            blocks[name] = (GfMatrix(arr, p), graph)
+        stack = StackedParityCheck(upper=blocks["upper"][0], lower=blocks["fine"][0], n=n, R=R, R_f=R_f)
+    except (IndexError, KeyError, ValueError) as exc:
+        if i >= len(lines):
+            raise ValueError(f"bad pair file: truncated after line {len(lines)}") from exc
+        raise ValueError(f"bad pair file at line {i + 1}: {type(exc).__name__}: {exc}") from exc
     lda = None
     if kind == "lda":
         lda = LdaInfo(delta_p, blocks["fine"][1], blocks["upper"][1])

@@ -25,16 +25,15 @@ class BudgetExceededError(RuntimeError):
 class TannerGraph:
     """Bipartite graph with left (variable) and right (check) nodes.
 
-    ``edges`` maps (left, right) to its multiplicity in the pre-unification
-    edge multiset; a unified graph keeps the multiplicities but each pair
-    counts as a single edge for degrees and neighborhoods.
+    Parallel edges are merged at build time: ``edges`` lists each distinct
+    (left, right) pair once with its multiplicity in the edge multiset, so
+    each pair counts as a single edge for neighborhoods.
     """
 
     n_left: int
     n_right: int
     delta: int
     seed: int
-    unified: bool
     edges: tuple[tuple[int, int, int], ...]  # (left, right, multiplicity), sorted
 
     @property
@@ -64,17 +63,6 @@ class TannerGraph:
             hist[d] = hist.get(d, 0) + 1
         return hist
 
-    def unify(self) -> "TannerGraph":
-        """Merge parallel edges, keeping multiplicities for accounting."""
-        return TannerGraph(
-            n_left=self.n_left,
-            n_right=self.n_right,
-            delta=self.delta,
-            seed=self.seed,
-            unified=True,
-            edges=self.edges,
-        )
-
     @classmethod
     def from_edges(
         cls, n_left: int, n_right: int, pairs: list[tuple[int, int]], delta: int = 0, seed: int = 0
@@ -86,7 +74,7 @@ class TannerGraph:
                 raise ValueError(f"edge ({l},{r}) out of range")
             counts[(l, r)] = counts.get((l, r), 0) + 1
         edges = tuple(sorted((l, r, m) for (l, r), m in counts.items()))
-        return cls(n_left, n_right, delta, seed, True, edges)
+        return cls(n_left, n_right, delta, seed, edges)
 
 
 def build_graph(n_left: int, f: Fraction, delta: int, seed: int) -> TannerGraph:
@@ -112,7 +100,7 @@ def build_graph(n_left: int, f: Fraction, delta: int, seed: int) -> TannerGraph:
         r = int(perm[t]) // delta
         counts[(l, r)] = counts.get((l, r), 0) + 1
     edges = tuple(sorted((l, r, m) for (l, r), m in counts.items()))
-    return TannerGraph(n_left, n_right, delta, seed, False, edges)
+    return TannerGraph(n_left, n_right, delta, seed, edges)
 
 
 def neighborhood(graph: TannerGraph, nodes: set[int] | frozenset[int], side: str) -> set[int]:
@@ -373,4 +361,4 @@ def import_text(text: str) -> TannerGraph:
     edges = tuple(tuple(int(t) for t in ln.split()) for ln in lines[1:])
     if any(len(e) != 3 for e in edges):
         raise ValueError("edge lines must be 'left right multiplicity'")
-    return TannerGraph(n_left, n_right, delta, seed, True, tuple(sorted(edges)))
+    return TannerGraph(n_left, n_right, delta, seed, tuple(sorted(edges)))

@@ -113,14 +113,6 @@ def centered_rep(z: int, p: int) -> int:
     return r
 
 
-def field_add(a: int, b: int, p: int) -> int:
-    return (a + b) % p
-
-
-def field_mul(a: int, b: int, p: int) -> int:
-    return (a * b) % p
-
-
 def field_inv(a: int, p: int) -> int:
     a = a % p
     if a == 0:

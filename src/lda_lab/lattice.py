@@ -14,6 +14,7 @@ at realistic parameters.
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass
 from itertools import combinations
 
@@ -224,6 +225,7 @@ class ConstructionALattice:
         self.k_eff = self.n - rank(H)
         self._generator: GfMatrix | None = None
         self._codewords: np.ndarray | None = None
+        self._codewords_lock = threading.Lock()  # one build when threads share the lattice
 
     @property
     def generator(self) -> GfMatrix:
@@ -252,13 +254,14 @@ class ConstructionALattice:
             raise BudgetExceededError(
                 f"codeword enumeration refused: p^k = {size} exceeds budget {budget}"
             )
-        if self._codewords is None:
-            if self.k_eff == 0:
-                self._codewords = np.zeros((1, self.n), dtype=np.int64)
-            else:
-                grids = np.meshgrid(*([np.arange(self.p)] * self.k_eff), indexing="ij")
-                coeffs = np.stack(grids).reshape(self.k_eff, -1).T.astype(np.int64)
-                self._codewords = (coeffs @ self.generator.array) % self.p
+        with self._codewords_lock:
+            if self._codewords is None:
+                if self.k_eff == 0:
+                    self._codewords = np.zeros((1, self.n), dtype=np.int64)
+                else:
+                    grids = np.meshgrid(*([np.arange(self.p)] * self.k_eff), indexing="ij")
+                    coeffs = np.stack(grids).reshape(self.k_eff, -1).T.astype(np.int64)
+                    self._codewords = (coeffs @ self.generator.array) % self.p
         return self._codewords
 
     def quantize(self, y: np.ndarray, budget: int = DEFAULT_QUANTIZER_BUDGET) -> np.ndarray:

@@ -10,7 +10,6 @@ import pytest
 
 from lda_lab import rng
 from lda_lab.channel import (
-    ChannelConfig,
     awgn_transmit,
     capacity,
     decoding_radius,
@@ -118,12 +117,6 @@ def test_effective_snr_identity():
     for _ in range(100):
         P, s2 = gen.uniform(0.01, 20.0, size=2)
         assert P / effective_noise_variance(P, s2) == pytest.approx(P / s2 + 1.0, rel=1e-12)
-
-
-def test_channel_config_flags():
-    assert not ChannelConfig(sigma2=1.0, P=2.0).outside_theorem_scope
-    assert ChannelConfig(sigma2=2.0, P=1.0).outside_theorem_scope
-    assert ChannelConfig(sigma2=1.0, P=3.0).alpha == 0.75
 
 
 def test_plan_rates_invariants():

@@ -77,6 +77,19 @@ def test_config_lda_threshold_guard():
     ok.resolve()
 
 
+@pytest.mark.parametrize("key, value", [
+    ("trials", 0), ("trials", -1), ("threads", 0), ("threads", -3),
+])
+def test_config_rejects_non_positive_counts(tmp_path, key, value):
+    cfg = ExperimentConfig(n=8, p=5, R=Fraction(1, 4), R_f=Fraction(3, 4), **{key: value})
+    with pytest.raises(ValueError, match=f"{key} must be at least 1"):
+        cfg.resolve()
+    out = tmp_path / "x.csv"
+    cfgpath = write_config(tmp_path, **{key: value})
+    assert main(["simulate", "--config", cfgpath, "--out", str(out)]) == 2
+    assert not out.exists()
+
+
 def test_wilson_interval_basics():
     lo, hi = wilson_interval(0, 100)
     assert lo == 0.0 and 0.0 < hi < 0.05
@@ -135,6 +148,32 @@ def test_thread_count_does_not_change_bytes(tmp_path):
     assert a.read_bytes() == b.read_bytes()
 
 
+@pytest.mark.parametrize("resample, pairs", [(True, 4), (False, 1)])
+def test_runner_builds_and_encodes_each_trial_once(monkeypatch, resample, pairs):
+    # The sent point does not depend on the SNR, so a trial's pair and
+    # encoding are shared by every grid point.
+    from lda_lab import codec
+
+    calls = {"build_pair": 0, "encode": 0}
+
+    def counted(name):
+        original = getattr(codec, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+        monkeypatch.setattr(codec, name, wrapper)
+
+    counted("build_pair")
+    counted("encode")
+    cfg = ExperimentConfig(n=8, p=5, R=Fraction(1, 4), R_f=Fraction(3, 4),
+                           snr_db_grid=[6.0, 9.0, 12.0], trials=4, master_seed=3,
+                           resample_lattice=resample)
+    results = run_monte_carlo(cfg)
+    assert [r.trials for r in results] == [4, 4, 4]
+    assert calls == {"build_pair": pairs, "encode": 4}
+
+
 def test_plot_data_files(tmp_path):
     cfg = zero_noise_config()
     results = run_monte_carlo(cfg)
@@ -181,6 +220,7 @@ def test_cli_simulate_refusal_exit_code(tmp_path):
     cfgpath = write_config(tmp_path, Rf='"2/3"', n=12, p=7, R='"1/4"',
                            quantizer_budget=10_000)
     assert main(["simulate", "--config", cfgpath, "--out", str(tmp_path / "x.csv")]) == 2
+    assert not (tmp_path / "x.csv").exists()
 
 
 def test_cli_gen_encode_decode_round_trip(tmp_path):
@@ -198,6 +238,22 @@ def test_cli_gen_encode_decode_round_trip(tmp_path):
     with redirect_stdout(buf):
         assert main(["decode", "--pair", str(pairpath), "--y", point, "--snr-db", "100"]) == 0
     assert buf.getvalue().strip() == "1,2,3,4"
+
+
+def test_cli_encode_decode_refuse_bad_input(tmp_path, capsys):
+    cfgpath = write_config(tmp_path)
+    pairpath = tmp_path / "pair.txt"
+    assert main(["gen", "--config", cfgpath, "--out", str(pairpath)]) == 0
+    good = pairpath.read_text()
+    pairpath.write_text("\n".join(good.splitlines()[:5]) + "\n")
+    assert main(["encode", "--pair", str(pairpath), "--message", "1,2,3,4"]) == 2
+    assert main(["decode", "--pair", str(pairpath), "--y", "0,0,0,0,0,0,0,0",
+                 "--snr-db", "10"]) == 2
+    assert "refused: bad pair file" in capsys.readouterr().err
+    pairpath.write_text(good)
+    assert main(["decode", "--pair", str(pairpath), "--y", "nan,0,0,0,0,0,0,0",
+                 "--snr-db", "10"]) == 2
+    assert "refused: channel output has non-finite samples" in capsys.readouterr().err
 
 
 def test_verify_noise_small():

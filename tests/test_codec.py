@@ -223,6 +223,33 @@ def test_serialization_round_trip_dense_and_lda():
             assert back.lda.fine_graph.edges == pair.lda.fine_graph.edges
 
 
+def _out_of_range_edge_index(text):
+    lines = text.splitlines()
+    k = lines.index("labels") + 1
+    lines[k] = f"99 {lines[k].split()[1]}"
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("damage, message", [
+    (lambda text: "", "truncated after line 0"),
+    (lambda text: "\n".join(text.splitlines()[:-6]) + "\n", "truncated after line 75"),
+    (_out_of_range_edge_index, "at line 18: .*edge index 99 out of range"),
+])
+def test_pair_from_text_rejects_malformed_input(damage, message):
+    with pytest.raises(ValueError, match=message):
+        pair_from_text(damage(pair_to_text(lda_pair(17))))
+
+
+def test_decoders_reject_non_finite_channel_output():
+    pair = lda_pair(13)
+    P = channel.default_power(pair.p, pair.R)
+    for y in (np.full(pair.n, np.nan), np.r_[np.inf, np.zeros(pair.n - 1)]):
+        with pytest.raises(ValueError, match="non-finite"):
+            bp_decode(pair, y, P, 1.0)
+        with pytest.raises(ValueError, match="non-finite"):
+            mmse_decode_exact(pair, y, P, 1.0)
+
+
 def test_build_fine_lattice_profile():
     lat, graph = build_fine_lattice(30, 31, Fraction(3, 5), 5, seed=1)
     assert lat.n == 30 and lat.H.rows == 12

@@ -64,17 +64,15 @@ def test_degree_conservation_over_seeds():
         assert left_total == right_total == g.delta * g.n_right
 
 
-def test_unify_keeps_multiplicity_and_caps_degrees():
+def test_merged_edges_keep_multiplicity_and_cap_degrees():
     for seed in range(40):
         g = build_graph(6, Fraction(1, 1), 6, seed=seed)
-        u = g.unify()
-        assert u.unified
-        # post-unification degrees (distinct neighbors) never exceed the
-        # pre-unification socket counts
+        # distinct-neighbor degrees never exceed the socket counts that
+        # include edge multiplicity
         for side in ("left", "right"):
-            pre = g.degree_histogram(side, count_multiplicity=True)
-            post = u.degree_histogram(side, count_multiplicity=False)
-            assert max(post) <= max(pre)
+            sockets = g.degree_histogram(side, count_multiplicity=True)
+            distinct = g.degree_histogram(side, count_multiplicity=False)
+            assert max(distinct) <= max(sockets)
 
 
 def test_neighborhood_empty_and_complete():
@@ -137,7 +135,7 @@ def test_check_d_good_exhaustive_refuses_large_graphs():
 
 
 def test_randomized_checker_agrees_with_exhaustive_on_good_graph():
-    g = build_graph(20, Fraction(1, 2), 12, seed=5).unify()
+    g = build_graph(20, Fraction(1, 2), 12, seed=5)
     verdict = check_d_good(g, 2.0, "both", "randomized", budget=20_000, seed=2)
     assert not verdict.found_violation
     exhaustive = check_d_good(g, 2.0, "left_to_right", "exhaustive")
@@ -185,7 +183,7 @@ def test_binomial_bounds_exhaustive_small_n():
 
 
 def test_export_import_round_trip():
-    g = build_graph(10, Fraction(1, 2), 4, seed=77).unify()
+    g = build_graph(10, Fraction(1, 2), 4, seed=77)
     text = export_text(g)
     back = import_text(text)
     assert back.edges == g.edges

@@ -321,3 +321,21 @@ def test_hermite_gain_trend_with_certified_bounds():
         assert d.weight is None, f"unexpected codeword of weight {d.weight} at n={n}"
         gains.append(lat.hermite_gain(d.value))
     assert gains[0] < gains[1] < gains[2]
+
+
+def test_codeword_table_built_once_when_threads_share_a_lattice():
+    # Runner threads share one lattice when the pair is fixed; every caller
+    # must get the one cached table, not a duplicate build.
+    import sys
+    from concurrent.futures import ThreadPoolExecutor
+
+    lat = ConstructionALattice(GfMatrix.random(3, 9, 5, rng.generator(1, "shared-table")))
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=8) as pool:
+            tables = list(pool.map(lambda _: lat.codewords(), range(16), timeout=60))
+    finally:
+        sys.setswitchinterval(old)
+    assert len(tables) == 16
+    assert all(t is tables[0] for t in tables)
