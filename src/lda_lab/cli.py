@@ -186,7 +186,15 @@ def config_from_mapping(mapping: dict) -> ExperimentConfig:
         elif conv is Fraction:
             kwargs[attr] = Fraction(str(value))
         elif conv is bool:
-            kwargs[attr] = bool(value)
+            if not isinstance(value, bool):
+                raise ValueError(f"config key {key!r} needs true or false, got {value!r}")
+            kwargs[attr] = value
+        elif conv is int:
+            if isinstance(value, float) and value.is_integer():
+                value = int(value)
+            if isinstance(value, bool) or not isinstance(value, int):
+                raise ValueError(f"config key {key!r} needs an integer, got {value!r}")
+            kwargs[attr] = value
         else:
             kwargs[attr] = conv(value)
     return ExperimentConfig(**kwargs)
@@ -467,12 +475,15 @@ def verify_expansion(n_left: int = 200, f: Fraction = Fraction(1, 4), D: float =
         while (Fraction(delta) * f).denominator != 1:  # biregularity needs f*delta integral
             delta += 1
     clean = 0
+    margin = math.inf  # smallest |N(S)| / (required factor * |S|) on a clean graph
     for g in range(graphs):
         graph = expander.build_graph(n_left, f, delta,
                                      seed=rng.derive_key(master_seed, "expansion", g))
         verdict = expander.check_d_good(graph, D, "both", "randomized", budget,
                                         seed=rng.derive_key(master_seed, "check", g))
-        clean += not verdict.found_violation
+        if not verdict.found_violation:
+            clean += 1
+            margin = min(margin, verdict.min_expansion_ratio)
     planted = expander.check_d_good(planted_counterexample(), 2.0, "left_to_right",
                                     "randomized", budget=10_000, seed=master_seed)
     caught = planted.found_violation
@@ -481,7 +492,8 @@ def verify_expansion(n_left: int = 200, f: Fraction = Fraction(1, 4), D: float =
         passed=clean >= required_clean and caught,
         measured=float(clean),
         bound=float(required_clean),
-        detail=f"delta={delta} D={D} f={f} planted-violation-caught={caught}",
+        detail=f"delta={delta} D={D} f={f} min-clean-expansion-ratio={margin:.4f} "
+               f"planted-violation-caught={caught}",
     )
 
 
@@ -565,6 +577,12 @@ def verify_counts(cases: int = 100, master_seed: int = 0) -> VerifyReport:
 # Command-line interface
 
 
+def _true_or_false(text: str) -> bool:
+    if text.lower() not in ("true", "false"):
+        raise argparse.ArgumentTypeError(f"expected true or false, got {text!r}")
+    return text.lower() == "true"
+
+
 def _add_common(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--config", help="flat key=value config file")
     sub.add_argument("--seed", type=int, help="master seed")
@@ -573,7 +591,7 @@ def _add_common(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--snr-db", help="comma-separated SNR grid in dB")
     sub.add_argument("--decoder", choices=["exact", "bp"])
     sub.add_argument("--allow-below-threshold", action="store_true", default=None)
-    sub.add_argument("--resample-lattice", type=lambda s: s.lower() == "true", default=None)
+    sub.add_argument("--resample-lattice", type=_true_or_false, default=None)
     sub.add_argument("--threads", type=int)
 
 
@@ -721,32 +739,36 @@ def main(argv: list[str] | None = None) -> int:
         print(",".join(str(int(v)) for v in out))
         return 0
 
-    if args.command == "verify-noise":
-        report = verify_noise(args.n, args.sigma, args.eps, args.trials, args.seed)
-    elif args.command == "verify-ortho":
-        report = verify_ortho(args.n, args.sigma, args.trials, args.seed)
-    elif args.command == "verify-norm":
-        report = verify_norm(args.kind, args.n, args.p, Fraction(args.R), Fraction(args.Rf),
-                             args.delta_p, args.count, args.seed)
-    elif args.command == "verify-expansion":
-        report = verify_expansion(args.n_left, Fraction(args.f), args.D, args.delta,
-                                  args.graphs, args.budget, args.seed)
-    elif args.command == "verify-mindist":
-        report = verify_mindist(args.codes, args.n, args.p, Fraction(args.Rf),
-                                args.delta_p, args.w_max, args.seed)
-    elif args.command == "verify-counts":
-        report = verify_counts(args.cases, args.seed)
-    elif args.command == "thresholds":
-        if args.f is not None:
-            f = float(Fraction(args.f))
-            print(f"delta_threshold(D={args.D}, f={args.f}) = {expander.delta_threshold(args.D, f)!r}")
-            print(f"delta_threshold_two_sided = {expander.delta_threshold_two_sided(args.D, f)!r}")
-        if args.Rf is not None:
-            rf = float(Fraction(args.Rf))
-            print(f"lda_delta_p_threshold(D={args.D}, Rf={args.Rf}) = {expander.lda_delta_p_threshold(args.D, rf)!r}")
-        return 0
-    else:  # pragma: no cover
-        parser.error(f"unhandled command {args.command}")
+    try:
+        if args.command == "verify-noise":
+            report = verify_noise(args.n, args.sigma, args.eps, args.trials, args.seed)
+        elif args.command == "verify-ortho":
+            report = verify_ortho(args.n, args.sigma, args.trials, args.seed)
+        elif args.command == "verify-norm":
+            report = verify_norm(args.kind, args.n, args.p, Fraction(args.R), Fraction(args.Rf),
+                                 args.delta_p, args.count, args.seed)
+        elif args.command == "verify-expansion":
+            report = verify_expansion(args.n_left, Fraction(args.f), args.D, args.delta,
+                                      args.graphs, args.budget, args.seed)
+        elif args.command == "verify-mindist":
+            report = verify_mindist(args.codes, args.n, args.p, Fraction(args.Rf),
+                                    args.delta_p, args.w_max, args.seed)
+        elif args.command == "verify-counts":
+            report = verify_counts(args.cases, args.seed)
+        elif args.command == "thresholds":
+            if args.f is not None:
+                f = float(Fraction(args.f))
+                print(f"delta_threshold(D={args.D}, f={args.f}) = {expander.delta_threshold(args.D, f)!r}")
+                print(f"delta_threshold_two_sided = {expander.delta_threshold_two_sided(args.D, f)!r}")
+            if args.Rf is not None:
+                rf = float(Fraction(args.Rf))
+                print(f"lda_delta_p_threshold(D={args.D}, Rf={args.Rf}) = {expander.lda_delta_p_threshold(args.D, rf)!r}")
+            return 0
+        else:  # pragma: no cover
+            parser.error(f"unhandled command {args.command}")
+    except (BudgetExceededError, ValueError) as exc:
+        print(f"refused: {exc}", file=sys.stderr)
+        return 2
 
     print(report.line())
     return 0 if report.passed else 1

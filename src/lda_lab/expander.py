@@ -14,11 +14,43 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 
+import numpy as np
+
 from . import rng
 
 
 class BudgetExceededError(RuntimeError):
     """An enumeration was refused because it exceeds the configured budget."""
+
+
+class EdgeList:
+    """Sorted (left, right, multiplicity) triples held in one read-only
+    int32 array rather than one tuple per edge: a 200-node criterion-5
+    graph takes about 12 KB instead of 68 KB.  It iterates, and compares
+    equal, like the tuple of triples it holds."""
+
+    __slots__ = ("array",)
+
+    def __init__(self, triples) -> None:
+        self.array = np.array(list(triples), dtype=np.int32).reshape(-1, 3)
+        self.array.flags.writeable = False
+
+    def __iter__(self):
+        return map(tuple, self.array.tolist())
+
+    def __len__(self) -> int:
+        return len(self.array)
+
+    def __eq__(self, other) -> bool:
+        if isinstance(other, (EdgeList, tuple)):
+            return tuple(self) == tuple(other)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(tuple(self))
+
+    def __repr__(self) -> str:
+        return f"EdgeList({tuple(self)!r})"
 
 
 @dataclass(frozen=True)
@@ -34,23 +66,15 @@ class TannerGraph:
     n_right: int
     delta: int
     seed: int
-    edges: tuple[tuple[int, int, int], ...]  # (left, right, multiplicity), sorted
+    edges: EdgeList  # (left, right, multiplicity), sorted; any iterable of triples is converted
+
+    def __post_init__(self) -> None:
+        if not isinstance(self.edges, EdgeList):
+            object.__setattr__(self, "edges", EdgeList(self.edges))
 
     @property
     def f(self) -> Fraction:
         return Fraction(self.n_right, self.n_left)
-
-    def left_masks(self) -> list[int]:
-        masks = [0] * self.n_left
-        for l, r, _ in self.edges:
-            masks[l] |= 1 << r
-        return masks
-
-    def right_masks(self) -> list[int]:
-        masks = [0] * self.n_right
-        for l, r, _ in self.edges:
-            masks[r] |= 1 << l
-        return masks
 
     def degree_histogram(self, side: str, count_multiplicity: bool = True) -> dict[int, int]:
         idx = 0 if side == "left" else 1
@@ -94,33 +118,28 @@ def build_graph(n_left: int, f: Fraction, delta: int, seed: int) -> TannerGraph:
     dv = int(dv)
     sockets = n_right * delta
     perm = rng.generator(seed, "tanner-perm", n_left, n_right, delta).permutation(sockets)
-    counts: dict[tuple[int, int], int] = {}
-    for t in range(sockets):
-        l = t // dv
-        r = int(perm[t]) // delta
-        counts[(l, r)] = counts.get((l, r), 0) + 1
-    edges = tuple(sorted((l, r, m) for (l, r), m in counts.items()))
-    return TannerGraph(n_left, n_right, delta, seed, edges)
+    pairs = [(t // dv, int(perm[t]) // delta) for t in range(sockets)]
+    return TannerGraph.from_edges(n_left, n_right, pairs, delta, seed)
+
+
+def biadjacency(graph: TannerGraph) -> np.ndarray:
+    """Boolean n_left x n_right matrix with True where an edge joins the pair."""
+    B = np.zeros((graph.n_left, graph.n_right), dtype=bool)
+    B[graph.edges.array[:, 0], graph.edges.array[:, 1]] = True
+    return B
 
 
 def neighborhood(graph: TannerGraph, nodes: set[int] | frozenset[int], side: str) -> set[int]:
-    """Exact neighborhood of a subset of left or right nodes."""
+    """Exact neighborhood of a subset of left or right nodes, read straight
+    from the edge list so that it stays independent of ``biadjacency``."""
+    if side not in ("left", "right"):
+        raise ValueError(f"side must be 'left' or 'right', got {side!r}")
+    own = 0 if side == "left" else 1
     n = graph.n_left if side == "left" else graph.n_right
     for v in nodes:
         if not (0 <= v < n):
             raise ValueError(f"node {v} out of range for side {side!r}")
-    masks = graph.left_masks() if side == "left" else graph.right_masks()
-    acc = 0
-    for v in nodes:
-        acc |= masks[v]
-    out: set[int] = set()
-    i = 0
-    while acc:
-        if acc & 1:
-            out.add(i)
-        acc >>= 1
-        i += 1
-    return out
+    return {e[1 - own] for e in graph.edges if e[own] in nodes}
 
 
 @dataclass(frozen=True)
@@ -131,6 +150,9 @@ class GoodnessVerdict:
     violated_set: tuple[int, ...] | None
     violated_side: str | None
     subsets_checked: int
+    # Smallest |N(S)| / (required factor * |S|) over the subsets checked;
+    # below 1 means a violation, inf when no subset was checked.
+    min_expansion_ratio: float
 
     @property
     def found_violation(self) -> bool:
@@ -138,105 +160,75 @@ class GoodnessVerdict:
 
 
 def _direction_params(graph: TannerGraph, D: float, direction: str):
-    """(masks, size bound, required expansion factor) for one direction."""
+    """(biadjacency with one row per checked node, size bound, required
+    expansion factor, side) for one direction."""
     f = float(graph.f)
     if direction == "left_to_right":
-        return graph.left_masks(), int(graph.n_left / (D + 1)), f * D, "left"
+        return biadjacency(graph), int(graph.n_left / (D + 1)), f * D, "left"
     if direction == "right_to_left":
-        return graph.right_masks(), int(graph.n_right / (D + 1)), D / f, "right"
+        return biadjacency(graph).T, int(graph.n_right / (D + 1)), D / f, "right"
     raise ValueError(f"unknown direction {direction!r}")
 
 
-def _check_exhaustive(graph: TannerGraph, D: float, direction: str) -> tuple[tuple[int, ...] | None, str | None, int]:
-    masks, max_size, factor, side = _direction_params(graph, D, direction)
-    n = len(masks)
+def _check_exhaustive(graph: TannerGraph, D: float, direction: str):
+    B, max_size, factor, side = _direction_params(graph, D, direction)
+    masks = [int.from_bytes(np.packbits(row, bitorder="little").tobytes(), "little") for row in B]
     checked = 0
+    min_ratio = math.inf
     for size in range(1, max_size + 1):
-        for subset in combinations(range(n), size):
+        for subset in combinations(range(len(masks)), size):
             acc = 0
             for v in subset:
                 acc |= masks[v]
             checked += 1
-            if acc.bit_count() < factor * size:
-                return subset, side, checked
-    return None, None, checked
+            covered = acc.bit_count()
+            min_ratio = min(min_ratio, covered / (factor * size))
+            if covered < factor * size:
+                return subset, side, checked, min_ratio
+    return None, None, checked, min_ratio
 
 
-def _check_randomized(
-    graph: TannerGraph, D: float, direction: str, budget: int, seed: int
-) -> tuple[tuple[int, ...] | None, str | None, int]:
-    """Greedy falsifier: grow S by the vertex with the smallest marginal
-    neighborhood growth; every prefix is a candidate counterexample."""
-    masks, max_size, factor, side = _direction_params(graph, D, direction)
-    n = len(masks)
+# Greedy chains grown side by side in one block; 64 keeps a block's score
+# matrix small (64 x nodes floats) while one product serves many chains.
+CHAINS_PER_BLOCK = 64
+
+
+def _check_randomized(graph: TannerGraph, D: float, direction: str, budget: int, seed: int):
+    """Greedy falsifier: each chain starts at a random vertex and grows S by
+    the vertex with the smallest marginal growth |N(S + v)| - |N(S)|, ties
+    going to the vertex first in the chain's random order; every prefix is
+    a candidate counterexample.  One matrix product scores every candidate
+    of every chain in a block."""
+    B, max_size, factor, side = _direction_params(graph, D, direction)
+    n = B.shape[0]
     if max_size < 1 or n == 0:
-        return None, None, 0  # vacuously good: no subsets to check
-    back = _back_adjacency(graph, side)
+        return None, None, 0, math.inf  # vacuously good: no subsets to check
+    counts = B.T.astype(np.float64)
     gen = rng.generator(seed, "dgood", direction, D)
+    steps = min(max_size, budget)
     checked = 0
-    pool_cap = 64
-    while checked < budget:
-        current = int(gen.integers(0, n))
-        subset = [current]
-        acc = masks[current]
-        checked += 1
-        if acc.bit_count() < factor:
-            return tuple(subset), side, checked
-        while len(subset) < max_size and checked < budget:
-            candidates = _expansion_pool(acc, back, subset, n, gen, pool_cap)
-            if not candidates:
-                break
-            best = None
-            best_gain = None
-            for v in candidates:
-                gain = (masks[v] | acc).bit_count() - acc.bit_count()
-                if best_gain is None or gain < best_gain:
-                    best, best_gain = v, gain
-            subset.append(best)
-            acc |= masks[best]
-            checked += 1
-            if acc.bit_count() < factor * len(subset):
-                return tuple(sorted(subset)), side, checked
-    return None, None, checked
-
-
-def _back_adjacency(graph: TannerGraph, side: str) -> list[list[int]]:
-    """For each opposite-side node, the same-side nodes touching it."""
-    size = graph.n_right if side == "left" else graph.n_left
-    adj: list[list[int]] = [[] for _ in range(size)]
-    for l, r, _ in graph.edges:
-        if side == "left":
-            adj[r].append(l)
-        else:
-            adj[l].append(r)
-    return adj
-
-
-def _expansion_pool(acc: int, back: list[list[int]], subset: list[int], n, gen, cap: int) -> list[int]:
-    """Candidate vertices likely to add little to N(S): those already
-    sharing a covered neighbor, padded with random vertices."""
-    in_subset = set(subset)
-    pool: set[int] = set()
-    rem = acc
-    i = 0
-    while rem and len(pool) < cap:
-        if rem & 1:
-            for v in back[i]:
-                if v not in in_subset:
-                    pool.add(v)
-        rem >>= 1
-        i += 1
-    pool_list = list(pool)
-    if len(pool_list) > cap:
-        idx = gen.choice(len(pool_list), size=cap, replace=False)
-        pool_list = [pool_list[int(j)] for j in idx]
-    while len(pool_list) < min(cap, n - len(subset)):
-        v = int(gen.integers(0, n))
-        if v not in in_subset and v not in pool_list:
-            pool_list.append(v)
-        else:
-            break  # dense subset; good enough
-    return pool_list
+    min_ratio = math.inf
+    while budget - checked >= steps:
+        chains = min(CHAINS_PER_BLOCK, (budget - checked) // steps)
+        rows = np.arange(chains)
+        order = 0.5 * gen.random((chains, n))  # below the unit step between gains
+        members = np.zeros((chains, n), dtype=bool)
+        covered = np.zeros((chains, B.shape[1]), dtype=bool)
+        pick = gen.integers(0, n, size=chains)
+        for size in range(1, steps + 1):
+            members[rows, pick] = True
+            covered |= B[pick]
+            checked += chains
+            reached = covered.sum(axis=1)
+            min_ratio = min(min_ratio, float(reached.min()) / (factor * size))
+            bad = np.flatnonzero(reached < factor * size)
+            if bad.size:
+                witness = tuple(np.flatnonzero(members[bad[0]]).tolist())
+                return witness, side, checked, min_ratio
+            gain = (~covered) @ counts + order
+            gain[members] = np.inf
+            pick = gain.argmin(axis=1)
+    return None, None, checked, min_ratio
 
 
 EXHAUSTIVE_NODE_LIMIT = 24
@@ -253,14 +245,21 @@ def check_d_good(
     """Test the expansion condition |N(S)| >= f*D*|S| for small subsets.
 
     Exhaustive mode enumerates every subset up to the size bound and is
-    refused above EXHAUSTIVE_NODE_LIMIT nodes; randomized mode spends
-    ``budget`` candidate subsets on a greedy falsifier and reports either
-    a verified violation witness or "no violation found".
+    refused above EXHAUSTIVE_NODE_LIMIT nodes; randomized mode spends at
+    most ``budget`` candidate subsets, split evenly over the directions, on
+    a greedy falsifier and reports either a verified violation witness or
+    "no violation found".  A budget that leaves a direction no subset is
+    refused, so a clean verdict always means something was checked.
     """
     if D < 1:
         raise ValueError("D must be >= 1")
     directions = ["left_to_right", "right_to_left"] if direction == "both" else [direction]
+    share = budget // len(directions)
+    if mode == "randomized" and share < 1:
+        raise ValueError(f"budget {budget} leaves fewer than one subset for each of "
+                         f"{len(directions)} direction(s)")
     total_checked = 0
+    min_ratio = math.inf
     for d in directions:
         side_n = graph.n_left if d == "left_to_right" else graph.n_right
         if mode == "exhaustive":
@@ -268,16 +267,17 @@ def check_d_good(
                 raise BudgetExceededError(
                     f"exhaustive D-goodness refused for {side_n} > {EXHAUSTIVE_NODE_LIMIT} nodes"
                 )
-            witness, side, checked = _check_exhaustive(graph, D, d)
+            witness, side, checked, ratio = _check_exhaustive(graph, D, d)
         elif mode == "randomized":
-            witness, side, checked = _check_randomized(graph, D, d, budget // len(directions), seed)
+            witness, side, checked, ratio = _check_randomized(graph, D, d, share, seed)
         else:
             raise ValueError(f"unknown mode {mode!r}")
         total_checked += checked
+        min_ratio = min(min_ratio, ratio)
         if witness is not None:
             _assert_violation(graph, witness, side, D)
-            return GoodnessVerdict(D, direction, mode, tuple(witness), side, total_checked)
-    return GoodnessVerdict(D, direction, mode, None, None, total_checked)
+            return GoodnessVerdict(D, direction, mode, tuple(witness), side, total_checked, min_ratio)
+    return GoodnessVerdict(D, direction, mode, None, None, total_checked, min_ratio)
 
 
 def _assert_violation(graph: TannerGraph, subset: tuple[int, ...], side: str, D: float) -> None:
@@ -356,9 +356,23 @@ def export_text(graph: TannerGraph) -> str:
 
 
 def import_text(text: str) -> TannerGraph:
-    lines = [ln for ln in text.strip().splitlines() if ln.strip()]
-    n_left, n_right, delta, seed = (int(t) for t in lines[0].split())
-    edges = tuple(tuple(int(t) for t in ln.split()) for ln in lines[1:])
-    if any(len(e) != 3 for e in edges):
-        raise ValueError("edge lines must be 'left right multiplicity'")
-    return TannerGraph(n_left, n_right, delta, seed, tuple(sorted(edges)))
+    """Inverse of ``export_text``; malformed input raises ValueError naming its line."""
+    rows = []
+    for number, line in enumerate(text.splitlines(), 1):
+        if line.strip():
+            try:
+                rows.append((number, [int(t) for t in line.split()]))
+            except ValueError:
+                raise ValueError(f"line {number}: non-integer token in {line!r}") from None
+    if not rows:
+        raise ValueError("line 1: empty graph text, expected header 'n_left n_right delta seed'")
+    (number, header), edges = rows[0], rows[1:]
+    if len(header) != 4 or min(header[:3]) < 0:
+        raise ValueError(f"line {number}: header must be 'n_left n_right delta seed' "
+                         f"with non-negative sizes, got {header}")
+    n_left, n_right, delta, seed = header
+    for number, e in edges:
+        if len(e) != 3 or not (0 <= e[0] < n_left and 0 <= e[1] < n_right and e[2] >= 1):
+            raise ValueError(f"line {number}: edge must be 'left right multiplicity' within "
+                             f"{n_left} x {n_right} with multiplicity >= 1, got {e}")
+    return TannerGraph(n_left, n_right, delta, seed, sorted(tuple(e) for _, e in edges))

@@ -90,6 +90,42 @@ def test_config_rejects_non_positive_counts(tmp_path, key, value):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("key, raw", [
+    ("resample_lattice", '"false"'),  # a quoted string is not a boolean
+    ("allow_below_threshold", "1"),
+    ("trials", "2.7"),
+    ("seed", "1.5"),
+    ("threads", "true"),
+    ("trials", "inf"),
+])
+def test_config_refuses_loose_values(tmp_path, key, raw):
+    path = write_config(tmp_path, **{key: raw})
+    with pytest.raises(ValueError, match=f"config key {key!r} needs"):
+        config_from_mapping(load_config_file(path))
+    assert main(["simulate", "--config", path, "--out", str(tmp_path / "x.csv")]) == 2
+
+
+@pytest.mark.parametrize("raw, expected", [("true", True), ("false", False)])
+def test_config_loads_plain_booleans_and_integers(tmp_path, raw, expected):
+    path = write_config(tmp_path, resample_lattice=raw, allow_below_threshold=raw,
+                        seed=2**62 + 3, threads=2, trials=4.0)
+    cfg = config_from_mapping(load_config_file(path))
+    assert cfg.resample_lattice is expected and cfg.allow_below_threshold is expected
+    assert (cfg.master_seed, cfg.threads, cfg.trials) == (2**62 + 3, 2, 4)
+
+
+@pytest.mark.parametrize("flag, ok", [("yes", False), ("1", False), ("FALSE", True), ("true", True)])
+def test_resample_lattice_flag_takes_only_true_or_false(tmp_path, flag, ok):
+    argv = ["simulate", "--config", write_config(tmp_path, trials=2),
+            "--out", str(tmp_path / "x.csv"), "--resample-lattice", flag]
+    if ok:
+        assert main(argv) == 0
+    else:
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+
+
 def test_wilson_interval_basics():
     lo, hi = wilson_interval(0, 100)
     assert lo == 0.0 and 0.0 < hi < 0.05
@@ -281,6 +317,17 @@ def test_verify_expansion_small():
     report = verify_expansion(n_left=60, graphs=10, budget=8_000,
                               master_seed=1, required_clean=9)
     assert report.passed
+    margin = float(report.detail.split("min-clean-expansion-ratio=")[1].split()[0])
+    assert 1.0 <= margin < 10.0
+
+
+@pytest.mark.parametrize("budget", ["0", "1"])
+def test_cli_verify_expansion_refuses_an_empty_budget(capsys, budget):
+    # Split over two directions, a budget below 2 checks nothing; it must
+    # not report 100 clean graphs.
+    argv = ["verify-expansion", "--n-left", "60", "--graphs", "100", "--budget", budget]
+    assert main(argv) == 2
+    assert "refused: budget" in capsys.readouterr().err
 
 
 def test_verify_mindist_clean_profile():
@@ -293,6 +340,7 @@ def test_verify_mindist_clean_profile():
 def test_cli_verify_exit_codes():
     assert main(["verify-counts", "--cases", "10"]) == 0
     assert main(["thresholds", "--D", "2", "--f", "1/2", "--Rf", "3/4"]) == 0
+    assert main(["thresholds", "--D", "0.5", "--f", "1/2"]) == 2  # D below 1 is refused
 
 
 def test_exact_decoder_wer_curve_monotone_with_wilson_slack():

@@ -5,12 +5,16 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lda_lab import rng
 from lda_lab.expander import (
     BudgetExceededError,
     TannerGraph,
+    biadjacency,
     binary_entropy,
     binomial_bounds,
     build_graph,
@@ -39,6 +43,7 @@ def test_build_graph_deterministic():
     a = build_graph(10, Fraction(1, 2), 4, seed=3)
     b = build_graph(10, Fraction(1, 2), 4, seed=3)
     assert a.edges == b.edges
+    assert a == b and hash(a) == hash(b)
     c = build_graph(10, Fraction(1, 2), 4, seed=4)
     assert a.edges != c.edges
 
@@ -97,12 +102,19 @@ def test_neighborhood_rejects_out_of_range():
         neighborhood(g, {5}, "left")
 
 
+def test_neighborhood_rejects_unknown_side():
+    g = complete_bipartite(3, 2)
+    with pytest.raises(ValueError, match="side must be"):
+        neighborhood(g, {0}, "middle")
+
+
 def test_check_d_good_complete_bipartite_exhaustive():
     # K_{4,2}: every nonempty S of size <= 2 has |N(S)| = 2 >= |S|/2.
     g = complete_bipartite(4, 2)
     verdict = check_d_good(g, 1.0, "left_to_right", "exhaustive")
     assert not verdict.found_violation
     assert verdict.subsets_checked == 4 + 6  # sizes 1 and 2
+    assert verdict.min_expansion_ratio == 2 / (0.5 * 1.0 * 2)  # |N(S)| = 2 at |S| = 2
 
 
 def test_check_d_good_finds_planted_violation():
@@ -126,6 +138,13 @@ def test_check_d_good_vacuous_when_no_subsets():
     verdict = check_d_good(g, 5.0, "left_to_right", "exhaustive")  # n/(D+1) < 1
     assert not verdict.found_violation
     assert verdict.subsets_checked == 0
+
+
+@pytest.mark.parametrize("direction, budget", [("both", 0), ("both", 1), ("left_to_right", 0)])
+def test_check_d_good_refuses_budget_below_one_subset_per_direction(direction, budget):
+    g = build_graph(20, Fraction(1, 2), 12, seed=5)
+    with pytest.raises(ValueError, match="fewer than one subset"):
+        check_d_good(g, 2.0, direction, "randomized", budget=budget)
 
 
 def test_check_d_good_exhaustive_refuses_large_graphs():
@@ -188,3 +207,56 @@ def test_export_import_round_trip():
     back = import_text(text)
     assert back.edges == g.edges
     assert export_text(back) == text
+
+
+@pytest.mark.parametrize("text, line", [
+    ("", 1),
+    ("\n  \n", 1),
+    ("4 2 0 0\n-1 0 1\n", 2),  # negative left index
+    ("4 2 0 0\n0 1 1\n3 2 1\n", 3),  # right index past n_right
+    ("4 2 0 0\n0 1 0\n", 2),  # zero multiplicity
+    ("-4 2 0 0\n", 1),  # negative size in the header
+    ("4 2 0\n", 1),  # short header
+    ("4 2 0 0\n0 1\n", 2),  # short edge
+    ("4 2 0 0\n0 x 1\n", 2),
+])
+def test_import_text_rejects_malformed_input(text, line):
+    with pytest.raises(ValueError, match=f"line {line}:"):
+        import_text(text)
+
+
+@st.composite
+def small_graphs(draw):
+    """Permutation-model graphs with at most 16 nodes a side, so that the
+    exhaustive checker accepts them."""
+    f = draw(st.sampled_from([Fraction(1, 4), Fraction(1, 3), Fraction(1, 2), Fraction(2, 3), Fraction(1)]))
+    n_left = f.denominator * draw(st.integers(1, 16 // f.denominator))
+    delta = f.denominator * draw(st.integers(1, 3))
+    return build_graph(n_left, f, delta, seed=draw(st.integers(0, 2**32)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(graph=small_graphs(), D=st.sampled_from([1.0, 1.5, 2.0, 3.0]), seed=st.integers(0, 2**32))
+def test_randomized_witnesses_hold_against_the_oracles(graph, D, seed):
+    fast = check_d_good(graph, D, "both", "randomized", budget=400, seed=seed)
+    exact = check_d_good(graph, D, "both", "exhaustive")
+    if fast.found_violation:
+        witness, side = set(fast.violated_set), fast.violated_side
+        f = float(graph.f)
+        n_side, need = (graph.n_left, f * D) if side == "left" else (graph.n_right, D / f)
+        assert 0 < len(witness) <= n_side / (D + 1)
+        assert len(neighborhood(graph, witness, side)) < need * len(witness)
+        assert exact.found_violation
+    elif not exact.found_violation:
+        # The exhaustive minimum runs over every subset the greedy could see.
+        assert fast.min_expansion_ratio >= exact.min_expansion_ratio >= 1.0
+
+
+@settings(max_examples=60, deadline=None)
+@given(graph=small_graphs(), data=st.data())
+def test_biadjacency_rows_or_to_the_edge_list_neighborhood(graph, data):
+    B = biadjacency(graph)
+    for side, rows in (("left", B), ("right", B.T)):
+        nodes = data.draw(st.sets(st.integers(0, rows.shape[0] - 1)))
+        covered = rows[sorted(nodes)].any(axis=0)
+        assert set(np.flatnonzero(covered).tolist()) == neighborhood(graph, nodes, side)
