@@ -302,8 +302,8 @@ def run_monte_carlo(config: ExperimentConfig) -> list[SnrResult]:
 
     Trials run in the outer loop and the SNR grid in the inner one, so each
     trial's pair and sent point are built once and shared by every grid
-    point.  A budget refusal comes from trial 0's own codeword-table size
-    check, before that table is built.
+    point.  A budget refusal comes from the first quantizer search that
+    visits more than ``quantizer_budget`` nodes; no file is written.
     """
     cfg = config.resolve()
     fixed_pair = None if cfg.resample_lattice else _pair_for_trial(cfg, 0)

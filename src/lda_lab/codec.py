@@ -18,7 +18,7 @@ import numpy as np
 
 from . import rng
 from .channel import effective_noise_variance, wiener
-from .expander import BudgetExceededError, TannerGraph, build_graph
+from .expander import TannerGraph, build_graph
 from .fieldcore import is_prime
 from .gfmatrix import GfMatrix, StackedParityCheck, rank, solve
 from .lattice import DEFAULT_QUANTIZER_BUDGET, ConstructionALattice
@@ -149,42 +149,31 @@ def build_pair(
 @dataclass(frozen=True)
 class EncodeResult:
     point: np.ndarray
-    approximate_shaping: bool
 
 
 def encode(
     pair: NestedLatticePair,
     message: np.ndarray,
     budget: int = DEFAULT_QUANTIZER_BUDGET,
-    bp_shaping: bool = False,
 ) -> EncodeResult:
     """Map a message to its constellation point: the unique fine-lattice
     point with stacked syndrome (m | 0) lying in the shaping Voronoi region.
 
-    Solves H x^T = (m | 0)^T for a particular integer point and subtracts
-    Q(x) in the shaping lattice.  When the exact shaping quantizer exceeds
-    its budget and bp_shaping is set, iterative quantization is used and
-    the result flagged approximate.  The output's syndrome is re-verified
-    before returning.
+    Reads a particular integer point x with H x^T = (m | 0)^T off the
+    shaping lattice's cached row transform and subtracts Q(x) in the
+    shaping lattice; ``budget`` bounds the quantizer's search nodes.  The
+    output's syndrome is re-verified before returning.
     """
     message = np.asarray(message, dtype=np.int64) % pair.p
     if message.shape != (pair.ell,):
         raise ValueError(f"message must have length {pair.ell}")
     target = np.concatenate([message, np.zeros(pair.stack.r, dtype=np.int64)])
-    x = solve(pair.stack.full, target)
-    approximate = False
-    try:
-        nearest = pair.shaping.quantize(x.astype(float), budget=budget)
-    except BudgetExceededError:
-        if not bp_shaping:
-            raise
-        nearest = _bp_quantize(pair, x.astype(float))
-        approximate = True
-    point = x - nearest
+    x = pair.shaping.coset_point(target)
+    point = x - pair.shaping.quantize(x.astype(float), budget=budget)
     up, low = pair.syndrome(point)
     if not (np.array_equal(up, message) and not low.any()):
         raise AssertionError("encoded point fails its own syndrome check")
-    return EncodeResult(point=point, approximate_shaping=approximate)
+    return EncodeResult(point=point)
 
 
 def extract_message(pair: NestedLatticePair, x: np.ndarray) -> np.ndarray:
@@ -393,26 +382,6 @@ def _check_node_messages(
     return out
 
 
-def _bp_quantize(pair: NestedLatticePair, x: np.ndarray) -> np.ndarray:
-    """Iterative stand-in for the shaping quantizer on the full stack.
-
-    Runs the same sum-product machinery against the whole stack with a
-    pseudo-noise level of a fraction of a period, then forces membership:
-    any residual syndrome defect is cancelled by a particular solution and
-    the result is re-centered period-wise around x.  Only used when exact
-    shaping is over budget; always flagged approximate by the caller.
-    """
-    p = pair.p
-    H = pair.stack.full
-    est, _verified, _ = _sum_product_point(H, x, noise_var=(p / 4.0) ** 2, iters=50, damping=0.0)
-    defect = H.mul_vec(est)
-    if defect.any():
-        est = est - solve(H, defect)
-    # pZ^n shifts stay inside the lattice; bring the error into half-periods.
-    est = est + p * np.rint((x - est) / p).astype(np.int64)
-    return est
-
-
 def build_fine_lattice(
     n: int, p: int, R_f: Fraction | str, delta_p: int, seed: int = 0
 ) -> tuple[ConstructionALattice, TannerGraph]:
@@ -434,8 +403,8 @@ def build_fine_lattice(
 
 def voronoi_codebook_bruteforce(pair: NestedLatticePair, budget: int = 10_000_000) -> set[tuple[int, ...]]:
     """The Voronoi codebook Lambda_f ∩ V(Lambda), one minimal-norm coset
-    representative per message, computed through the enumeration CVP oracle
-    rather than the codeword-table quantizer."""
+    representative per message, computed through ``gfmatrix.solve`` and the
+    enumeration CVP oracle rather than the encoder's transform and search."""
     book: set[tuple[int, ...]] = set()
     for m_index in range(pair.codebook_size):
         message = _index_to_message(m_index, pair.p, pair.ell)

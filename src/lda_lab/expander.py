@@ -77,6 +77,8 @@ class TannerGraph:
         return Fraction(self.n_right, self.n_left)
 
     def degree_histogram(self, side: str, count_multiplicity: bool = True) -> dict[int, int]:
+        if side not in ("left", "right"):
+            raise ValueError(f"side must be 'left' or 'right', got {side!r}")
         idx = 0 if side == "left" else 1
         n = self.n_left if side == "left" else self.n_right
         degs = [0] * n

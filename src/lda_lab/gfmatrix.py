@@ -126,18 +126,21 @@ def solve(M: GfMatrix, s: np.ndarray) -> np.ndarray:
     return x
 
 
+def _null_rows(red: np.ndarray, pivots: list[int], p: int) -> np.ndarray:
+    """The systematic null-space basis read off a reduced row echelon form:
+    one row per free column f, e_f plus -red[:, f] on the pivot columns."""
+    n = red.shape[1]
+    free = [c for c in range(n) if c not in pivots]
+    g = np.zeros((len(free), n), dtype=np.int64)
+    g[np.arange(len(free)), free] = 1
+    g[:, pivots] = (-red[: len(pivots), free].T) % p
+    return g
+
+
 def generator_from_parity(H: GfMatrix) -> GfMatrix:
     """Rows spanning the null space of H: G H^T = 0, rank(G) = cols - rank(H)."""
     red, pivots = _rref(H.array, H.p)
-    p = H.p
-    n = H.cols
-    free = [c for c in range(n) if c not in pivots]
-    g = np.zeros((len(free), n), dtype=np.int64)
-    for i, fc in enumerate(free):
-        g[i, fc] = 1
-        for row, pc in enumerate(pivots):
-            g[i, pc] = (-red[row, fc]) % p
-    return GfMatrix(g, p)
+    return GfMatrix(_null_rows(red, pivots, H.p), H.p)
 
 
 @dataclass(frozen=True)

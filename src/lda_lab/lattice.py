@@ -1,11 +1,18 @@
 """Construction-A lattices and their computational geometry.
 
 A lattice here is the preimage of a p-ary code under reduction mod p:
-x is a lattice point iff x is integral and H x^T = 0 mod p.  Closest-point
-search is exact, by enumerating the code and rounding coordinate-wise per
-codeword; an independent brute-force oracle enumerates integer points in
-a ball and filters by membership, so the two routes can be pitted against
-each other in tests.
+x is a lattice point iff x is integral and H x^T = 0 mod p.  Each lattice
+computes one reduced row echelon form of H, once, and reads everything
+else off it: the code dimension, the generator, the particular solutions
+the encoder needs, and the triangular Construction-A basis (free columns
+e_f plus the pivot entries as residues in (-p/2, p/2), pivot columns
+p e_c).  Closest-point and shortest-vector search are exact
+Schnorr-Euchner depth-first enumerations on that basis (Agrell, Eriksson,
+Vardy and Zeger, "Closest point search in lattices", IEEE-IT 2002;
+Viterbo and Boutros, IEEE-IT 1999), bounded by a budget of visited search
+nodes.  An independent
+brute-force oracle enumerates integer points in a ball and filters by
+membership, so the two routes can be pitted against each other in tests.
 
 All volume formulas are evaluated in log space: p^n overflows immediately
 at realistic parameters.
@@ -22,7 +29,8 @@ import numpy as np
 
 from .expander import BudgetExceededError
 from .fieldcore import is_prime
-from .gfmatrix import GfMatrix, _rref, generator_from_parity, rank
+from .gfmatrix import GfMatrix, NoSolutionError, _null_rows, _rref
+from .gfmatrix import rank  # noqa: F401  (re-exported: the benchmark traces ``lattice.rank``)
 
 DEFAULT_ENUMERATION_BUDGET = 100_000_000
 DEFAULT_QUANTIZER_BUDGET = 250_000
@@ -206,11 +214,139 @@ def _lex_min_rows(rows: np.ndarray) -> np.ndarray:
     return rows[order[0]]
 
 
+def _checked_point(y: np.ndarray, n: int) -> np.ndarray:
+    """y as a length-n float vector.  NaN or infinite entries are refused,
+    and so are entries beyond 2^52, past which floats skip integers."""
+    y = np.asarray(y, dtype=float)
+    if y.shape != (n,):
+        raise ValueError(f"expected length-{n} vector")
+    if not np.isfinite(y).all():
+        raise ValueError("point has non-finite entries")
+    if np.abs(y).max(initial=0.0) > 2.0**52:
+        raise ValueError("point has entries beyond 2^52 in magnitude")
+    return y
+
+
 @dataclass(frozen=True)
 class MinDistanceResult:
     value: float
     exact: bool
     weight: int | None  # minimum Hamming weight found, when any
+
+
+@dataclass(frozen=True)
+class _SystematicForm:
+    """One reduced row echelon form of H and what is read off it."""
+
+    pivots: list[int]
+    transform: np.ndarray  # T with T H = rref(H) mod p; rows past the rank annihilate H
+    generator: GfMatrix
+    basis: np.ndarray  # int64, one Construction-A basis vector per column, in search order
+    q_t: np.ndarray  # Q^T of basis = Q R
+    r: list[list[float]]  # R, upper triangular with a positive diagonal
+
+
+def _sorted_columns(basis: np.ndarray) -> np.ndarray:
+    """Sorted QR order (Wuebben et al., Electronics Letters 2001): each step
+    takes the remaining column of least residual length, so the Gram-Schmidt
+    lengths grow toward the last columns, which the search fixes first."""
+    a = basis.astype(float)
+    norms = (a * a).sum(axis=0)
+    order = []
+    for _ in range(len(norms)):
+        j = int(np.argmin(norms))
+        order.append(j)
+        q = a[:, j] / math.sqrt(norms[j])
+        proj = q @ a
+        a -= np.outer(q, proj)
+        norms -= proj * proj
+        norms[j] = np.inf
+    return basis[:, order]
+
+
+def _systematic_form(H: GfMatrix) -> _SystematicForm:
+    p, rows, n = H.p, H.rows, H.cols
+    # Reducing [H | I] applies the same row operations to H as reducing H
+    # alone, and records them in the right-hand block.
+    red, pivots = _rref(np.hstack([H.array, np.eye(rows, dtype=np.int64)]), p)
+    pivots = [c for c in pivots if c < n]
+    generator = _null_rows(red[:, :n], pivots, p)
+    k = len(generator)
+    basis = np.zeros((n, n), dtype=np.int64)
+    # Generator entries as residues in (-p/2, p/2): the free columns reduced
+    # by the p e_c columns, which about halves the search time.
+    basis[:, :k] = (generator.T + p // 2) % p - p // 2
+    basis[pivots, k + np.arange(len(pivots))] = p
+    basis = _sorted_columns(basis)
+    q, r = np.linalg.qr(basis.astype(float))
+    sign = np.where(np.diag(r) < 0, -1.0, 1.0)
+    return _SystematicForm(
+        pivots=pivots,
+        transform=red[:, n:],
+        generator=GfMatrix(generator, p),
+        basis=basis,
+        q_t=(q * sign).T,
+        r=(r * sign[:, None]).tolist(),
+    )
+
+
+def _slack(d2: float) -> float:
+    """The search radius around a best squared distance d2: wide enough that
+    rounding in the search never drops a point the exact recount keeps."""
+    return d2 * (1 + 1e-9) + 1e-9
+
+
+def _search(r: list[list[float]], z: list[float], start: float, budget: int,
+            task: str, nonzero: bool = False) -> np.ndarray:
+    """Schnorr-Euchner enumeration of the integer u with |z - R u|^2 inside
+    the radius, R upper triangular.  The last coordinate is fixed first, and
+    each level zig-zags from the integer nearest its center (k, k + s, k - s,
+    k + 2s, ... toward the center's side s), so distances never decrease and
+    the first integer outside the radius ends the level.  The squared radius
+    starts at ``_slack(start)`` and shrinks to ``_slack(best)`` at every
+    closer leaf; every leaf inside the final radius is returned, one row per
+    leaf.  ``nonzero`` skips u = 0.  Each integer tried is one node; more
+    than ``budget`` nodes raise BudgetExceededError.
+    """
+    n = len(z)
+    u = [0] * n
+    leaves: list[tuple[float, tuple[int, ...]]] = []
+    best = start
+    bound = _slack(start)
+    nodes = 0
+
+    def descend(level: int, partial: float) -> None:
+        nonlocal best, bound, nodes
+        row = r[level]
+        c = z[level]
+        for j in range(level + 1, n):
+            c -= row[j] * u[j]
+        diag = row[level]
+        c /= diag
+        k = round(c)
+        step = 1 if c >= k else -1
+        while True:
+            nodes += 1
+            if nodes > budget:
+                raise BudgetExceededError(
+                    f"lattice {task} refused: {nodes} search nodes visited, "
+                    f"over the budget of {budget} (n = {n})"
+                )
+            d = partial + (diag * (k - c)) ** 2
+            if d > bound:
+                return
+            u[level] = k
+            if level:
+                descend(level - 1, d)
+            elif not (nonzero and not any(u)):
+                leaves.append((d, tuple(u)))
+                if d < best:
+                    best, bound = d, _slack(d)
+            k += step
+            step = -step - 1 if step > 0 else -step + 1
+
+    descend(n - 1, 0.0)
+    return np.array([leaf for d, leaf in leaves if d <= bound], dtype=np.int64).reshape(-1, n)
 
 
 class ConstructionALattice:
@@ -222,16 +358,22 @@ class ConstructionALattice:
         self.H = H
         self.p = H.p
         self.n = H.cols
-        self.k_eff = self.n - rank(H)
-        self._generator: GfMatrix | None = None
-        self._codewords: np.ndarray | None = None
-        self._codewords_lock = threading.Lock()  # one build when threads share the lattice
+        self._form: _SystematicForm | None = None
+        self._form_lock = threading.Lock()  # one build when threads share the lattice
+
+    def _systematic(self) -> _SystematicForm:
+        with self._form_lock:
+            if self._form is None:
+                self._form = _systematic_form(self.H)
+            return self._form
+
+    @property
+    def k_eff(self) -> int:
+        return self.n - len(self._systematic().pivots)
 
     @property
     def generator(self) -> GfMatrix:
-        if self._generator is None:
-            self._generator = generator_from_parity(self.H)
-        return self._generator
+        return self._systematic().generator
 
     @property
     def log_volume(self) -> float:
@@ -247,42 +389,72 @@ class ConstructionALattice:
             return False
         return not np.any(self.H.mul_vec(x.astype(np.int64)))
 
+    def coset_point(self, syndrome: np.ndarray) -> np.ndarray:
+        """The integer x with H x^T = syndrome mod p, free coordinates 0 and
+        pivot coordinates in [0, p): the particular solution of
+        ``gfmatrix.solve``, by one product with the cached row transform.
+        Raises NoSolutionError when no x exists."""
+        s = np.asarray(syndrome, dtype=np.int64) % self.p
+        if s.shape != (self.H.rows,):
+            raise ValueError(f"syndrome length {s.shape} does not match {self.H.rows} rows")
+        form = self._systematic()
+        t = (form.transform @ s) % self.p
+        rank_h = len(form.pivots)
+        if t[rank_h:].any():
+            raise NoSolutionError("inconsistent linear system over GF(p)")
+        x = np.zeros(self.n, dtype=np.int64)
+        x[form.pivots] = t[:rank_h]
+        return x
+
     def codewords(self, budget: int = DEFAULT_QUANTIZER_BUDGET) -> np.ndarray:
-        """All p^k_eff codewords as an int64 array (cached)."""
+        """All p^k_eff codewords as an int64 array, built on every call: the
+        test oracle of the searches.  Refuses tables of more than ``budget``
+        rows."""
         size = self.p**self.k_eff
         if size > budget:
             raise BudgetExceededError(
                 f"codeword enumeration refused: p^k = {size} exceeds budget {budget}"
             )
-        with self._codewords_lock:
-            if self._codewords is None:
-                if self.k_eff == 0:
-                    self._codewords = np.zeros((1, self.n), dtype=np.int64)
-                else:
-                    grids = np.meshgrid(*([np.arange(self.p)] * self.k_eff), indexing="ij")
-                    coeffs = np.stack(grids).reshape(self.k_eff, -1).T.astype(np.int64)
-                    self._codewords = (coeffs @ self.generator.array) % self.p
-        return self._codewords
+        if self.k_eff == 0:
+            return np.zeros((1, self.n), dtype=np.int64)
+        grids = np.meshgrid(*([np.arange(self.p)] * self.k_eff), indexing="ij")
+        coeffs = np.stack(grids).reshape(self.k_eff, -1).T.astype(np.int64)
+        return (coeffs @ self.generator.array) % self.p
 
     def quantize(self, y: np.ndarray, budget: int = DEFAULT_QUANTIZER_BUDGET) -> np.ndarray:
         """Exact closest lattice point to y; ties broken by lexicographic
         order of the candidate point.
 
-        For each codeword c the nearest point of c + pZ^n is c + p*round((y-c)/p)
-        coordinate-wise; minimizing over codewords is exact.
+        The search runs on y - a for the lattice point a = p * rint(y / p),
+        so its rounding does not grow with |y|, and starts from the radius
+        |y - a|.  It collects every point within ``_slack`` of the best;
+        their squared distances to y are then recomputed exactly and the
+        lex-min of the closest is returned.  ``budget`` bounds the visited
+        search nodes.
         """
-        y = np.asarray(y, dtype=float)
-        if y.shape != (self.n,):
-            raise ValueError(f"expected length-{self.n} vector")
-        C = self.codewords(budget)
-        K = np.rint((y - C) / self.p)
-        Z = C + self.p * K.astype(np.int64)
+        y = _checked_point(y, self.n)
+        form = self._systematic()
+        anchor = self.p * np.rint(y / self.p)
+        t = y - anchor
+        leaves = _search(form.r, (form.q_t @ t).tolist(), float((t * t).sum()),
+                         budget, "closest-point search")
+        Z = anchor.astype(np.int64) + leaves @ form.basis.T
         d2 = ((y - Z) ** 2).sum(axis=1)
-        best = d2.min()
-        ties = np.nonzero(d2 == best)[0]
+        ties = np.nonzero(d2 == d2.min())[0]
         if len(ties) == 1:
             return Z[ties[0]]
         return _lex_min_rows(Z[ties])
+
+    def shortest_vector(self, budget: int = DEFAULT_QUANTIZER_BUDGET) -> np.ndarray:
+        """A shortest nonzero lattice vector (the lex-min of them), exact.
+        The search starts at radius p, the length of p e_1; ``budget``
+        bounds the visited search nodes."""
+        form = self._systematic()
+        leaves = _search(form.r, [0.0] * self.n, float(self.p**2), budget,
+                         "shortest-vector search", nonzero=True)
+        Z = leaves @ form.basis.T
+        d2 = (Z * Z).sum(axis=1)
+        return _lex_min_rows(Z[d2 == d2.min()])
 
     def closest_point_bruteforce(
         self, y: np.ndarray, budget: int = DEFAULT_ENUMERATION_BUDGET
@@ -292,7 +464,7 @@ class ConstructionALattice:
 
         Shares no code path with :meth:`quantize` beyond the tie rule.
         """
-        y = np.asarray(y, dtype=float)
+        y = _checked_point(y, self.n)
         anchor = self.p * np.rint(y / self.p).astype(np.int64)  # always a lattice point
         r0 = float(np.linalg.norm(y - anchor))
         if r0 == 0.0:
@@ -360,20 +532,33 @@ class ConstructionALattice:
     def min_euclidean_distance(
         self, w_max: int, budget: int = DEFAULT_SUPPORT_BUDGET
     ) -> MinDistanceResult:
-        """min{p, sqrt(w)} for the least codeword weight w <= w_max, else the
-        certified lower bound min{p, sqrt(w_max + 1)}."""
+        """The least length d_min of a nonzero lattice vector, or a certified
+        lower bound on it.
+
+        A nonzero lattice vector lies in pZ^n (length >= p) or reduces to a
+        nonzero codeword (length >= sqrt of its weight), so min{p, sqrt(w)}
+        bounds d_min from below when every nonzero codeword has weight >= w.
+        The bound is attained only when some least-weight word lifts to
+        entries +-1.  When the support search finds a least weight w <=
+        w_max, the shortest-vector search replaces the bound by d_min
+        (exact=True); when it visits more than DEFAULT_QUANTIZER_BUDGET nodes,
+        the bound min{p, sqrt(w)} is returned with exact=False.  With no word of weight
+        <= w_max the certified bound min{p, sqrt(w_max + 1)} is returned,
+        exact=False.
+        """
         if self.k_eff == 0:
             # Code is {0}: the lattice is exactly pZ^n.
             return MinDistanceResult(value=float(self.p), exact=True, weight=None)
         w = self.min_hamming_weight(w_max, budget)
-        if w is not None:
-            return MinDistanceResult(value=min(float(self.p), math.sqrt(w)), exact=True, weight=w)
-        if w_max >= self.n:
-            # All weights exhausted and no codeword: impossible unless k_eff = 0.
-            return MinDistanceResult(value=float(self.p), exact=True, weight=None)
-        return MinDistanceResult(
-            value=min(float(self.p), math.sqrt(w_max + 1)), exact=False, weight=None
-        )
+        if w is None:
+            return MinDistanceResult(
+                value=min(float(self.p), math.sqrt(w_max + 1)), exact=False, weight=None
+            )
+        try:
+            v = self.shortest_vector()
+        except BudgetExceededError:
+            return MinDistanceResult(value=min(float(self.p), math.sqrt(w)), exact=False, weight=w)
+        return MinDistanceResult(value=math.sqrt(int(v @ v)), exact=True, weight=w)
 
     def hermite_gain(self, d_emin: float) -> float:
         """gamma = d_Emin^2 / vol^(2/n)."""

@@ -223,7 +223,7 @@ def test_plot_data_files(tmp_path):
 def test_budget_refusal_before_trials():
     cfg = ExperimentConfig(n=12, p=7, R=Fraction(1, 4), R_f=Fraction(2, 3),
                            snr_db_grid=[10.0], trials=5, master_seed=1,
-                           quantizer_budget=10_000)  # 7^8 codewords >> budget
+                           quantizer_budget=10)  # the first search alone visits 12+ nodes
     from lda_lab.expander import BudgetExceededError
 
     with pytest.raises(BudgetExceededError):
@@ -254,7 +254,7 @@ def test_cli_simulate_and_determinism(tmp_path):
 
 def test_cli_simulate_refusal_exit_code(tmp_path):
     cfgpath = write_config(tmp_path, Rf='"2/3"', n=12, p=7, R='"1/4"',
-                           quantizer_budget=10_000)
+                           quantizer_budget=10)
     assert main(["simulate", "--config", cfgpath, "--out", str(tmp_path / "x.csv")]) == 2
     assert not (tmp_path / "x.csv").exists()
 

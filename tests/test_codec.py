@@ -140,15 +140,11 @@ def test_mmse_decode_alpha_override():
     assert np.array_equal(mmse_decode_exact(pair, y, 1.0, 0.5, alpha=1.0), m)
 
 
-def test_encode_budget_refusal_and_bp_fallback():
+def test_encode_budget_refusal():
     pair = build_pair(12, 7, Fraction(1, 4), Fraction(1, 2), "lda", seed=11, delta_p=4)
     m = np.array([1, 2, 3])
-    with pytest.raises(BudgetExceededError):
+    with pytest.raises(BudgetExceededError, match="11 search nodes visited, over the budget of 10"):
         encode(pair, m, budget=10)
-    res = encode(pair, m, budget=10, bp_shaping=True)
-    assert res.approximate_shaping
-    up, low = pair.syndrome(res.point)
-    assert np.array_equal(up, m) and not low.any()
 
 
 def lda_pair(seed):

@@ -39,6 +39,12 @@ def test_build_graph_degrees_before_unification():
     assert g.degree_histogram("left") == {2: 10}
 
 
+def test_degree_histogram_rejects_unknown_side():
+    g = build_graph(10, Fraction(1, 2), 4, seed=1)
+    with pytest.raises(ValueError, match="side must be"):
+        g.degree_histogram("middle")
+
+
 def test_build_graph_deterministic():
     a = build_graph(10, Fraction(1, 2), 4, seed=3)
     b = build_graph(10, Fraction(1, 2), 4, seed=3)

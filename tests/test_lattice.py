@@ -7,10 +7,12 @@ from itertools import product
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lda_lab import rng
 from lda_lab.expander import BudgetExceededError
-from lda_lab.gfmatrix import GfMatrix
+from lda_lab.gfmatrix import GfMatrix, NoSolutionError, solve
 from lda_lab.lattice import (
     BallSpec,
     ConstructionALattice,
@@ -215,9 +217,12 @@ def test_quantize_periodicity():
 
 
 def test_quantize_budget_refusal():
-    lat = lattice_from([[0] * 8], 5)  # k_eff = 8: 390625 codewords
-    with pytest.raises(BudgetExceededError):
-        lat.quantize(np.zeros(8), budget=1000)
+    lat = lattice_from([[0] * 8], 5)  # Z^8: 2^8 closest points to (1/2, ..., 1/2)
+    with pytest.raises(BudgetExceededError, match="closest-point search refused: 501 search "
+                                                  "nodes visited, over the budget of 500"):
+        lat.quantize(np.full(8, 0.5), budget=500)
+    # The same search fits in 765 nodes: 3 integers tried per level entry.
+    assert lat.quantize(np.full(8, 0.5), budget=765).sum() == 0
 
 
 def test_min_hamming_weight_repetition_code():
@@ -323,19 +328,185 @@ def test_hermite_gain_trend_with_certified_bounds():
     assert gains[0] < gains[1] < gains[2]
 
 
-def test_codeword_table_built_once_when_threads_share_a_lattice():
-    # Runner threads share one lattice when the pair is fixed; every caller
-    # must get the one cached table, not a duplicate build.
+def test_systematic_form_built_once_when_threads_share_a_lattice(monkeypatch):
+    # Runner threads share one lattice when the pair is fixed; the first
+    # quantize builds the cached form, and every other caller must wait for
+    # it rather than build a duplicate.
     import sys
+    import time
     from concurrent.futures import ThreadPoolExecutor
 
+    from lda_lab import lattice
+
+    builds = []
+    build = lattice._systematic_form
+
+    def slow_build(H):
+        builds.append(H)
+        time.sleep(0.01)  # widen the window for a duplicate build
+        return build(H)
+
+    monkeypatch.setattr(lattice, "_systematic_form", slow_build)
     lat = ConstructionALattice(GfMatrix.random(3, 9, 5, rng.generator(1, "shared-table")))
+    y = rng.generator(2, "shared-table").uniform(-5, 5, size=9)
     old = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
         with ThreadPoolExecutor(max_workers=8) as pool:
-            tables = list(pool.map(lambda _: lat.codewords(), range(16), timeout=60))
+            points = list(pool.map(lambda _: lat.quantize(y), range(16), timeout=60))
     finally:
         sys.setswitchinterval(old)
-    assert len(tables) == 16
-    assert all(t is tables[0] for t in tables)
+    assert len(points) == 16 and len(builds) == 1
+    assert all(np.array_equal(q, points[0]) for q in points)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+@pytest.mark.parametrize("method", ["quantize", "closest_point_bruteforce"])
+def test_searches_refuse_non_finite_input(method, bad):
+    lat = lattice_from([[1, 2, 0, 4], [0, 1, 1, 3]], 5)
+    with pytest.raises(ValueError, match="non-finite"):
+        getattr(lat, method)(np.array([bad, 0.0, 0.0, 0.0]))
+
+
+def test_quantize_far_from_the_origin():
+    # Far out, rounding in the basis coordinates must not lose the closest
+    # point: the search runs relative to a nearby lattice point.
+    lat = lattice_from([[1, 2, 0, 4], [0, 1, 1, 3]], 5)
+    y = np.array([0.375, -1.25, 2.5, 0.875])
+    shift = 5 * np.array([2 * 10**11, -3 * 10**11, 10**11, 0])
+    assert np.array_equal(lat.quantize(y + shift), lat.quantize(y) + shift)
+    with pytest.raises(ValueError, match="beyond 2\\^52"):
+        lat.quantize(np.array([1e19, 0.0, 0.0, 0.0]))
+
+
+def test_min_euclidean_distance_searches_past_the_weight_bound(monkeypatch):
+    # Over GF(7), 3x + 6y = 0 gives the words y(5, 1): weight 2, but no
+    # multiple lifts to entries +-1, so sqrt(2) is only a lower bound.  The
+    # shortest vectors are +-(-2, 1), of length sqrt(5) < p.
+    lat = lattice_from([[3, 6]], 7)
+    assert np.array_equal(lat.shortest_vector(), [-2, 1])
+    d = lat.min_euclidean_distance(2)
+    assert d.exact and d.weight == 2
+    assert d.value == pytest.approx(math.sqrt(5))
+    # Out of search nodes, only the bound is certified.
+    def refuse(self):
+        raise BudgetExceededError("shortest-vector search refused")
+
+    monkeypatch.setattr(ConstructionALattice, "shortest_vector", refuse)
+    d = lat.min_euclidean_distance(2)
+    assert not d.exact and d.weight == 2
+    assert d.value == pytest.approx(math.sqrt(2))
+
+
+# ---------------------------------------------------------------------------
+# Properties: the searches against the table scan and the brute-force oracle
+
+
+@st.composite
+def small_lattices(draw):
+    """A random parity check: n <= 6, p in {3, 5, 7}, sized so that the
+    brute-force oracle's ball stays small."""
+    p = draw(st.sampled_from([3, 5, 7]))
+    n = draw(st.integers(1, {3: 6, 5: 5, 7: 4}[p]))
+    rows = draw(st.integers(1, n))
+    H = draw(st.lists(st.integers(0, p - 1), min_size=rows * n, max_size=rows * n))
+    return ConstructionALattice(GfMatrix(np.array(H).reshape(rows, n), p))
+
+
+def points_near(lat: ConstructionALattice, dyadic: bool = False):
+    """Length-n targets: integers, half-integers (which tie inside a coset)
+    and either arbitrary floats or multiples of 1/8, whose shifts by p are
+    exact."""
+    span = 2 * lat.p
+    coord = st.one_of(
+        st.integers(-span, span).map(float),
+        st.integers(-2 * span, 2 * span).map(lambda k: k / 2),
+        st.integers(-8 * span, 8 * span).map(lambda k: k / 8) if dyadic
+        else st.floats(-span, span, allow_nan=False),
+    )
+    return st.lists(coord, min_size=lat.n, max_size=lat.n).map(np.array)
+
+
+def table_scan(lat: ConstructionALattice, y: np.ndarray) -> np.ndarray:
+    """Closest point over every coset c + pZ^n of the codeword table: the
+    coordinate-wise nearest point of each coset (the smaller one at a half
+    step), then the lex-min of those at the least distance."""
+    C = lat.codewords()
+    Z = C + lat.p * np.ceil((y - C) / lat.p - 0.5).astype(np.int64)
+    d2 = ((y - Z) ** 2).sum(axis=1)
+    return np.array(min(Z[d2 == d2.min()].tolist()))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_quantize_matches_table_scan_and_bruteforce(data):
+    lat = data.draw(small_lattices())
+    y = data.draw(points_near(lat))
+    q = lat.quantize(y)
+    assert lat.contains(q)
+    assert np.array_equal(q, table_scan(lat, y))
+    assert np.array_equal(q, lat.closest_point_bruteforce(y))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_quantize_commutes_with_period_shifts(data):
+    lat = data.draw(small_lattices())
+    y = data.draw(points_near(lat, dyadic=True))
+    k = np.array(data.draw(st.lists(st.integers(-3, 3), min_size=lat.n, max_size=lat.n)))
+    assert np.array_equal(lat.quantize(y + lat.p * k), lat.quantize(y) + lat.p * k)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_shortest_vector_and_distance_bound_against_codewords(data):
+    lat = data.draw(small_lattices())
+    # Every nonzero codeword's shortest lift takes the centered residues;
+    # the zero word's shortest nonzero lift is p e_i.
+    words = lat.codewords()
+    lifts = words - lat.p * (words > lat.p // 2)
+    norms = (lifts[np.any(words, axis=1)] ** 2).sum(axis=1)
+    d2 = min([lat.p**2, *norms.tolist()])
+    v = lat.shortest_vector()
+    assert lat.contains(v) and v.any() and int(v @ v) == d2
+    w_max = data.draw(st.integers(1, lat.n))
+    d = lat.min_euclidean_distance(w_max)
+    weights = np.count_nonzero(words[np.any(words, axis=1)], axis=1)
+    w = int(weights.min()) if weights.size else None
+    bound = min(lat.p, math.sqrt(w if w is not None and w <= w_max else w_max + 1))
+    assert bound <= math.sqrt(d2) + 1e-12
+    if d.exact:
+        assert d.value == pytest.approx(math.sqrt(d2), rel=1e-12)
+    else:
+        assert d.value == pytest.approx(bound, rel=1e-12)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_coset_point_is_the_particular_solution_of_solve(data):
+    lat = data.draw(small_lattices())
+    s = np.array(data.draw(st.lists(st.integers(0, lat.p - 1),
+                                    min_size=lat.H.rows, max_size=lat.H.rows)))
+    try:
+        expected = solve(lat.H, s)
+    except NoSolutionError:
+        with pytest.raises(NoSolutionError):
+            lat.coset_point(s)
+        return
+    assert np.array_equal(lat.coset_point(s), expected)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_encode_equals_solve_based_encoding(data):
+    from fractions import Fraction
+
+    from lda_lab.codec import build_pair, encode
+
+    n, R, R_f = data.draw(st.sampled_from([(4, "1/4", "3/4"), (6, "1/2", "5/6"), (6, "1/3", "2/3")]))
+    p = data.draw(st.sampled_from([3, 5, 7] if n == 4 else [3, 5]))
+    pair = build_pair(n, p, Fraction(R), Fraction(R_f), "dense", seed=data.draw(st.integers(0, 2**32)))
+    m = np.array(data.draw(st.lists(st.integers(0, p - 1), min_size=pair.ell, max_size=pair.ell)))
+    x = solve(pair.stack.full, np.concatenate([m, np.zeros(pair.stack.r, dtype=np.int64)]))
+    expected = x - pair.shaping.closest_point_bruteforce(x.astype(float))
+    assert np.array_equal(encode(pair, m).point, expected)
