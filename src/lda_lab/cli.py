@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import math
-import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
@@ -23,7 +22,6 @@ from .expander import BudgetExceededError
 from .fieldcore import nearest_prime
 from .gfmatrix import GfMatrix
 from .lattice import (
-    DEFAULT_ENUMERATION_BUDGET,
     DEFAULT_QUANTIZER_BUDGET,
     BallSpec,
     ConstructionALattice,
@@ -56,14 +54,11 @@ class ExperimentConfig:
     trials: int = 100
     decoder: str = "exact"
     bp_iters: int = 50
-    bp_damping: float = 0.0
     master_seed: int = 0
     resample_lattice: bool = True
     allow_below_threshold: bool = False
     threads: int = 1
     quantizer_budget: int = DEFAULT_QUANTIZER_BUDGET
-    enumeration_budget: int = DEFAULT_ENUMERATION_BUDGET
-    goodness_budget: int = 100_000
 
     def resolve(self) -> "ExperimentConfig":
         """Pin the prime, validate integrality and degree thresholds."""
@@ -84,9 +79,11 @@ class ExperimentConfig:
                     f"delta_p = {cfg.delta_p} below threshold {threshold:.3f} "
                     f"(D = {cfg.D}); pass --allow-below-threshold to override"
                 )
-        for name in ("trials", "threads"):
+        for name in ("trials", "threads", "bp_iters"):
             if getattr(cfg, name) < 1:
                 raise ValueError(f"{name} must be at least 1, got {getattr(cfg, name)}")
+        if not cfg.snr_db_grid:
+            raise ValueError("snr_db must list at least 1 grid point")
         if cfg.decoder not in ("exact", "bp"):
             raise ValueError(f"unknown decoder {cfg.decoder!r}")
         if cfg.decoder == "bp" and cfg.kind != "lda":
@@ -162,14 +159,11 @@ _CONFIG_KEYS = {
     "trials": ("trials", int),
     "decoder": ("decoder", str),
     "bp_iters": ("bp_iters", int),
-    "bp_damping": ("bp_damping", float),
     "seed": ("master_seed", int),
     "resample_lattice": ("resample_lattice", bool),
     "allow_below_threshold": ("allow_below_threshold", bool),
     "threads": ("threads", int),
     "quantizer_budget": ("quantizer_budget", int),
-    "enumeration_budget": ("enumeration_budget", int),
-    "goodness_budget": ("goodness_budget", int),
 }
 
 
@@ -280,7 +274,7 @@ def _run_trial(cfg: ExperimentConfig, trial: int,
             decoded = codec.mmse_decode_exact(pair, y, P, sigma2, budget=cfg.quantizer_budget)
             status = "verified"
         else:
-            result = codec.bp_decode(pair, y, P, sigma2, iters=cfg.bp_iters, damping=cfg.bp_damping)
+            result = codec.bp_decode(pair, y, P, sigma2, iters=cfg.bp_iters)
             decoded = result.message
             status = "verified" if result.verified else "unverified"
         errs = int(np.count_nonzero(decoded != message))
@@ -609,11 +603,8 @@ def _merged_config(args: argparse.Namespace) -> ExperimentConfig:
         mapping["allow_below_threshold"] = True
     if args.resample_lattice is not None:
         mapping["resample_lattice"] = args.resample_lattice
-    threads = args.threads
-    if threads is None and os.environ.get("LDA_LAB_THREADS"):
-        threads = int(os.environ["LDA_LAB_THREADS"])
-    if threads is not None:
-        mapping["threads"] = threads
+    if args.threads is not None:
+        mapping["threads"] = args.threads
     if "n" not in mapping:
         raise ValueError("a config file providing at least n is required (--config PATH)")
     return config_from_mapping(mapping)

@@ -221,15 +221,6 @@ class BpResult:
     iterations: int
 
 
-def _check_rows(H: GfMatrix) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Sparse row view: (support indices, coefficients) per check."""
-    rows = []
-    for i in range(H.rows):
-        sup = np.nonzero(H.array[i])[0]
-        rows.append((sup, H.array[i, sup]))
-    return rows
-
-
 def _channel_priors(z: np.ndarray, p: int, noise_var: float) -> np.ndarray:
     """Per-coordinate posteriors over residues a mod p, folding the Gaussian
     density over a +/- 3-period window of representatives around z_i."""
@@ -245,10 +236,55 @@ def _channel_priors(z: np.ndarray, p: int, noise_var: float) -> np.ndarray:
     return pri  # shape (n, p)
 
 
+@dataclass(frozen=True)
+class _Edges:
+    """The nonzero entries h of a parity check in check-major order, and the
+    index maps of the check update."""
+
+    rows: np.ndarray  # check of each edge
+    cols: np.ndarray  # variable of each edge
+    slots: np.ndarray  # position of each edge in its check's row of the padded product
+    to_hx: np.ndarray  # (E, p): the message of h x = b reads x = b / h
+    from_hx: np.ndarray  # (E, p): the outgoing message of x = a reads h x = -h a
+    shape: tuple[int, int, int]  # (checks, max degree + 2, p)
+
+
+def _edges(H: GfMatrix) -> _Edges:
+    rows, cols = np.nonzero(H.array)
+    h = H.array[rows, cols][:, None]
+    a = np.arange(H.p)
+    degree = np.bincount(rows, minlength=H.rows)
+    slots = np.arange(len(rows)) - (np.cumsum(degree) - degree)[rows] + 1
+    return _Edges(rows, cols, slots, np.argsort(a * h % H.p, axis=1), -a * h % H.p,
+                  (H.rows, int(degree.max(initial=0)) + 2, H.p))
+
+
+def _check_messages(edges: _Edges, v2c: np.ndarray) -> np.ndarray:
+    """Outgoing sum-product messages of every check sum_j h_j x_j = 0 mod p,
+    one row per edge.
+
+    Each incoming message is carried to the y = h x domain and through a
+    length-p DFT, where the Z_p convolution of the other edges' messages is
+    a pointwise product: the prefix times the suffix product along the
+    check's row of a ones-padded array.  The inverse DFT, clipped at 0, is
+    read at y = -h x and normalized (uniform when it sums to 0).
+    """
+    spectra = np.ones(edges.shape, dtype=complex)
+    spectra[edges.rows, edges.slots] = np.fft.fft(np.take_along_axis(v2c, edges.to_hx, axis=1))
+    prefix = np.cumprod(spectra, axis=1)
+    suffix = np.cumprod(spectra[:, ::-1], axis=1)[:, ::-1]
+    others = prefix[edges.rows, edges.slots - 1] * suffix[edges.rows, edges.slots + 1]
+    conv = np.maximum(np.fft.ifft(others).real, 0.0)
+    msg = np.take_along_axis(conv, edges.from_hx, axis=1)
+    total = msg.sum(axis=1, keepdims=True)
+    return np.divide(msg, total, out=np.full_like(msg, 1.0 / edges.shape[2]), where=total > 0)
+
+
 def _sum_product_point(
-    H: GfMatrix, z: np.ndarray, noise_var: float, iters: int, damping: float
+    H: GfMatrix, z: np.ndarray, noise_var: float, iters: int
 ) -> tuple[np.ndarray, bool, int]:
-    """Flooding-schedule non-binary sum-product toward H x = 0 near z.
+    """Flooding-schedule non-binary sum-product toward H x = 0 near z, with
+    the messages of both directions held as (edges, p) arrays.
 
     Returns the hard-decision integer point (each symbol re-lifted to the
     representative of its residue class nearest z_i), whether it satisfies
@@ -257,58 +293,26 @@ def _sum_product_point(
     if iters < 1:
         raise ValueError("need at least one iteration")
     p = H.p
-    n = H.cols
+    edges = _edges(H)
     priors = _channel_priors(z, p, noise_var)
-    checks = _check_rows(H)
-    # Indices for circular (anti-)convolution over Z_p.
-    idx_sub = (np.arange(p)[:, None] - np.arange(p)[None, :]) % p
-
-    # Messages keyed by (check index, position within the check's support).
-    var_to_check = {}
-    for ci, (sup, _) in enumerate(checks):
-        for k, v in enumerate(sup):
-            var_to_check[(ci, k)] = priors[v].copy()
-
-    point = None
-    used_iters = 0
+    log_prior = np.log(np.maximum(priors, 1e-300))
+    var_to_check = priors[edges.cols]
     for it in range(1, iters + 1):
-        used_iters = it
-        check_to_var = {}
-        for ci, (sup, coeffs) in enumerate(checks):
-            outgoing = _check_node_messages(
-                coeffs, [var_to_check[(ci, k)] for k in range(len(sup))], p, idx_sub
-            )
-            for k, msg in enumerate(outgoing):
-                check_to_var[(ci, k)] = msg
-
-        # Variable-node update and posterior.
-        incoming: list[list[np.ndarray]] = [[] for _ in range(n)]
-        for ci, (sup, _) in enumerate(checks):
-            for k, v in enumerate(sup):
-                incoming[v].append(check_to_var[(ci, k)])
-        log_post = np.log(np.maximum(priors, 1e-300)).copy()
-        for v in range(n):
-            for msg in incoming[v]:
-                log_post[v] += np.log(np.maximum(msg, 1e-300))
-        hard = log_post.argmax(axis=1).astype(np.int64)
+        log_c2v = np.log(np.maximum(_check_messages(edges, var_to_check), 1e-300))
+        # Variable-node update and posterior: each variable adds its
+        # checks' messages in check order.
+        log_post = log_prior.copy()
+        np.add.at(log_post, edges.cols, log_c2v)
+        hard = log_post.argmax(axis=1)
         point = hard + p * np.rint((z - hard) / p).astype(np.int64)
-        if not H.mul_vec(point).any():
+        verified = not H.mul_vec(point).any()
+        if verified:
             break
-
-        new_var_to_check = {}
-        for ci, (sup, _) in enumerate(checks):
-            for k, v in enumerate(sup):
-                ext = log_post[v] - np.log(np.maximum(check_to_var[(ci, k)], 1e-300))
-                ext -= ext.max()
-                msg = np.exp(ext)
-                msg /= msg.sum()
-                if damping > 0.0:
-                    msg = (1 - damping) * msg + damping * var_to_check[(ci, k)]
-                new_var_to_check[(ci, k)] = msg
-        var_to_check = new_var_to_check
-
-    verified = not H.mul_vec(point).any()
-    return point, verified, used_iters
+        ext = log_post[edges.cols] - log_c2v
+        ext -= ext.max(axis=1, keepdims=True)
+        var_to_check = np.exp(ext)
+        var_to_check /= var_to_check.sum(axis=1, keepdims=True)
+    return point, verified, it
 
 
 def bp_decode(
@@ -317,25 +321,22 @@ def bp_decode(
     P: float,
     sigma2: float,
     iters: int = 200,
-    damping: float = 0.0,
-    alpha: float | None = None,
 ) -> BpResult:
     """Non-binary sum-product on the fine Tanner graph of an LDA pair.
 
-    Channel priors fold the Gaussian density of alpha*y over each residue
-    class within a +/- 3-period window; check-node convolutions over GF(p)
-    run directly in O(p^2) per message.  Non-convergence is flagged
-    ``unverified`` (best-effort decision) rather than raised.
+    Channel priors fold the Gaussian density of the MMSE-scaled output over
+    each residue class within a +/- 3-period window; check nodes convolve
+    over Z_p as pointwise products of length-p DFTs, O(d p log p) per check
+    of degree d (``_check_node_messages`` is the direct per-check oracle).
+    Non-convergence is flagged ``unverified`` (best-effort decision) rather
+    than raised.
     """
     if pair.kind != "lda":
         raise ValueError("bp_decode requires an LDA pair")
     y = _channel_output(y)
-    a = wiener(P, sigma2) if alpha is None else alpha
-    z = a * y
+    z = wiener(P, sigma2) * y
     noise_var = max(effective_noise_variance(P, sigma2), 1e-12)
-    point, verified, used_iters = _sum_product_point(
-        pair.stack.lower, z, noise_var, iters, damping
-    )
+    point, verified, used_iters = _sum_product_point(pair.stack.lower, z, noise_var, iters)
     return BpResult(
         message=extract_message(pair, point),
         point=point,
@@ -356,7 +357,8 @@ def _check_node_messages(
 
     Incoming beliefs are mapped to the y_j = h_j x_j domain, convolved with
     forward/backward partial products (O(d p^2) per check), evaluated at
-    -y_j, and mapped back through x_j = y_j / h_j.
+    -y_j, and mapped back through x_j = y_j / h_j.  The direct oracle of
+    ``_check_messages``, which the decoder runs.
     """
     d = len(incoming)
     scaled = []

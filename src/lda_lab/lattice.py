@@ -249,18 +249,18 @@ class _SystematicForm:
 def _sorted_columns(basis: np.ndarray) -> np.ndarray:
     """Sorted QR order (Wuebben et al., Electronics Letters 2001): each step
     takes the remaining column of least residual length, so the Gram-Schmidt
-    lengths grow toward the last columns, which the search fixes first."""
+    lengths grow toward the last columns, which the search fixes first.  The
+    residual lengths are recomputed at every step: downdating them by the
+    squared projections cancels to negative values at p = 31, n = 96."""
     a = basis.astype(float)
-    norms = (a * a).sum(axis=0)
-    order = []
-    for _ in range(len(norms)):
+    order: list[int] = []
+    for _ in range(a.shape[1]):
+        norms = (a * a).sum(axis=0)
+        norms[order] = np.inf
         j = int(np.argmin(norms))
         order.append(j)
         q = a[:, j] / math.sqrt(norms[j])
-        proj = q @ a
-        a -= np.outer(q, proj)
-        norms -= proj * proj
-        norms[j] = np.inf
+        a -= np.outer(q, q @ a)
     return basis[:, order]
 
 

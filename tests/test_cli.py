@@ -79,15 +79,32 @@ def test_config_lda_threshold_guard():
 
 @pytest.mark.parametrize("key, value", [
     ("trials", 0), ("trials", -1), ("threads", 0), ("threads", -3),
+    ("bp_iters", 0), ("snr_db", []),
 ])
 def test_config_rejects_non_positive_counts(tmp_path, key, value):
-    cfg = ExperimentConfig(n=8, p=5, R=Fraction(1, 4), R_f=Fraction(3, 4), **{key: value})
-    with pytest.raises(ValueError, match=f"{key} must be at least 1"):
+    attr = {"snr_db": "snr_db_grid"}.get(key, key)
+    cfg = ExperimentConfig(n=8, p=5, R=Fraction(1, 4), R_f=Fraction(3, 4), **{attr: value})
+    with pytest.raises(ValueError, match=f"{key} must (be|list) at least 1"):
         cfg.resolve()
     out = tmp_path / "x.csv"
     cfgpath = write_config(tmp_path, **{key: value})
     assert main(["simulate", "--config", cfgpath, "--out", str(out)]) == 2
     assert not out.exists()
+
+
+@pytest.mark.parametrize("key", ["bp_damping", "enumeration_budget", "goodness_budget"])
+def test_config_refuses_deleted_keys(tmp_path, key):
+    path = write_config(tmp_path, **{key: 1})
+    with pytest.raises(ValueError, match=f"unknown config key '{key}'"):
+        config_from_mapping(load_config_file(path))
+    assert main(["simulate", "--config", path, "--out", str(tmp_path / "x.csv")]) == 2
+
+
+def test_thread_count_comes_only_from_the_flag_or_the_key(tmp_path, monkeypatch):
+    # The environment is not a third source: a zero there would be refused.
+    monkeypatch.setenv("LDA_LAB_THREADS", "0")
+    path = write_config(tmp_path, trials=2)
+    assert main(["simulate", "--config", path, "--out", str(tmp_path / "x.csv")]) == 0
 
 
 @pytest.mark.parametrize("key, raw", [

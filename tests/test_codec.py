@@ -7,10 +7,15 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lda_lab import channel, rng
 from lda_lab.codec import (
+    _check_messages,
     _check_node_messages,
+    _edges,
+    _sum_product_point,
     all_messages,
     bp_decode,
     build_fine_lattice,
@@ -23,6 +28,8 @@ from lda_lab.codec import (
     voronoi_codebook_bruteforce,
 )
 from lda_lab.expander import BudgetExceededError
+from lda_lab.gfmatrix import GfMatrix
+from lda_lab.lattice import ConstructionALattice
 
 
 def small_pair(seed=0):
@@ -206,6 +213,72 @@ def test_check_node_degree_two_is_permutation():
     for a in range(p):
         reconstructed[perm[a]] = m1[a]
     assert np.allclose(out[1], reconstructed)
+
+
+def oracle_messages(H: GfMatrix, v2c: np.ndarray) -> np.ndarray:
+    """The per-check oracle on every check of H, one row per edge in
+    check-major order."""
+    p = H.p
+    idx_sub = (np.arange(p)[:, None] - np.arange(p)[None, :]) % p
+    out, e = [], 0
+    for row in H.array:
+        sup = np.nonzero(row)[0]
+        out += _check_node_messages(row[sup], list(v2c[e:e + len(sup)]), p, idx_sub)
+        e += len(sup)
+    return np.array(out).reshape(-1, p)
+
+
+@st.composite
+def single_checks(draw):
+    """One check over Z_p with nonzero labels; each incoming message is a
+    one-hot or a random distribution."""
+    p = draw(st.sampled_from([3, 5, 7, 11]))
+    d = draw(st.integers(1, 6))
+    labels = draw(st.lists(st.integers(1, p - 1), min_size=d, max_size=d))
+    incoming = []
+    for _ in range(d):
+        if draw(st.booleans()):
+            msg = np.zeros(p)
+            msg[draw(st.integers(0, p - 1))] = 1.0
+        else:
+            msg = np.array(draw(st.lists(st.floats(0.0, 1.0), min_size=p, max_size=p)))
+            msg = msg / msg.sum() if msg.sum() > 0 else np.full(p, 1.0 / p)
+        incoming.append(msg)
+    return GfMatrix(np.array([labels]), p), np.array(incoming)
+
+
+@settings(max_examples=200, deadline=None)
+@given(single_checks())
+def test_check_update_matches_the_per_check_oracle(check):
+    H, v2c = check
+    got = _check_messages(_edges(H), v2c)
+    assert np.allclose(got, oracle_messages(H, v2c), rtol=1e-9, atol=1e-12)
+    assert np.allclose(got.sum(axis=1), 1.0)
+
+
+def test_sum_product_on_a_block_with_an_empty_row_and_a_degree_one_check():
+    # Row 0 has no edges; row 1 is the degree-1 check 3 x_0 = 0, which
+    # pins x_0 to 0 mod p whatever the channel says.
+    p = 7
+    H = GfMatrix(np.array([[0, 0, 0, 0, 0, 0],
+                           [3, 0, 0, 0, 0, 0],
+                           [1, 2, 0, 4, 0, 3],
+                           [0, 5, 1, 0, 6, 2]]), p)
+    gen = rng.generator(18, "v2c")
+    v2c = gen.random((9, p))
+    v2c /= v2c.sum(axis=1, keepdims=True)
+    got = _check_messages(_edges(H), v2c)
+    assert np.allclose(got, oracle_messages(H, v2c), rtol=1e-9, atol=1e-12)
+    assert np.allclose(got[0], np.eye(p)[0])
+    lat = ConstructionALattice(H)
+    x = (np.array([1, 4]) @ lat.generator.array[:2]) % p - p * np.array([0, 1, 0, 0, 1, 0])
+    assert lat.contains(x)
+    for t in range(20):
+        z = x + rng.generator(18, "z", t).normal(0.0, 0.25, size=6)
+        point, verified, iters = _sum_product_point(H, z, 0.0625, 20)
+        assert verified and 1 <= iters <= 20
+        assert point[0] % p == 0
+        assert np.array_equal(point, lat.quantize(z))
 
 
 def test_serialization_round_trip_dense_and_lda():

@@ -360,6 +360,23 @@ def test_systematic_form_built_once_when_threads_share_a_lattice(monkeypatch):
     assert all(np.array_equal(q, points[0]) for q in points)
 
 
+def test_sorted_qr_at_paper_regime_size():
+    # At n = 96, p = 31 the residual lengths of the sorted QR cancel to
+    # negative values if they are downdated instead of recomputed; this
+    # seed raised a math domain error from k_eff.
+    from fractions import Fraction
+
+    from lda_lab.codec import build_fine_lattice
+    from lda_lab.gfmatrix import rank
+
+    lat, _ = build_fine_lattice(96, 31, Fraction(1, 2), 4, seed=rng.derive_key(5, 96, 0))
+    assert lat.k_eff == lat.n - rank(lat.H)
+    form = lat._systematic()
+    r = np.array(form.r)
+    assert np.allclose(form.q_t.T @ r, form.basis, atol=1e-8)
+    assert (np.diag(r) > 0).all()
+
+
 @pytest.mark.parametrize("bad", [math.nan, math.inf])
 @pytest.mark.parametrize("method", ["quantize", "closest_point_bruteforce"])
 def test_searches_refuse_non_finite_input(method, bad):
