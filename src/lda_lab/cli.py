@@ -577,192 +577,150 @@ def _true_or_false(text: str) -> bool:
     return text.lower() == "true"
 
 
-def _add_common(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--config", help="flat key=value config file")
-    sub.add_argument("--seed", type=int, help="master seed")
-    sub.add_argument("--out", help="output path")
-    sub.add_argument("--trials", type=int)
-    sub.add_argument("--snr-db", help="comma-separated SNR grid in dB")
-    sub.add_argument("--decoder", choices=["exact", "bp"])
-    sub.add_argument("--allow-below-threshold", action="store_true", default=None)
-    sub.add_argument("--resample-lattice", type=_true_or_false, default=None)
-    sub.add_argument("--threads", type=int)
+def _grid(text: str) -> list[float]:
+    return [float(t) for t in text.split(",")]
 
 
-def _merged_config(args: argparse.Namespace) -> ExperimentConfig:
-    mapping = load_config_file(args.config) if args.config else {}
-    if args.seed is not None:
-        mapping["seed"] = args.seed
-    if args.trials is not None:
-        mapping["trials"] = args.trials
-    if args.snr_db is not None:
-        mapping["snr_db"] = [float(t) for t in str(args.snr_db).split(",")]
-    if args.decoder is not None:
-        mapping["decoder"] = args.decoder
-    if args.allow_below_threshold:
-        mapping["allow_below_threshold"] = True
-    if args.resample_lattice is not None:
-        mapping["resample_lattice"] = args.resample_lattice
-    if args.threads is not None:
-        mapping["threads"] = args.threads
+def _merged_config(path: str | None, keys: dict) -> ExperimentConfig:
+    """The config file's keys, overridden by the flags given."""
+    mapping = load_config_file(path) if path else {}
+    mapping.update(keys)
     if "n" not in mapping:
         raise ValueError("a config file providing at least n is required (--config PATH)")
     return config_from_mapping(mapping)
 
 
-def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(prog="lda-lab",
-                                     description="nested-lattice coding laboratory")
-    subs = parser.add_subparsers(dest="command", required=True)
+def _simulate(config: str | None = None, out: str | None = None, **keys) -> int:
+    results = run_monte_carlo(_merged_config(config, keys))
+    out = out or "results.csv"
+    emit_csv(results, out)
+    emit_plot_data(results, out.removesuffix(".csv"))
+    cfg = results[0].config
+    flags = " allow_below_threshold" if cfg.allow_below_threshold else ""
+    print(f"wrote {out} (n={cfg.n} p={cfg.p} lambda={cfg.realized_lambda:.4f} "
+          f"kind={cfg.kind} decoder={cfg.decoder} mean_power={results[0].mean_power:.4f}{flags})")
+    return 0
 
-    for name in ("simulate", "gen"):
-        sp = subs.add_parser(name)
-        _add_common(sp)
 
-    sp = subs.add_parser("encode")
-    sp.add_argument("--pair", required=True)
-    sp.add_argument("--message", required=True, help="comma-separated GF(p) symbols")
-    sp = subs.add_parser("decode")
-    sp.add_argument("--pair", required=True)
-    sp.add_argument("--y", required=True, help="comma-separated channel output")
-    sp.add_argument("--snr-db", type=float, required=True)
-    sp.add_argument("--decoder", choices=["exact", "bp"], default="exact")
+def _gen(config: str | None = None, out: str | None = None, **keys) -> int:
+    pair = _pair_for_trial(_merged_config(config, keys).resolve(), 0)
+    out = out or "pair.txt"
+    with open(out, "w", encoding="utf-8") as fh:
+        fh.write(codec.pair_to_text(pair))
+    print(f"wrote {out} (regenerations={pair.regenerations})")
+    return 0
 
-    sp = subs.add_parser("verify-noise")
-    sp.add_argument("--n", type=int, default=10_000)
-    sp.add_argument("--sigma", type=float, default=1.0)
-    sp.add_argument("--eps", type=float, default=0.05)
-    sp.add_argument("--trials", type=int, default=10_000)
-    sp.add_argument("--seed", type=int, default=0)
 
-    sp = subs.add_parser("verify-ortho")
-    sp.add_argument("--n", type=int, default=10_000)
-    sp.add_argument("--sigma", type=float, default=1.0)
-    sp.add_argument("--trials", type=int, default=10_000)
-    sp.add_argument("--seed", type=int, default=0)
+def _read_pair(path: str) -> codec.NestedLatticePair:
+    with open(path, encoding="utf-8") as fh:
+        return codec.pair_from_text(fh.read())
 
-    sp = subs.add_parser("verify-norm")
-    sp.add_argument("--kind", choices=["dense", "lda"], default="dense")
-    sp.add_argument("--n", type=int, default=16)
-    sp.add_argument("--p", type=int, default=3)
-    sp.add_argument("--R", default="1/2")
-    sp.add_argument("--Rf", default="3/4")
-    sp.add_argument("--delta-p", type=int, default=None)
-    sp.add_argument("--count", type=int, default=500)
-    sp.add_argument("--seed", type=int, default=0)
 
-    sp = subs.add_parser("verify-expansion")
-    sp.add_argument("--n-left", type=int, default=200)
-    sp.add_argument("--f", default="1/4")
-    sp.add_argument("--D", type=float, default=2.0)
-    sp.add_argument("--delta", type=int, default=None)
-    sp.add_argument("--graphs", type=int, default=100)
-    sp.add_argument("--budget", type=int, default=100_000)
-    sp.add_argument("--seed", type=int, default=0)
+def _print_symbols(values: np.ndarray) -> int:
+    print(",".join(str(int(v)) for v in values))
+    return 0
 
-    sp = subs.add_parser("verify-mindist")
-    sp.add_argument("--codes", type=int, default=50)
-    sp.add_argument("--n", type=int, default=30)
-    sp.add_argument("--p", type=int, default=31)
-    sp.add_argument("--Rf", default="3/5")
-    sp.add_argument("--delta-p", type=int, default=5)
-    sp.add_argument("--w-max", type=int, default=4)
-    sp.add_argument("--seed", type=int, default=0)
 
-    sp = subs.add_parser("verify-counts")
-    sp.add_argument("--cases", type=int, default=100)
-    sp.add_argument("--seed", type=int, default=0)
+def _encode(pair: str, message: str) -> int:
+    lattices = _read_pair(pair)
+    symbols = np.array([int(t) for t in message.split(",")], dtype=np.int64)
+    return _print_symbols(codec.encode(lattices, symbols).point)
 
-    sp = subs.add_parser("thresholds")
-    sp.add_argument("--D", type=float, required=True)
-    sp.add_argument("--f", default=None, help="right/left ratio for the generic family")
-    sp.add_argument("--Rf", default=None, help="fine rate for the LDA family")
 
-    args = parser.parse_args(argv)
+def _decode(pair: str, y: str, snr_db: float, decoder: str = "exact") -> int:
+    lattices = _read_pair(pair)
+    samples = np.array([float(t) for t in y.split(",")])
+    P = channel.default_power(lattices.p, lattices.R)
+    sigma2 = P / (10.0 ** (snr_db / 10.0))
+    if decoder == "exact":
+        return _print_symbols(codec.mmse_decode_exact(lattices, samples, P, sigma2))
+    return _print_symbols(codec.bp_decode(lattices, samples, P, sigma2).message)
 
-    if args.command == "simulate":
-        try:
-            cfg = _merged_config(args)
-            results = run_monte_carlo(cfg)
-        except (BudgetExceededError, ValueError) as exc:
-            print(f"refused: {exc}", file=sys.stderr)
-            return 2
-        out = args.out or "results.csv"
-        emit_csv(results, out)
-        emit_plot_data(results, out.removesuffix(".csv"))
-        cfg = results[0].config
-        flags = " allow_below_threshold" if cfg.allow_below_threshold else ""
-        print(f"wrote {out} (n={cfg.n} p={cfg.p} lambda={cfg.realized_lambda:.4f} "
-              f"kind={cfg.kind} decoder={cfg.decoder} mean_power={results[0].mean_power:.4f}{flags})")
-        return 0
 
-    if args.command == "gen":
-        try:
-            cfg = _merged_config(args).resolve()
-            pair = _pair_for_trial(cfg, 0)
-        except (BudgetExceededError, ValueError) as exc:
-            print(f"refused: {exc}", file=sys.stderr)
-            return 2
-        out = args.out or "pair.txt"
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.write(codec.pair_to_text(pair))
-        print(f"wrote {out} (regenerations={pair.regenerations})")
-        return 0
+def _thresholds(D: float, f: str | None = None, Rf: str | None = None) -> int:
+    if f is not None:
+        ratio = float(Fraction(f))
+        print(f"delta_threshold(D={D}, f={f}) = {expander.delta_threshold(D, ratio)!r}")
+        print(f"delta_threshold_two_sided = {expander.delta_threshold_two_sided(D, ratio)!r}")
+    if Rf is not None:
+        rf = float(Fraction(Rf))
+        print(f"lda_delta_p_threshold(D={D}, Rf={Rf}) = {expander.lda_delta_p_threshold(D, rf)!r}")
+    return 0
 
-    if args.command in ("encode", "decode"):
-        try:
-            with open(args.pair, encoding="utf-8") as fh:
-                pair = codec.pair_from_text(fh.read())
-            if args.command == "encode":
-                message = np.array([int(t) for t in args.message.split(",")], dtype=np.int64)
-                out = codec.encode(pair, message).point
-            else:
-                y = np.array([float(t) for t in args.y.split(",")])
-                P = channel.default_power(pair.p, pair.R)
-                sigma2 = P / (10.0 ** (args.snr_db / 10.0))
-                if args.decoder == "exact":
-                    out = codec.mmse_decode_exact(pair, y, P, sigma2)
-                else:
-                    out = codec.bp_decode(pair, y, P, sigma2).message
-        except (BudgetExceededError, ValueError) as exc:
-            print(f"refused: {exc}", file=sys.stderr)
-            return 2
-        print(",".join(str(int(v)) for v in out))
-        return 0
 
-    try:
-        if args.command == "verify-noise":
-            report = verify_noise(args.n, args.sigma, args.eps, args.trials, args.seed)
-        elif args.command == "verify-ortho":
-            report = verify_ortho(args.n, args.sigma, args.trials, args.seed)
-        elif args.command == "verify-norm":
-            report = verify_norm(args.kind, args.n, args.p, Fraction(args.R), Fraction(args.Rf),
-                                 args.delta_p, args.count, args.seed)
-        elif args.command == "verify-expansion":
-            report = verify_expansion(args.n_left, Fraction(args.f), args.D, args.delta,
-                                      args.graphs, args.budget, args.seed)
-        elif args.command == "verify-mindist":
-            report = verify_mindist(args.codes, args.n, args.p, Fraction(args.Rf),
-                                    args.delta_p, args.w_max, args.seed)
-        elif args.command == "verify-counts":
-            report = verify_counts(args.cases, args.seed)
-        elif args.command == "thresholds":
-            if args.f is not None:
-                f = float(Fraction(args.f))
-                print(f"delta_threshold(D={args.D}, f={args.f}) = {expander.delta_threshold(args.D, f)!r}")
-                print(f"delta_threshold_two_sided = {expander.delta_threshold_two_sided(args.D, f)!r}")
-            if args.Rf is not None:
-                rf = float(Fraction(args.Rf))
-                print(f"lda_delta_p_threshold(D={args.D}, Rf={args.Rf}) = {expander.lda_delta_p_threshold(args.D, rf)!r}")
-            return 0
-        else:  # pragma: no cover
-            parser.error(f"unhandled command {args.command}")
-    except (BudgetExceededError, ValueError) as exc:
-        print(f"refused: {exc}", file=sys.stderr)
-        return 2
-
+def _verdict(report: VerifyReport) -> int:
     print(report.line())
     return 0 if report.passed else 1
+
+
+# Each subcommand's handler and flags, as (option string, add_argument
+# keywords).  A flag's dest is the config key or the handler parameter it
+# sets; an omitted flag leaves the key or the parameter's default alone.
+# The verifier handlers look the verifiers up at call time, so a wrapper
+# put on the module attribute (the benchmark's tracer) sees the call.
+_RUN_FLAGS = [
+    ("--config", {"help": "flat key=value config file"}),
+    ("--seed", {"type": int, "help": "master seed"}),
+    ("--out", {"help": "output path"}),
+    ("--trials", {"type": int}),
+    ("--snr-db", {"type": _grid, "help": "comma-separated SNR grid in dB"}),
+    ("--decoder", {"choices": ["exact", "bp"]}),
+    ("--allow-below-threshold", {"action": "store_true"}),
+    ("--resample-lattice", {"type": _true_or_false}),
+    ("--threads", {"type": int}),
+]
+_PAIR = ("--pair", {"required": True})
+_SEED = ("--seed", {"dest": "master_seed", "type": int, "metavar": "SEED"})
+_N = ("--n", {"type": int})
+_P = ("--p", {"type": int})
+_SIGMA = ("--sigma", {"type": float})
+_TRIALS = ("--trials", {"type": int})
+_RF = ("--Rf", {"dest": "R_f", "type": Fraction, "metavar": "RF"})
+_DELTA_P = ("--delta-p", {"type": int})
+
+COMMANDS = {
+    "simulate": (_simulate, _RUN_FLAGS),
+    "gen": (_gen, _RUN_FLAGS),
+    "encode": (_encode, [_PAIR, ("--message", {"required": True,
+                                               "help": "comma-separated GF(p) symbols"})]),
+    "decode": (_decode, [_PAIR, ("--y", {"required": True, "help": "comma-separated channel output"}),
+                         ("--snr-db", {"type": float, "required": True}),
+                         ("--decoder", {"choices": ["exact", "bp"]})]),
+    "verify-noise": (lambda **kw: _verdict(verify_noise(**kw)),
+                     [_N, _SIGMA, ("--eps", {"type": float}), _TRIALS, _SEED]),
+    "verify-ortho": (lambda **kw: _verdict(verify_ortho(**kw)), [_N, _SIGMA, _TRIALS, _SEED]),
+    "verify-norm": (lambda **kw: _verdict(verify_norm(**kw)),
+                    [("--kind", {"choices": ["dense", "lda"]}), _N, _P, ("--R", {"type": Fraction}),
+                     _RF, _DELTA_P, ("--count", {"type": int}), _SEED]),
+    "verify-expansion": (lambda **kw: _verdict(verify_expansion(**kw)),
+                         [("--n-left", {"type": int}), ("--f", {"type": Fraction}),
+                          ("--D", {"type": float}), ("--delta", {"type": int}),
+                          ("--graphs", {"type": int}), ("--budget", {"type": int}), _SEED]),
+    "verify-mindist": (lambda **kw: _verdict(verify_mindist(**kw)),
+                       [("--codes", {"type": int}), _N, _P, _RF, _DELTA_P,
+                        ("--w-max", {"type": int}), _SEED]),
+    "verify-counts": (lambda **kw: _verdict(verify_counts(**kw)),
+                      [("--cases", {"type": int}), _SEED]),
+    "thresholds": (_thresholds, [("--D", {"type": float, "required": True}),
+                                 ("--f", {"help": "right/left ratio for the generic family"}),
+                                 ("--Rf", {"help": "fine rate for the LDA family"})]),
+}
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(prog="lda-lab", description="nested-lattice coding laboratory")
+    subs = parser.add_subparsers(dest="command", required=True)
+    for name, (_handler, flags) in COMMANDS.items():
+        sub = subs.add_parser(name, argument_default=argparse.SUPPRESS)
+        for option, settings in flags:
+            sub.add_argument(option, **settings)
+    kwargs = vars(parser.parse_args(argv))
+    handler, _flags = COMMANDS[kwargs.pop("command")]
+    try:
+        return handler(**kwargs)
+    except (BudgetExceededError, ValueError, OSError) as exc:
+        print(f"refused: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -18,9 +18,10 @@ import numpy as np
 
 from . import rng
 from .channel import effective_noise_variance, wiener
-from .expander import TannerGraph, build_graph
+from .expander import TannerGraph, build_graph, export_text, import_text
 from .fieldcore import is_prime
-from .gfmatrix import GfMatrix, StackedParityCheck, rank, solve
+from .gfmatrix import GfMatrix, StackedParityCheck, solve
+from .gfmatrix import rank  # noqa: F401  (re-exported: the benchmark traces ``codec.rank``)
 from .lattice import DEFAULT_QUANTIZER_BUDGET, ConstructionALattice
 
 MAX_RANK_ATTEMPTS = 64
@@ -61,21 +62,13 @@ class NestedLatticePair:
         return self.stack.upper.mul_vec(x), self.stack.lower.mul_vec(x)
 
 
-def _dense_blocks(n: int, p: int, ell: int, r: int, seed: int, attempt: int):
-    gen = rng.generator(seed, "dense-H", attempt)
-    upper = GfMatrix.random(ell, n, p, gen)
-    lower = GfMatrix.random(r, n, p, gen)
-    return upper, lower
-
-
 def _label_graph(graph: TannerGraph, rows: int, n: int, p: int, seed: int, tag: str, attempt: int) -> GfMatrix:
     """Put i.i.d. uniform GF(p) labels on the merged edges, in the fixed
     lexicographic edge order."""
     gen = rng.generator(seed, "labels", tag, attempt)
-    labels = gen.integers(0, p, size=len(graph.edges), dtype=np.int64)
     H = np.zeros((rows, n), dtype=np.int64)
-    for (l, r, _m), lab in zip(graph.edges, labels):
-        H[r, l] = lab
+    H[graph.edges.array[:, 1], graph.edges.array[:, 0]] = gen.integers(
+        0, p, size=len(graph.edges), dtype=np.int64)
     return GfMatrix(H, p)
 
 
@@ -120,12 +113,16 @@ def build_pair(
     full_rank = ell + r
     for attempt in range(MAX_RANK_ATTEMPTS):
         if kind == "dense":
-            upper, lower = _dense_blocks(n, p, ell, r, seed, attempt)
+            gen = rng.generator(seed, "dense-H", attempt)
+            upper = GfMatrix.random(ell, n, p, gen)
+            lower = GfMatrix.random(r, n, p, gen)
         else:
             upper = _label_graph(upper_graph, ell, n, p, seed, "upper", attempt)
             lower = _label_graph(fine_graph, r, n, p, seed, "fine", attempt)
         stack = StackedParityCheck(upper=upper, lower=lower, n=n, R=R, R_f=R_f)
-        if rank(stack.full) == full_rank:
+        shaping = ConstructionALattice(stack.full)
+        # The rank is read off the one row reduction the encoder needs anyway.
+        if n - shaping.k_eff == full_rank:
             return NestedLatticePair(
                 n=n,
                 p=p,
@@ -134,7 +131,7 @@ def build_pair(
                 kind=kind,
                 seed=seed,
                 stack=stack,
-                shaping=ConstructionALattice(stack.full),
+                shaping=shaping,
                 fine=ConstructionALattice(stack.lower),
                 regenerations=attempt,
                 lda=LdaInfo(delta_p, fine_graph, upper_graph) if kind == "lda" else None,
@@ -437,9 +434,9 @@ def all_messages(pair: NestedLatticePair):
 def pair_to_text(pair: NestedLatticePair) -> str:
     """Graph-plus-labels text format; round-trips bit-exactly.
 
-    Each block lists the nonzero pattern of one submatrix as sorted
-    'left right multiplicity' lines followed by 'edge_index label' lines.
-    Dense pairs use the same container with multiplicity 1 everywhere.
+    Each block is the ``expander.export_text`` of its Tanner graph followed
+    by 'edge_index label' lines.  A dense block's graph is its nonzero
+    pattern, with multiplicity 1 everywhere.
     """
     lines = [
         "ldapair v1",
@@ -452,24 +449,19 @@ def pair_to_text(pair: NestedLatticePair) -> str:
         ("fine", pair.stack.lower, pair.lda.fine_graph if pair.lda else None),
     ):
         if graph is None:
-            cells = [(int(c), int(r), 1) for r, c in zip(*np.nonzero(block.array))]
-            cells.sort()
-            header = f"{block.cols} {block.rows} 0 0"
-        else:
-            cells = list(graph.edges)
-            header = f"{graph.n_left} {graph.n_right} {graph.delta} {graph.seed}"
-        lines.append(f"block {name}")
-        lines.append(header)
-        lines += [f"{l} {r} {m}" for l, r, m in cells]
-        lines.append("labels")
-        lines += [f"{i} {int(block.array[r, l])}" for i, (l, r, _m) in enumerate(cells)]
+            rows, cols = np.nonzero(block.array)
+            graph = TannerGraph.from_edges(block.cols, block.rows, list(zip(cols.tolist(), rows.tolist())))
+        lines += [f"block {name}", export_text(graph).rstrip("\n"), "labels"]
+        lines += [f"{i} {int(block.array[r, l])}" for i, (l, r, _m) in enumerate(graph.edges)]
     lines.append("end")
     return "\n".join(lines) + "\n"
 
 
 def pair_from_text(text: str) -> NestedLatticePair:
-    """Inverse of :func:`pair_to_text`.  Malformed input (empty, truncated,
-    an out-of-range edge or edge index) raises ValueError naming the line."""
+    """Inverse of :func:`pair_to_text`.  Each block's graph is read by
+    ``expander.import_text`` and must be n x (block rows).  Malformed input
+    (empty, truncated, a graph ``import_text`` refuses or of the wrong
+    shape, an out-of-range edge index) raises ValueError naming the line."""
     lines = [ln.rstrip() for ln in text.strip().splitlines()]
     i = 0
     try:
@@ -481,7 +473,7 @@ def pair_from_text(text: str) -> NestedLatticePair:
         R, R_f = Fraction(head["R"]), Fraction(head["Rf"])
         kind, seed = head["kind"], int(head["seed"])
         delta_p, regen = int(head["deltap"]), int(head["regen"])
-        blocks: dict[str, tuple[GfMatrix, TannerGraph | None]] = {}
+        blocks: dict[str, tuple[GfMatrix, TannerGraph]] = {}
         i = 2
         rows_by_name = {"upper": int(n * (R_f - R)), "fine": int(n * (1 - R_f))}
         while lines[i] != "end":
@@ -490,36 +482,31 @@ def pair_from_text(text: str) -> NestedLatticePair:
             name = lines[i].split()[1]
             rows = rows_by_name[name]
             i += 1
-            n_left, n_right, delta, gseed = (int(t) for t in lines[i].split())
-            i += 1
-            cells = []
+            first = i
             while lines[i] != "labels":
-                l, r, m = (int(t) for t in lines[i].split())
-                if not (0 <= l < n and 0 <= r < rows):
-                    raise ValueError(f"edge ({l}, {r}) out of range")
-                cells.append((l, r, m))
                 i += 1
-            i += 1
+            # Graph errors are reported at the graph's header line; blank lines
+            # in front make import_text number the offending line as the file does.
+            labels_at, i = i, first
+            graph = import_text("\n" * first + "\n".join(lines[first:labels_at]))
+            if (graph.n_left, graph.n_right) != (n, rows):
+                raise ValueError(f"graph is {graph.n_left} x {graph.n_right}, block {name} "
+                                 f"is {n} x {rows}")
+            i = labels_at + 1
             arr = np.zeros((rows, n), dtype=np.int64)
             while lines[i] != "end" and not lines[i].startswith("block "):
                 idx, lab = (int(t) for t in lines[i].split())
-                if not 0 <= idx < len(cells):
-                    raise ValueError(f"edge index {idx} out of range for {len(cells)} edges")
-                l, r, _m = cells[idx]
+                if not 0 <= idx < len(graph.edges):
+                    raise ValueError(f"edge index {idx} out of range for {len(graph.edges)} edges")
+                l, r, _m = graph.edges.array[idx]
                 arr[r, l] = lab
                 i += 1
-            graph = None
-            if kind == "lda":
-                graph = TannerGraph(n_left, n_right, delta, gseed, tuple(sorted(cells)))
             blocks[name] = (GfMatrix(arr, p), graph)
         stack = StackedParityCheck(upper=blocks["upper"][0], lower=blocks["fine"][0], n=n, R=R, R_f=R_f)
     except (IndexError, KeyError, ValueError) as exc:
         if i >= len(lines):
             raise ValueError(f"bad pair file: truncated after line {len(lines)}") from exc
         raise ValueError(f"bad pair file at line {i + 1}: {type(exc).__name__}: {exc}") from exc
-    lda = None
-    if kind == "lda":
-        lda = LdaInfo(delta_p, blocks["fine"][1], blocks["upper"][1])
     return NestedLatticePair(
         n=n,
         p=p,
@@ -531,5 +518,5 @@ def pair_from_text(text: str) -> NestedLatticePair:
         shaping=ConstructionALattice(stack.full),
         fine=ConstructionALattice(stack.lower),
         regenerations=regen,
-        lda=lda,
+        lda=LdaInfo(delta_p, blocks["fine"][1], blocks["upper"][1]) if kind == "lda" else None,
     )

@@ -373,8 +373,12 @@ def import_text(text: str) -> TannerGraph:
         raise ValueError(f"line {number}: header must be 'n_left n_right delta seed' "
                          f"with non-negative sizes, got {header}")
     n_left, n_right, delta, seed = header
+    previous = [-1, -1]
     for number, e in edges:
         if len(e) != 3 or not (0 <= e[0] < n_left and 0 <= e[1] < n_right and e[2] >= 1):
             raise ValueError(f"line {number}: edge must be 'left right multiplicity' within "
                              f"{n_left} x {n_right} with multiplicity >= 1, got {e}")
-    return TannerGraph(n_left, n_right, delta, seed, sorted(tuple(e) for _, e in edges))
+        if e[:2] <= previous:  # a repeat breaks "each pair once"; disorder moves labels
+            raise ValueError(f"line {number}: edge {e[:2]} repeats or is out of sorted order")
+        previous = e[:2]
+    return TannerGraph(n_left, n_right, delta, seed, [tuple(e) for _, e in edges])

@@ -2,14 +2,17 @@
 
 from __future__ import annotations
 
+import inspect
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
+from lda_lab import cli
 from lda_lab.cli import (
     CSV_HEADER,
     ExperimentConfig,
+    VerifyReport,
     config_from_mapping,
     emit_csv,
     emit_plot_data,
@@ -269,6 +272,17 @@ def test_cli_simulate_and_determinism(tmp_path):
     assert out1.read_bytes() == out2.read_bytes()
 
 
+def test_cli_run_flags_override_their_config_keys(tmp_path):
+    cfgpath = write_config(tmp_path, kind='"lda"', n=12, p=7, Rf='"1/2"', delta_p=4)
+    out = tmp_path / "r.csv"
+    argv = ["simulate", "--config", cfgpath, "--out", str(out), "--trials", "3"]
+    assert main(argv) == 2  # delta_p = 4 is below the threshold
+    assert main(argv + ["--allow-below-threshold", "--snr-db", "5,9", "--seed", "9",
+                        "--decoder", "bp", "--resample-lattice", "false"]) == 0
+    rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
+    assert [(r[0], r[6], r[7], r[14]) for r in rows] == [("5.0", "bp", "3", "9"), ("9.0", "bp", "3", "9")]
+
+
 def test_cli_simulate_refusal_exit_code(tmp_path):
     cfgpath = write_config(tmp_path, Rf='"2/3"', n=12, p=7, R='"1/4"',
                            quantizer_budget=10)
@@ -307,6 +321,58 @@ def test_cli_encode_decode_refuse_bad_input(tmp_path, capsys):
     assert main(["decode", "--pair", str(pairpath), "--y", "nan,0,0,0,0,0,0,0",
                  "--snr-db", "10"]) == 2
     assert "refused: channel output has non-finite samples" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["simulate", "--config", "{missing}/cfg.toml", "--out", "{tmp}/x.csv"],
+    ["gen", "--config", "{missing}/cfg.toml", "--out", "{tmp}/pair.txt"],
+    ["encode", "--pair", "{missing}/pair.txt", "--message", "1,2,3,4"],
+    ["decode", "--pair", "{missing}/pair.txt", "--y", "0,0,0,0,0,0,0,0", "--snr-db", "10"],
+    ["simulate", "--config", "{cfg}", "--out", "{missing}/x.csv"],
+    ["gen", "--config", "{cfg}", "--out", "{missing}/pair.txt"],
+])
+def test_cli_refuses_unreadable_or_unwritable_paths(tmp_path, capsys, argv):
+    fill = {"missing": str(tmp_path / "no-such-dir"), "tmp": str(tmp_path),
+            "cfg": write_config(tmp_path, trials=2)}
+    assert main([a.format(**fill) for a in argv]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("refused:") and "Traceback" not in err
+    assert sorted(f.name for f in tmp_path.iterdir()) == ["cfg.toml"]
+
+
+@pytest.mark.parametrize("command, argv, given", [
+    ("verify-noise", ["--n", "50", "--sigma", "2", "--eps", "0.1", "--trials", "7", "--seed", "3"],
+     {"n": 50, "sigma": 2.0, "eps": 0.1, "trials": 7, "master_seed": 3}),
+    ("verify-ortho", ["--n", "50", "--sigma", "2", "--trials", "7", "--seed", "3"],
+     {"n": 50, "sigma": 2.0, "trials": 7, "master_seed": 3}),
+    ("verify-norm", ["--kind", "lda", "--n", "12", "--p", "7", "--R", "1/4", "--Rf", "1/2",
+                     "--delta-p", "4", "--count", "9", "--seed", "3"],
+     {"kind": "lda", "n": 12, "p": 7, "R": Fraction(1, 4), "R_f": Fraction(1, 2), "delta_p": 4,
+      "count": 9, "master_seed": 3}),
+    ("verify-expansion", ["--n-left", "60", "--f", "1/2", "--D", "2.5", "--delta", "6",
+                          "--graphs", "4", "--budget", "100", "--seed", "3"],
+     {"n_left": 60, "f": Fraction(1, 2), "D": 2.5, "delta": 6, "graphs": 4, "budget": 100,
+      "master_seed": 3}),
+    ("verify-mindist", ["--Rf", "1/2", "--seed", "3"], {"R_f": Fraction(1, 2), "master_seed": 3}),
+    ("verify-mindist", ["--codes", "5", "--n", "24", "--p", "11", "--delta-p", "8", "--w-max", "3"],
+     {"codes": 5, "n": 24, "p": 11, "delta_p": 8, "w_max": 3}),
+    ("verify-counts", ["--cases", "5", "--seed", "3"], {"cases": 5, "master_seed": 3}),
+])
+def test_cli_passes_a_verifier_only_the_flags_given(monkeypatch, capsys, command, argv, given):
+    # An omitted flag leaves the verifier's own default in force.
+    name = command.replace("-", "_")
+    inspect.signature(getattr(cli, name)).bind(**given)  # every key is a real parameter
+    seen = []
+
+    def fake(**kwargs):
+        seen.append(kwargs)
+        return VerifyReport(name, len(seen) == 1, 0.0, 0.0, "fake")
+
+    monkeypatch.setattr(cli, name, fake)
+    assert main([command]) == 0
+    assert main([command, *argv]) == 1
+    assert seen == [{}, given]
+    assert capsys.readouterr().out.splitlines()[0] == f"[PASS] {name}: measured 0 vs bound 0 (fake)"
 
 
 def test_verify_noise_small():

@@ -28,7 +28,7 @@ from lda_lab.codec import (
     voronoi_codebook_bruteforce,
 )
 from lda_lab.expander import BudgetExceededError
-from lda_lab.gfmatrix import GfMatrix
+from lda_lab.gfmatrix import GfMatrix, rank
 from lda_lab.lattice import ConstructionALattice
 
 
@@ -299,14 +299,47 @@ def _out_of_range_edge_index(text):
     return "\n".join(lines) + "\n"
 
 
+def _edit_line(number, edit):
+    def damage(text):
+        lines = text.splitlines()
+        lines[number - 1:number] = edit(lines[number - 1], lines)
+        return "\n".join(lines) + "\n"
+    return damage
+
+
+# lda_pair(17)'s upper block graph starts at line 4 (header '12 3 4 ...'),
+# its first edge line is line 5, and the fine block graph starts at line 31.
 @pytest.mark.parametrize("damage, message", [
     (lambda text: "", "truncated after line 0"),
     (lambda text: "\n".join(text.splitlines()[:-6]) + "\n", "truncated after line 75"),
     (_out_of_range_edge_index, "at line 18: .*edge index 99 out of range"),
+    (_edit_line(5, lambda ln, _: [ln.rsplit(" ", 1)[0] + " 0"]),
+     "at line 4: .*line 5: .*multiplicity >= 1"),
+    (_edit_line(5, lambda ln, _: [ln, ln]), "at line 4: .*line 6: edge .* repeats"),
+    (_edit_line(5, lambda ln, lines: [lines[5], ln]),
+     "at line 4: .*line 6: edge .* out of sorted order"),
+    (_edit_line(31, lambda ln, _: ["99 " + ln.split(" ", 1)[1]]),
+     "at line 31: .*graph is 99 x 6, block fine is 12 x 6"),
+    (_edit_line(31, lambda ln, _: ["12 6 4"]), "at line 31: .*line 31: header must be"),
 ])
 def test_pair_from_text_rejects_malformed_input(damage, message):
     with pytest.raises(ValueError, match=message):
         pair_from_text(damage(pair_to_text(lda_pair(17))))
+
+
+def test_build_pair_redraws_until_the_stack_has_full_rank():
+    # Full rank is read off the shaping lattice's row reduction; the plain
+    # rank routine must agree on every draw, the skipped ones included.
+    deficient = 0
+    for seed in range(40):
+        pair = build_pair(4, 3, Fraction(1, 4), Fraction(3, 4), "dense", seed=seed)
+        for attempt in range(pair.regenerations + 1):
+            gen = rng.generator(seed, "dense-H", attempt)
+            upper, lower = GfMatrix.random(2, 4, 3, gen), GfMatrix.random(1, 4, 3, gen)
+            assert (rank(upper.stack(lower)) == 3) == (attempt == pair.regenerations)
+        assert pair.stack.full == upper.stack(lower)
+        deficient += pair.regenerations > 0
+    assert deficient >= 3
 
 
 def test_decoders_reject_non_finite_channel_output():

@@ -225,6 +225,8 @@ def test_export_import_round_trip():
     ("4 2 0\n", 1),  # short header
     ("4 2 0 0\n0 1\n", 2),  # short edge
     ("4 2 0 0\n0 x 1\n", 2),
+    ("4 2 0 0\n0 1 1\n0 1 1\n", 3),  # repeated edge line
+    ("4 2 0 0\n1 0 1\n0 1 1\n", 3),  # edges out of sorted order
 ])
 def test_import_text_rejects_malformed_input(text, line):
     with pytest.raises(ValueError, match=f"line {line}:"):
