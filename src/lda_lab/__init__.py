@@ -11,14 +11,13 @@ from .expander import (
     lda_delta_p_threshold,
     neighborhood,
 )
-from .fieldcore import FieldParams, centered_rep, nearest_prime
-from .gfmatrix import GfMatrix, StackedParityCheck, generator_from_parity, rank, solve
+from .fieldcore import centered_rep, nearest_prime
+from .gfmatrix import GfMatrix, StackedParityCheck, rank, solve
 from .lattice import BallSpec, ConstructionALattice, ball_volume, count_integer_points
 
 __all__ = [
     "BallSpec",
     "ConstructionALattice",
-    "FieldParams",
     "GfMatrix",
     "NestedLatticePair",
     "StackedParityCheck",
@@ -36,7 +35,6 @@ __all__ = [
     "delta_threshold",
     "encode",
     "extract_message",
-    "generator_from_parity",
     "lda_delta_p_threshold",
     "mmse_decode_exact",
     "nearest_prime",

@@ -8,7 +8,9 @@ streams, so results are byte-identical across runs and thread counts.
 from __future__ import annotations
 
 import argparse
+import functools
 import math
+import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
@@ -20,7 +22,7 @@ import numpy as np
 from . import channel, codec, expander, rng
 from .expander import BudgetExceededError
 from .fieldcore import nearest_prime
-from .gfmatrix import GfMatrix
+from .gfmatrix import GfMatrix, block_heights
 from .lattice import (
     DEFAULT_QUANTIZER_BUDGET,
     BallSpec,
@@ -61,15 +63,13 @@ class ExperimentConfig:
     quantizer_budget: int = DEFAULT_QUANTIZER_BUDGET
 
     def resolve(self) -> "ExperimentConfig":
-        """Pin the prime, validate integrality and degree thresholds."""
+        """Pin the prime; validate the rate rule and degree thresholds."""
         cfg = self
         if cfg.p is None:
             if cfg.lam is None:
                 raise ValueError("config needs p or lambda")
             cfg = replace(cfg, p=nearest_prime(float(cfg.n) ** cfg.lam))
-        for prod in (cfg.n * cfg.R, cfg.n * cfg.R_f):
-            if Fraction(prod).denominator != 1:
-                raise ValueError(f"rate product {prod} is not an integer")
+        block_heights(cfg.n, cfg.R, cfg.R_f)
         if cfg.kind == "lda":
             if cfg.delta_p is None:
                 raise ValueError("LDA configs need delta_p")
@@ -107,7 +107,16 @@ class ExperimentConfig:
 
     @property
     def ell(self) -> int:
-        return int(self.n * (self.R_f - self.R))
+        return block_heights(self.n, self.R, self.R_f)[0]
+
+
+def _fraction(text) -> Fraction:
+    """An exact rational such as "3/4" or 0.25, for rate flags and keys.
+    Malformed text and a zero denominator both raise ValueError."""
+    try:
+        return Fraction(str(text))
+    except ZeroDivisionError:
+        raise ValueError(f"rate {text!r} has a zero denominator") from None
 
 
 def _parse_value(raw: str):
@@ -149,8 +158,8 @@ _CONFIG_KEYS = {
     "n": ("n", int),
     "p": ("p", int),
     "lambda": ("lam", float),
-    "R": ("R", Fraction),
-    "Rf": ("R_f", Fraction),
+    "R": ("R", _fraction),
+    "Rf": ("R_f", _fraction),
     "kind": ("kind", str),
     "delta_p": ("delta_p", int),
     "D": ("D", float),
@@ -177,8 +186,6 @@ def config_from_mapping(mapping: dict) -> ExperimentConfig:
             if isinstance(value, (int, float)):
                 value = [value]
             kwargs[attr] = [float(v) for v in value]
-        elif conv is Fraction:
-            kwargs[attr] = Fraction(str(value))
         elif conv is bool:
             if not isinstance(value, bool):
                 raise ValueError(f"config key {key!r} needs true or false, got {value!r}")
@@ -591,8 +598,11 @@ def _merged_config(path: str | None, keys: dict) -> ExperimentConfig:
 
 
 def _simulate(config: str | None = None, out: str | None = None, **keys) -> int:
-    results = run_monte_carlo(_merged_config(config, keys))
     out = out or "results.csv"
+    folder = os.path.dirname(out) or "."
+    if not os.path.isdir(folder):  # checked before any trial runs
+        raise FileNotFoundError(f"no directory {folder!r} to write {out!r} in")
+    results = run_monte_carlo(_merged_config(config, keys))
     emit_csv(results, out)
     emit_plot_data(results, out.removesuffix(".csv"))
     cfg = results[0].config
@@ -639,11 +649,11 @@ def _decode(pair: str, y: str, snr_db: float, decoder: str = "exact") -> int:
 
 def _thresholds(D: float, f: str | None = None, Rf: str | None = None) -> int:
     if f is not None:
-        ratio = float(Fraction(f))
+        ratio = float(_fraction(f))
         print(f"delta_threshold(D={D}, f={f}) = {expander.delta_threshold(D, ratio)!r}")
         print(f"delta_threshold_two_sided = {expander.delta_threshold_two_sided(D, ratio)!r}")
     if Rf is not None:
-        rf = float(Fraction(Rf))
+        rf = float(_fraction(Rf))
         print(f"lda_delta_p_threshold(D={D}, Rf={Rf}) = {expander.lda_delta_p_threshold(D, rf)!r}")
     return 0
 
@@ -675,7 +685,7 @@ _N = ("--n", {"type": int})
 _P = ("--p", {"type": int})
 _SIGMA = ("--sigma", {"type": float})
 _TRIALS = ("--trials", {"type": int})
-_RF = ("--Rf", {"dest": "R_f", "type": Fraction, "metavar": "RF"})
+_RF = ("--Rf", {"dest": "R_f", "type": _fraction, "metavar": "RF"})
 _DELTA_P = ("--delta-p", {"type": int})
 
 COMMANDS = {
@@ -690,10 +700,10 @@ COMMANDS = {
                      [_N, _SIGMA, ("--eps", {"type": float}), _TRIALS, _SEED]),
     "verify-ortho": (lambda **kw: _verdict(verify_ortho(**kw)), [_N, _SIGMA, _TRIALS, _SEED]),
     "verify-norm": (lambda **kw: _verdict(verify_norm(**kw)),
-                    [("--kind", {"choices": ["dense", "lda"]}), _N, _P, ("--R", {"type": Fraction}),
+                    [("--kind", {"choices": ["dense", "lda"]}), _N, _P, ("--R", {"type": _fraction}),
                      _RF, _DELTA_P, ("--count", {"type": int}), _SEED]),
     "verify-expansion": (lambda **kw: _verdict(verify_expansion(**kw)),
-                         [("--n-left", {"type": int}), ("--f", {"type": Fraction}),
+                         [("--n-left", {"type": int}), ("--f", {"type": _fraction}),
                           ("--D", {"type": float}), ("--delta", {"type": int}),
                           ("--graphs", {"type": int}), ("--budget", {"type": int}), _SEED]),
     "verify-mindist": (lambda **kw: _verdict(verify_mindist(**kw)),
@@ -707,14 +717,20 @@ COMMANDS = {
 }
 
 
-def main(argv: list[str] | None = None) -> int:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser of every subcommand, built once per process."""
     parser = argparse.ArgumentParser(prog="lda-lab", description="nested-lattice coding laboratory")
     subs = parser.add_subparsers(dest="command", required=True)
     for name, (_handler, flags) in COMMANDS.items():
         sub = subs.add_parser(name, argument_default=argparse.SUPPRESS)
         for option, settings in flags:
             sub.add_argument(option, **settings)
-    kwargs = vars(parser.parse_args(argv))
+    return parser
+
+
+def main(argv: list[str] | None = None) -> int:
+    kwargs = vars(_parser().parse_args(argv))
     handler, _flags = COMMANDS[kwargs.pop("command")]
     try:
         return handler(**kwargs)

@@ -20,9 +20,9 @@ from . import rng
 from .channel import effective_noise_variance, wiener
 from .expander import TannerGraph, build_graph, export_text, import_text
 from .fieldcore import is_prime
-from .gfmatrix import GfMatrix, StackedParityCheck, solve
+from .gfmatrix import GfMatrix, StackedParityCheck, block_heights, solve
 from .gfmatrix import rank  # noqa: F401  (re-exported: the benchmark traces ``codec.rank``)
-from .lattice import DEFAULT_QUANTIZER_BUDGET, ConstructionALattice
+from .lattice import DEFAULT_QUANTIZER_BUDGET, ConstructionALattice, checked_point
 
 MAX_RANK_ATTEMPTS = 64
 
@@ -96,10 +96,7 @@ def build_pair(
     R_f = Fraction(R_f)
     if not is_prime(p) or p == 2:
         raise ValueError("p must be an odd prime")
-    ell_frac, r_frac = n * (R_f - R), n * (1 - R_f)
-    if ell_frac.denominator != 1 or r_frac.denominator != 1 or (n * R).denominator != 1:
-        raise ValueError(f"rates {R}, {R_f} do not divide n = {n}")
-    ell, r = int(ell_frac), int(r_frac)
+    ell, r = block_heights(n, R, R_f)
     if kind == "lda":
         if delta_p is None:
             raise ValueError("LDA pairs need delta_p")
@@ -182,14 +179,6 @@ def extract_message(pair: NestedLatticePair, x: np.ndarray) -> np.ndarray:
 # Decoding
 
 
-def _channel_output(y: np.ndarray) -> np.ndarray:
-    """y as a float vector; NaN or infinite samples are refused."""
-    y = np.asarray(y, dtype=float)
-    if not np.isfinite(y).all():
-        raise ValueError("channel output has non-finite samples")
-    return y
-
-
 def mmse_decode_exact(
     pair: NestedLatticePair,
     y: np.ndarray,
@@ -204,7 +193,7 @@ def mmse_decode_exact(
     ``alpha`` overrides the MMSE coefficient (alpha = 1 disables scaling,
     for comparison experiments).
     """
-    y = _channel_output(y)
+    y = checked_point(y, pair.n)
     a = wiener(P, sigma2) if alpha is None else alpha
     x_hat = pair.fine.quantize(a * y, budget=budget)
     return extract_message(pair, x_hat)
@@ -330,7 +319,7 @@ def bp_decode(
     """
     if pair.kind != "lda":
         raise ValueError("bp_decode requires an LDA pair")
-    y = _channel_output(y)
+    y = checked_point(y, pair.n)
     z = wiener(P, sigma2) * y
     noise_var = max(effective_noise_variance(P, sigma2), 1e-12)
     point, verified, used_iters = _sum_product_point(pair.stack.lower, z, noise_var, iters)
@@ -471,11 +460,12 @@ def pair_from_text(text: str) -> NestedLatticePair:
         head = dict(kv.split("=", 1) for kv in lines[1].split())
         n, p = int(head["n"]), int(head["p"])
         R, R_f = Fraction(head["R"]), Fraction(head["Rf"])
+        ell, r = block_heights(n, R, R_f)
         kind, seed = head["kind"], int(head["seed"])
         delta_p, regen = int(head["deltap"]), int(head["regen"])
         blocks: dict[str, tuple[GfMatrix, TannerGraph]] = {}
         i = 2
-        rows_by_name = {"upper": int(n * (R_f - R)), "fine": int(n * (1 - R_f))}
+        rows_by_name = {"upper": ell, "fine": r}
         while lines[i] != "end":
             if not lines[i].startswith("block "):
                 raise ValueError("expected a block header")
@@ -503,7 +493,7 @@ def pair_from_text(text: str) -> NestedLatticePair:
                 i += 1
             blocks[name] = (GfMatrix(arr, p), graph)
         stack = StackedParityCheck(upper=blocks["upper"][0], lower=blocks["fine"][0], n=n, R=R, R_f=R_f)
-    except (IndexError, KeyError, ValueError) as exc:
+    except (IndexError, KeyError, ValueError, ZeroDivisionError) as exc:
         if i >= len(lines):
             raise ValueError(f"bad pair file: truncated after line {len(lines)}") from exc
         raise ValueError(f"bad pair file at line {i + 1}: {type(exc).__name__}: {exc}") from exc

@@ -8,7 +8,6 @@ of smallest absolute value, which exists uniquely for odd p.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 # Deterministic Miller-Rabin witness set, sufficient for all n < 3.3e24
 # (covers every 64-bit integer).
@@ -19,7 +18,7 @@ def is_prime(n: int) -> bool:
     """Deterministic Miller-Rabin primality test for n < 2**64."""
     if n < 2:
         return False
-    for q in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+    for q in _MR_WITNESSES:
         if n == q:
             return True
         if n % q == 0:
@@ -67,36 +66,6 @@ def nearest_prime(x: float) -> int:
             if is_prime(lo):
                 return lo
             lo -= 1
-
-
-@dataclass(frozen=True)
-class FieldParams:
-    """A certified prime modulus and how it was chosen."""
-
-    p: int
-    source: str  # "explicit" or "nearest_to"
-    n: int | None = None
-    lam: float | None = None
-
-    def __post_init__(self) -> None:
-        if not is_prime(self.p):
-            raise ValueError(f"{self.p} is not prime")
-
-    @classmethod
-    def explicit(cls, p: int) -> "FieldParams":
-        return cls(p=p, source="explicit")
-
-    @classmethod
-    def nearest_to(cls, n: int, lam: float) -> "FieldParams":
-        """p = closest prime to n**lam (ties upward)."""
-        return cls(p=nearest_prime(float(n) ** lam), source="nearest_to", n=n, lam=lam)
-
-    @property
-    def realized_lambda(self) -> float | None:
-        """log_n(p) for the pinned prime; None for explicit primes."""
-        if self.n is None:
-            return None
-        return math.log(self.p) / math.log(self.n)
 
 
 def centered_rep(z: int, p: int) -> int:

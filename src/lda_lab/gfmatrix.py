@@ -1,9 +1,8 @@
-"""Dense matrices over GF(p): elimination, rank, solving, null spaces.
+"""Dense matrices over GF(p): elimination, rank, solving, stacked checks.
 
 Entries are numpy int64 arrays reduced mod p.  Elimination pivots on the
-first nonzero column with the smallest row index, so ranks, solutions and
-null-space bases are identical across platforms and row orders of equal
-content.
+first nonzero column with the smallest row index, so ranks and solutions
+are identical across platforms and row orders of equal content.
 """
 
 from __future__ import annotations
@@ -126,30 +125,23 @@ def solve(M: GfMatrix, s: np.ndarray) -> np.ndarray:
     return x
 
 
-def _null_rows(red: np.ndarray, pivots: list[int], p: int) -> np.ndarray:
-    """The systematic null-space basis read off a reduced row echelon form:
-    one row per free column f, e_f plus -red[:, f] on the pivot columns."""
-    n = red.shape[1]
-    free = [c for c in range(n) if c not in pivots]
-    g = np.zeros((len(free), n), dtype=np.int64)
-    g[np.arange(len(free)), free] = 1
-    g[:, pivots] = (-red[: len(pivots), free].T) % p
-    return g
-
-
-def generator_from_parity(H: GfMatrix) -> GfMatrix:
-    """Rows spanning the null space of H: G H^T = 0, rank(G) = cols - rank(H)."""
-    red, pivots = _rref(H.array, H.p)
-    return GfMatrix(_null_rows(red, pivots, H.p), H.p)
+def block_heights(n: int, R: Fraction, R_f: Fraction) -> tuple[int, int]:
+    """The rate rule of a nested pair: the heights (ell, r) = (n(R_f - R),
+    n(1 - R_f)) of its message and fine blocks.  Raises ValueError unless
+    0 < R < R_f < 1 and both heights are integers."""
+    if not 0 < R < R_f < 1:
+        raise ValueError(f"rates R = {R}, R_f = {R_f} break 0 < R < R_f < 1")
+    ell, r = n * (R_f - R), n * (1 - R_f)
+    if ell.denominator != 1 or r.denominator != 1:
+        raise ValueError(f"rates R = {R}, R_f = {R_f} give non-integral block heights "
+                         f"{ell}, {r} at n = {n}")
+    return int(ell), int(r)
 
 
 @dataclass(frozen=True)
 class StackedParityCheck:
-    """H = [upper; lower] with upper an l x n block and lower an r x n block.
-
-    The rates R and R_f are validated against n so that l = n(R_f - R) and
-    r = n(1 - R_f) are exact integers.
-    """
+    """H = [upper; lower] with upper an l x n block and lower an r x n block,
+    l = n(R_f - R) and r = n(1 - R_f) by the rate rule ``block_heights``."""
 
     upper: GfMatrix
     lower: GfMatrix
@@ -159,13 +151,7 @@ class StackedParityCheck:
     full: GfMatrix = field(init=False)
 
     def __post_init__(self) -> None:
-        ell = self.n * (self.R_f - self.R)
-        r = self.n * (1 - self.R_f)
-        if ell.denominator != 1 or r.denominator != 1:
-            raise ValueError(f"rates {self.R}, {self.R_f} are not integral against n={self.n}")
-        if not (0 < self.R < self.R_f < 1):
-            raise ValueError("need 0 < R < R_f < 1")
-        if self.upper.rows != int(ell) or self.lower.rows != int(r):
+        if (self.upper.rows, self.lower.rows) != block_heights(self.n, self.R, self.R_f):
             raise ValueError("block heights disagree with n(R_f - R), n(1 - R_f)")
         if self.upper.cols != self.n or self.lower.cols != self.n:
             raise ValueError("block widths disagree with n")

@@ -29,7 +29,7 @@ import numpy as np
 
 from .expander import BudgetExceededError
 from .fieldcore import is_prime
-from .gfmatrix import GfMatrix, NoSolutionError, _null_rows, _rref
+from .gfmatrix import GfMatrix, NoSolutionError, _rref
 from .gfmatrix import rank  # noqa: F401  (re-exported: the benchmark traces ``lattice.rank``)
 
 DEFAULT_ENUMERATION_BUDGET = 100_000_000
@@ -214,9 +214,10 @@ def _lex_min_rows(rows: np.ndarray) -> np.ndarray:
     return rows[order[0]]
 
 
-def _checked_point(y: np.ndarray, n: int) -> np.ndarray:
-    """y as a length-n float vector.  NaN or infinite entries are refused,
-    and so are entries beyond 2^52, past which floats skip integers."""
+def checked_point(y: np.ndarray, n: int) -> np.ndarray:
+    """y as a length-n float vector: the input check of every closest-point
+    search and decoder.  A wrong length, NaN or infinite entries and entries
+    beyond 2^52, past which floats skip integers, raise ValueError."""
     y = np.asarray(y, dtype=float)
     if y.shape != (n,):
         raise ValueError(f"expected length-{n} vector")
@@ -244,6 +245,17 @@ class _SystematicForm:
     basis: np.ndarray  # int64, one Construction-A basis vector per column, in search order
     q_t: np.ndarray  # Q^T of basis = Q R
     r: list[list[float]]  # R, upper triangular with a positive diagonal
+
+
+def _null_rows(red: np.ndarray, pivots: list[int], p: int) -> np.ndarray:
+    """The systematic null-space basis read off a reduced row echelon form:
+    one row per free column f, e_f plus -red[:, f] on the pivot columns."""
+    n = red.shape[1]
+    free = [c for c in range(n) if c not in pivots]
+    g = np.zeros((len(free), n), dtype=np.int64)
+    g[np.arange(len(free)), free] = 1
+    g[:, pivots] = (-red[: len(pivots), free].T) % p
+    return g
 
 
 def _sorted_columns(basis: np.ndarray) -> np.ndarray:
@@ -432,7 +444,7 @@ class ConstructionALattice:
         lex-min of the closest is returned.  ``budget`` bounds the visited
         search nodes.
         """
-        y = _checked_point(y, self.n)
+        y = checked_point(y, self.n)
         form = self._systematic()
         anchor = self.p * np.rint(y / self.p)
         t = y - anchor
@@ -440,10 +452,7 @@ class ConstructionALattice:
                          budget, "closest-point search")
         Z = anchor.astype(np.int64) + leaves @ form.basis.T
         d2 = ((y - Z) ** 2).sum(axis=1)
-        ties = np.nonzero(d2 == d2.min())[0]
-        if len(ties) == 1:
-            return Z[ties[0]]
-        return _lex_min_rows(Z[ties])
+        return _lex_min_rows(Z[d2 == d2.min()])
 
     def shortest_vector(self, budget: int = DEFAULT_QUANTIZER_BUDGET) -> np.ndarray:
         """A shortest nonzero lattice vector (the lex-min of them), exact.
@@ -462,30 +471,20 @@ class ConstructionALattice:
         """Independent CVP oracle: enumerate integer points in a ball around y
         that surely contains a lattice point, filter by membership, minimize.
 
-        Shares no code path with :meth:`quantize` beyond the tie rule.
+        Shares no code path with :meth:`quantize` beyond the input check and
+        the tie rule.
         """
-        y = _checked_point(y, self.n)
+        y = checked_point(y, self.n)
         anchor = self.p * np.rint(y / self.p).astype(np.int64)  # always a lattice point
         r0 = float(np.linalg.norm(y - anchor))
         if r0 == 0.0:
             return anchor
         ball = BallSpec(center=y, radius=r0 * (1 + 1e-12) + 1e-9, dim=self.n)
-        best: np.ndarray | None = None
-        best_d2 = math.inf
-        for chunk in integer_points_in_ball(ball, budget=budget):
-            member = ~np.any((self.H.array @ chunk.T) % self.p, axis=0)
-            pts = chunk[member]
-            if pts.size == 0:
-                continue
-            d2 = ((y - pts) ** 2).sum(axis=1)
-            i = int(np.argmin(d2))
-            cand_d2 = d2[i]
-            tie_idx = np.nonzero(d2 <= cand_d2)[0]
-            cand = _lex_min_rows(pts[tie_idx]) if len(tie_idx) > 1 else pts[i]
-            if cand_d2 < best_d2 or (cand_d2 == best_d2 and _lex_before(cand, best)):
-                best, best_d2 = cand, cand_d2
-        assert best is not None  # the anchor point is always enumerated
-        return best
+        # The anchor lies in the ball, so at least one member is found.
+        Z = np.vstack([chunk[~np.any((self.H.array @ chunk.T) % self.p, axis=0)]
+                       for chunk in integer_points_in_ball(ball, budget=budget)])
+        d2 = ((y - Z) ** 2).sum(axis=1)
+        return _lex_min_rows(Z[d2 == d2.min()])
 
     def min_hamming_weight(
         self,
@@ -570,9 +569,3 @@ class ConstructionALattice:
             math.pi
         )
         return math.exp(log_rho)
-
-
-def _lex_before(a: np.ndarray, b: np.ndarray | None) -> bool:
-    if b is None:
-        return True
-    return tuple(a) < tuple(b)

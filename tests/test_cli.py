@@ -3,12 +3,13 @@
 from __future__ import annotations
 
 import inspect
+import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from lda_lab import cli
+from lda_lab import cli, codec
 from lda_lab.cli import (
     CSV_HEADER,
     ExperimentConfig,
@@ -67,7 +68,19 @@ def test_config_rejects_unknown_key(tmp_path):
 def test_config_lambda_resolves_prime():
     cfg = ExperimentConfig(n=64, lam=1.2).resolve()
     assert cfg.p == 149
-    assert cfg.realized_lambda == pytest.approx(1.2, abs=0.01)
+    assert cfg.realized_lambda == math.log(149) / math.log(64)
+
+
+def test_config_rates_must_keep_the_rate_rule(monkeypatch):
+    # Refused before trial 0 draws a pair with a negative block height.
+    def no_pair(*args, **kwargs):
+        raise AssertionError("a pair was built")
+
+    monkeypatch.setattr(codec, "build_pair", no_pair)
+    cfg = config_from_mapping({"n": 8, "p": 5, "R": "1/2", "Rf": "1/4"})
+    for call in (cfg.resolve, lambda: run_monte_carlo(cfg)):
+        with pytest.raises(ValueError, match="rates R = 1/2, R_f = 1/4 break 0 < R < R_f < 1"):
+            call()
 
 
 def test_config_lda_threshold_guard():
@@ -320,7 +333,48 @@ def test_cli_encode_decode_refuse_bad_input(tmp_path, capsys):
     pairpath.write_text(good)
     assert main(["decode", "--pair", str(pairpath), "--y", "nan,0,0,0,0,0,0,0",
                  "--snr-db", "10"]) == 2
-    assert "refused: channel output has non-finite samples" in capsys.readouterr().err
+    assert "refused: point has non-finite entries" in capsys.readouterr().err
+
+
+def test_cli_decode_refuses_a_wrong_length_y(tmp_path, capsys):
+    cfgpath = write_config(tmp_path, kind='"lda"', n=12, p=7, Rf='"1/2"', delta_p=4,
+                           allow_below_threshold="true")
+    pairpath = tmp_path / "pair.txt"
+    assert main(["gen", "--config", cfgpath, "--out", str(pairpath)]) == 0
+    for decoder in ("exact", "bp"):
+        assert main(["decode", "--pair", str(pairpath), "--y", "0.5,1.0", "--snr-db", "10",
+                     "--decoder", decoder]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("refused: expected length-12 vector") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify-mindist", "--Rf", "1/0"],
+    ["thresholds", "--D", "2", "--f", "1/0"],
+    ["simulate", "--config", "{cfg}", "--out", "{tmp}/x.csv"],
+])
+def test_cli_refuses_a_zero_denominator(tmp_path, capsys, argv):
+    fill = {"cfg": write_config(tmp_path, R='"1/0"'), "tmp": str(tmp_path)}
+    try:
+        code = main([a.format(**fill) for a in argv])
+    except SystemExit as exc:  # argparse refuses a flag value it cannot convert
+        code = exc.code
+    err = capsys.readouterr().err
+    assert code == 2 and "'1/0'" in err and "Traceback" not in err
+    assert sorted(f.name for f in tmp_path.iterdir()) == ["cfg.toml"]
+
+
+def test_cli_simulate_refuses_a_missing_out_directory_before_any_trial(tmp_path, capsys,
+                                                                      monkeypatch):
+    def no_trials(config):
+        raise AssertionError("trials ran before --out was checked")
+
+    monkeypatch.setattr(cli, "run_monte_carlo", no_trials)
+    argv = ["simulate", "--config", write_config(tmp_path),
+            "--out", str(tmp_path / "no-such-dir" / "x.csv")]
+    assert main(argv) == 2
+    assert capsys.readouterr().err.startswith("refused: no directory")
+    assert sorted(f.name for f in tmp_path.iterdir()) == ["cfg.toml"]
 
 
 @pytest.mark.parametrize("argv", [

@@ -321,6 +321,9 @@ def _edit_line(number, edit):
     (_edit_line(31, lambda ln, _: ["99 " + ln.split(" ", 1)[1]]),
      "at line 31: .*graph is 99 x 6, block fine is 12 x 6"),
     (_edit_line(31, lambda ln, _: ["12 6 4"]), "at line 31: .*line 31: header must be"),
+    (_edit_line(2, lambda ln, _: [ln.replace("R=1/4", "R=1/0")]), "at line 2: ZeroDivisionError"),
+    (_edit_line(2, lambda ln, _: [ln.replace("R=1/4", "R=3/4")]),
+     "at line 2: .*R = 3/4, R_f = 1/2 break 0 < R < R_f < 1"),
 ])
 def test_pair_from_text_rejects_malformed_input(damage, message):
     with pytest.raises(ValueError, match=message):
@@ -350,6 +353,15 @@ def test_decoders_reject_non_finite_channel_output():
             bp_decode(pair, y, P, 1.0)
         with pytest.raises(ValueError, match="non-finite"):
             mmse_decode_exact(pair, y, P, 1.0)
+
+
+def test_decoders_refuse_a_wrong_length_channel_output():
+    pair = lda_pair(13)
+    P = channel.default_power(pair.p, pair.R)
+    for y in (np.zeros(pair.n - 1), np.zeros(pair.n + 1), np.zeros((1, pair.n))):
+        for decode in (bp_decode, mmse_decode_exact):
+            with pytest.raises(ValueError, match=f"expected length-{pair.n} vector"):
+                decode(pair, y, P, 1.0)
 
 
 def test_build_fine_lattice_profile():

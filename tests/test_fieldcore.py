@@ -2,12 +2,9 @@
 
 from __future__ import annotations
 
-import math
-
 import pytest
 
 from lda_lab.fieldcore import (
-    FieldParams,
     centered_rep,
     field_inv,
     is_prime,
@@ -111,14 +108,3 @@ def test_inverse_exhaustive(p):
 def test_inverse_of_zero_is_domain_error():
     with pytest.raises(ZeroDivisionError):
         field_inv(0, 7)
-
-
-def test_field_params_nearest_to():
-    fp = FieldParams.nearest_to(64, 1.2)
-    assert fp.p == 149
-    assert abs(fp.realized_lambda - math.log(149) / math.log(64)) < 1e-12
-
-
-def test_field_params_rejects_composite():
-    with pytest.raises(ValueError):
-        FieldParams.explicit(100)

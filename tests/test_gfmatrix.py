@@ -1,4 +1,7 @@
-"""GF(p) linear algebra: rank, solving, null spaces, stacked checks."""
+"""GF(p) linear algebra: rank, solving, null spaces, stacked checks.
+
+The null-space generator is the one each Construction-A lattice reads off
+its systematic form."""
 
 from __future__ import annotations
 
@@ -12,10 +15,10 @@ from lda_lab.gfmatrix import (
     GfMatrix,
     NoSolutionError,
     StackedParityCheck,
-    generator_from_parity,
     rank,
     solve,
 )
+from lda_lab.lattice import ConstructionALattice
 
 
 def test_rank_identity_and_zero():
@@ -69,19 +72,19 @@ def test_solve_random_systems_substitute_back():
 
 
 def test_generator_single_parity_gf3():
-    G = generator_from_parity(GfMatrix(np.array([[1, 1]]), 3))
+    G = ConstructionALattice(GfMatrix(np.array([[1, 1]]), 3)).generator
     assert G.rows == 1
     # Null space of (1, 1) over GF(3) is spanned by (1, 2).
     assert tuple(G.array[0]) in {(1, 2), (2, 1)}
 
 
 def test_generator_identity_gives_trivial_code():
-    G = generator_from_parity(GfMatrix.identity(4, 5))
+    G = ConstructionALattice(GfMatrix.identity(4, 5)).generator
     assert G.rows == 0
 
 
 def test_generator_zero_parity_full_space():
-    G = generator_from_parity(GfMatrix.zeros(1, 6, 7))
+    G = ConstructionALattice(GfMatrix.zeros(1, 6, 7)).generator
     assert rank(G) == 6
 
 
@@ -92,7 +95,7 @@ def test_generator_annihilated_by_parity():
         n = int(gen.integers(2, 12))
         rows = int(gen.integers(1, n))
         H = GfMatrix(gen.integers(0, p, size=(rows, n)), p)
-        G = generator_from_parity(H)
+        G = ConstructionALattice(H).generator
         assert G.rows == n - rank(H)
         combo = (gen.integers(0, p, size=G.rows) @ G.array) % p if G.rows else np.zeros(n, dtype=np.int64)
         assert not H.mul_vec(combo).any()
