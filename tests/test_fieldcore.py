@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 import pytest
 
 from lda_lab.fieldcore import (
@@ -67,6 +69,15 @@ def test_nearest_prime_matches_sieve_oracle_to_1e6():
         window = primes[max(0, i - 3) : i + 3]
         best = min(window, key=lambda q: (abs(q - x), -q))
         assert nearest_prime(x) == best
+
+
+def test_field_params_nearest_to():
+    # The field for n = 64 at lambda = 1.2: the prime nearest 64^1.2, and the
+    # exponent it realizes, log p / log n.
+    p = nearest_prime(64.0**1.2)
+    assert p == 149
+    assert is_prime(p)
+    assert abs(math.log(p) / math.log(64) - 1.2) < 0.01
 
 
 def test_nearest_prime_domain():
