@@ -2,7 +2,9 @@
 
 Every trial is a pure function of (config, master_seed, trial_index):
 message, noise, and ensemble draws come from independently derived
-streams, so results are byte-identical across runs and thread counts.
+streams, so results are byte-identical across runs.  Trials run in order
+on one thread; the ``threads`` key and ``--threads`` flag are accepted
+and validated but select nothing.
 """
 
 from __future__ import annotations
@@ -12,7 +14,6 @@ import functools
 import math
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from hashlib import blake2b
@@ -59,7 +60,7 @@ class ExperimentConfig:
     master_seed: int = 0
     resample_lattice: bool = True
     allow_below_threshold: bool = False
-    threads: int = 1
+    threads: int = 1  # validated, selects nothing: trials run in order on one thread
     quantizer_budget: int = DEFAULT_QUANTIZER_BUDGET
 
     def resolve(self) -> "ExperimentConfig":
@@ -298,8 +299,7 @@ def _run_trial(cfg: ExperimentConfig, trial: int,
 
 
 def run_monte_carlo(config: ExperimentConfig) -> list[SnrResult]:
-    """One SnrResult per grid point; deterministic in (config, master_seed)
-    and independent of the worker count.
+    """One SnrResult per grid point; deterministic in (config, master_seed).
 
     Trials run in the outer loop and the SNR grid in the inner one, so each
     trial's pair and sent point are built once and shared by every grid
@@ -308,18 +308,7 @@ def run_monte_carlo(config: ExperimentConfig) -> list[SnrResult]:
     """
     cfg = config.resolve()
     fixed_pair = None if cfg.resample_lattice else _pair_for_trial(cfg, 0)
-
-    def job(t: int):
-        return _run_trial(cfg, t, fixed_pair)
-
-    if cfg.threads > 1:
-        pool = ThreadPoolExecutor(max_workers=cfg.threads)
-        try:
-            rows = list(pool.map(job, range(cfg.trials)))
-        finally:
-            pool.shutdown(cancel_futures=True)
-    else:
-        rows = [job(t) for t in range(cfg.trials)]
+    rows = [_run_trial(cfg, t, fixed_pair) for t in range(cfg.trials)]
     mean_power = sum(pw for _recs, pw in rows) / len(rows)
     results = []
     for i, snr_db in enumerate(cfg.snr_db_grid):
@@ -600,8 +589,11 @@ def _merged_config(path: str | None, keys: dict) -> ExperimentConfig:
 def _simulate(config: str | None = None, out: str | None = None, **keys) -> int:
     out = out or "results.csv"
     folder = os.path.dirname(out) or "."
-    if not os.path.isdir(folder):  # checked before any trial runs
+    # Both checked before any trial runs.
+    if not os.path.isdir(folder):
         raise FileNotFoundError(f"no directory {folder!r} to write {out!r} in")
+    if os.path.isdir(out):
+        raise IsADirectoryError(f"output path {out!r} is a directory")
     results = run_monte_carlo(_merged_config(config, keys))
     emit_csv(results, out)
     emit_plot_data(results, out.removesuffix(".csv"))

@@ -72,6 +72,14 @@ def _label_graph(graph: TannerGraph, rows: int, n: int, p: int, seed: int, tag: 
     return GfMatrix(H, p)
 
 
+def _skeleton(n: int, rows: int, delta_p: int, seed: int, tag: str) -> TannerGraph:
+    """The permutation-model skeleton of an LDA block of ``rows`` checks,
+    fixed by the seed: check degree delta_p, variable degree delta_p rows / n."""
+    if delta_p * rows % n:
+        raise ValueError(f"delta_p = {delta_p} gives non-integer variable degrees")
+    return build_graph(n, Fraction(rows, n), delta_p, rng.derive_key(seed, f"skeleton-{tag}"))
+
+
 def build_pair(
     n: int,
     p: int,
@@ -100,10 +108,8 @@ def build_pair(
     if kind == "lda":
         if delta_p is None:
             raise ValueError("LDA pairs need delta_p")
-        if (delta_p * (1 - R_f)).denominator != 1 or (delta_p * (R_f - R)).denominator != 1:
-            raise ValueError(f"delta_p = {delta_p} gives non-integer variable degrees")
-        fine_graph = build_graph(n, Fraction(r, n), delta_p, rng.derive_key(seed, "skeleton-fine"))
-        upper_graph = build_graph(n, Fraction(ell, n), delta_p, rng.derive_key(seed, "skeleton-upper"))
+        fine_graph = _skeleton(n, r, delta_p, seed, "fine")
+        upper_graph = _skeleton(n, ell, delta_p, seed, "upper")
     elif kind != "dense":
         raise ValueError(f"unknown ensemble kind {kind!r}")
 
@@ -375,14 +381,11 @@ def build_fine_lattice(
 ) -> tuple[ConstructionALattice, TannerGraph]:
     """A single LDA fine lattice (no shaping stack): the labeled
     permutation-model code with check degree delta_p and variable degree
-    delta_p(1 - R_f).  The raw draw is kept, rank-deficient or not."""
-    R_f = Fraction(R_f)
-    r = n * (1 - R_f)
-    if r.denominator != 1 or (delta_p * (1 - R_f)).denominator != 1:
-        raise ValueError("R_f and delta_p must give integral row counts and degrees")
-    graph = build_graph(n, Fraction(int(r), n), delta_p, rng.derive_key(seed, "skeleton-fine"))
-    H = _label_graph(graph, int(r), n, p, seed, "fine", attempt=0)
-    return ConstructionALattice(H), graph
+    delta_p(1 - R_f).  The raw draw is kept, rank-deficient or not: it is
+    the fine block of ``build_pair``'s first attempt with the same seed."""
+    _ell, r = block_heights(n, None, Fraction(R_f))
+    graph = _skeleton(n, r, delta_p, seed, "fine")
+    return ConstructionALattice(_label_graph(graph, r, n, p, seed, "fine", attempt=0)), graph
 
 
 # ---------------------------------------------------------------------------

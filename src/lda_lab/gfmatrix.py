@@ -125,13 +125,17 @@ def solve(M: GfMatrix, s: np.ndarray) -> np.ndarray:
     return x
 
 
-def block_heights(n: int, R: Fraction, R_f: Fraction) -> tuple[int, int]:
+def block_heights(n: int, R: Fraction | None, R_f: Fraction) -> tuple[int, int]:
     """The rate rule of a nested pair: the heights (ell, r) = (n(R_f - R),
     n(1 - R_f)) of its message and fine blocks.  Raises ValueError unless
-    0 < R < R_f < 1 and both heights are integers."""
-    if not 0 < R < R_f < 1:
+    0 < R < R_f < 1 and both heights are integers.  ``R = None`` is the
+    rule of a fine code alone: 0 < R_f < 1, an integral r, and ell = 0."""
+    if R is None:
+        if not 0 < R_f < 1:
+            raise ValueError(f"rate R_f = {R_f} breaks 0 < R_f < 1")
+    elif not 0 < R < R_f < 1:
         raise ValueError(f"rates R = {R}, R_f = {R_f} break 0 < R < R_f < 1")
-    ell, r = n * (R_f - R), n * (1 - R_f)
+    ell, r = (0 if R is None else n * (R_f - R)), n * (1 - R_f)
     if ell.denominator != 1 or r.denominator != 1:
         raise ValueError(f"rates R = {R}, R_f = {R_f} give non-integral block heights "
                          f"{ell}, {r} at n = {n}")

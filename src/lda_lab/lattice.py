@@ -21,8 +21,8 @@ at realistic parameters.
 from __future__ import annotations
 
 import math
-import threading
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import combinations
 
 import numpy as np
@@ -370,22 +370,19 @@ class ConstructionALattice:
         self.H = H
         self.p = H.p
         self.n = H.cols
-        self._form: _SystematicForm | None = None
-        self._form_lock = threading.Lock()  # one build when threads share the lattice
 
+    @cached_property
     def _systematic(self) -> _SystematicForm:
-        with self._form_lock:
-            if self._form is None:
-                self._form = _systematic_form(self.H)
-            return self._form
+        """The row-reduced form of H, built on first use."""
+        return _systematic_form(self.H)
 
     @property
     def k_eff(self) -> int:
-        return self.n - len(self._systematic().pivots)
+        return self.n - len(self._systematic.pivots)
 
     @property
     def generator(self) -> GfMatrix:
-        return self._systematic().generator
+        return self._systematic.generator
 
     @property
     def log_volume(self) -> float:
@@ -409,7 +406,7 @@ class ConstructionALattice:
         s = np.asarray(syndrome, dtype=np.int64) % self.p
         if s.shape != (self.H.rows,):
             raise ValueError(f"syndrome length {s.shape} does not match {self.H.rows} rows")
-        form = self._systematic()
+        form = self._systematic
         t = (form.transform @ s) % self.p
         rank_h = len(form.pivots)
         if t[rank_h:].any():
@@ -445,7 +442,7 @@ class ConstructionALattice:
         search nodes.
         """
         y = checked_point(y, self.n)
-        form = self._systematic()
+        form = self._systematic
         anchor = self.p * np.rint(y / self.p)
         t = y - anchor
         leaves = _search(form.r, (form.q_t @ t).tolist(), float((t * t).sum()),
@@ -458,7 +455,7 @@ class ConstructionALattice:
         """A shortest nonzero lattice vector (the lex-min of them), exact.
         The search starts at radius p, the length of p e_1; ``budget``
         bounds the visited search nodes."""
-        form = self._systematic()
+        form = self._systematic
         leaves = _search(form.r, [0.0] * self.n, float(self.p**2), budget,
                          "shortest-vector search", nonzero=True)
         Z = leaves @ form.basis.T

@@ -205,18 +205,6 @@ def test_csv_contract_and_determinism(tmp_path):
     assert float(row[11]) == words / trials
 
 
-def test_thread_count_does_not_change_bytes(tmp_path):
-    base = ExperimentConfig(n=8, p=5, R=Fraction(1, 4), R_f=Fraction(3, 4),
-                            snr_db_grid=[8.0], trials=40, master_seed=11)
-    import dataclasses
-
-    eight = dataclasses.replace(base, threads=8)
-    a, b = tmp_path / "t1.csv", tmp_path / "t8.csv"
-    emit_csv(run_monte_carlo(base), str(a))
-    emit_csv(run_monte_carlo(eight), str(b))
-    assert a.read_bytes() == b.read_bytes()
-
-
 @pytest.mark.parametrize("resample, pairs", [(True, 4), (False, 1)])
 def test_runner_builds_and_encodes_each_trial_once(monkeypatch, resample, pairs):
     # The sent point does not depend on the SNR, so a trial's pair and
@@ -375,6 +363,28 @@ def test_cli_simulate_refuses_a_missing_out_directory_before_any_trial(tmp_path,
     assert main(argv) == 2
     assert capsys.readouterr().err.startswith("refused: no directory")
     assert sorted(f.name for f in tmp_path.iterdir()) == ["cfg.toml"]
+
+
+def test_cli_simulate_refuses_an_existing_directory_as_out_before_any_trial(tmp_path, capsys,
+                                                                           monkeypatch):
+    def no_pairs(*args, **kwargs):
+        raise AssertionError("a trial ran before --out was checked")
+
+    monkeypatch.setattr(codec, "build_pair", no_pairs)
+    (tmp_path / "x.csv").mkdir()
+    argv = ["simulate", "--config", write_config(tmp_path), "--out", str(tmp_path / "x.csv")]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("refused: output path") and "is a directory" in err
+    assert sorted(f.name for f in tmp_path.iterdir()) == ["cfg.toml", "x.csv"]
+
+
+@pytest.mark.parametrize("rate", ["0", "1"])
+def test_cli_verify_mindist_refuses_a_rate_outside_the_open_interval(capsys, rate):
+    assert main(["verify-mindist", "--Rf", rate, "--codes", "2"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"refused: rate R_f = {rate} breaks 0 < R_f < 1")
+    assert "PASS" not in captured.out
 
 
 @pytest.mark.parametrize("argv", [

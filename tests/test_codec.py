@@ -364,6 +364,21 @@ def test_decoders_refuse_a_wrong_length_channel_output():
                 decode(pair, y, P, 1.0)
 
 
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32), shape=st.sampled_from([
+    (12, 7, Fraction(1, 4), Fraction(1, 2), 8),
+    (12, 5, Fraction(1, 3), Fraction(2, 3), 6),
+    (24, 11, Fraction(1, 4), Fraction(1, 2), 8),
+]))
+def test_build_fine_lattice_is_the_first_fine_block_of_build_pair(seed, shape):
+    n, p, R, R_f, delta_p = shape
+    pair = build_pair(n, p, R, R_f, "lda", seed, delta_p)
+    lat, graph = build_fine_lattice(n, p, R_f, delta_p, seed)
+    assert graph == pair.lda.fine_graph
+    if pair.regenerations == 0:
+        assert lat.H == pair.stack.lower
+
+
 def test_build_fine_lattice_profile():
     lat, graph = build_fine_lattice(30, 31, Fraction(3, 5), 5, seed=1)
     assert lat.n == 30 and lat.H.rows == 12

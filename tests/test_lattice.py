@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from lda_lab import rng
 from lda_lab.expander import BudgetExceededError
-from lda_lab.gfmatrix import GfMatrix, NoSolutionError, solve
+from lda_lab.gfmatrix import GfMatrix, NoSolutionError, rank, solve
 from lda_lab.lattice import (
     BallSpec,
     ConstructionALattice,
@@ -328,36 +328,28 @@ def test_hermite_gain_trend_with_certified_bounds():
     assert gains[0] < gains[1] < gains[2]
 
 
-def test_systematic_form_built_once_when_threads_share_a_lattice(monkeypatch):
-    # Runner threads share one lattice when the pair is fixed; the first
-    # quantize builds the cached form, and every other caller must wait for
-    # it rather than build a duplicate.
-    import sys
-    import time
-    from concurrent.futures import ThreadPoolExecutor
-
+def test_systematic_form_built_once_per_lattice(monkeypatch):
+    # Every method reads the one cached row reduction; none rebuilds it.
     from lda_lab import lattice
 
     builds = []
     build = lattice._systematic_form
 
-    def slow_build(H):
+    def counted_build(H):
         builds.append(H)
-        time.sleep(0.01)  # widen the window for a duplicate build
         return build(H)
 
-    monkeypatch.setattr(lattice, "_systematic_form", slow_build)
-    lat = ConstructionALattice(GfMatrix.random(3, 9, 5, rng.generator(1, "shared-table")))
-    y = rng.generator(2, "shared-table").uniform(-5, 5, size=9)
-    old = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        with ThreadPoolExecutor(max_workers=8) as pool:
-            points = list(pool.map(lambda _: lat.quantize(y), range(16), timeout=60))
-    finally:
-        sys.setswitchinterval(old)
-    assert len(points) == 16 and len(builds) == 1
-    assert all(np.array_equal(q, points[0]) for q in points)
+    monkeypatch.setattr(lattice, "_systematic_form", counted_build)
+    lat = ConstructionALattice(GfMatrix.random(3, 9, 5, rng.generator(1, "shared-form")))
+    y = rng.generator(2, "shared-form").uniform(-5, 5, size=9)
+    syndrome = lat.H.mul_vec(np.arange(9))
+    for _ in range(3):
+        assert lat.k_eff == 9 - rank(lat.H)
+        assert lat.generator.rows == lat.k_eff
+        assert np.array_equal(lat.H.mul_vec(lat.coset_point(syndrome)), syndrome)
+        assert lat.contains(lat.quantize(y))
+    assert lat.contains(lat.shortest_vector())
+    assert len(builds) == 1
 
 
 def test_sorted_qr_at_paper_regime_size():
@@ -367,11 +359,10 @@ def test_sorted_qr_at_paper_regime_size():
     from fractions import Fraction
 
     from lda_lab.codec import build_fine_lattice
-    from lda_lab.gfmatrix import rank
 
     lat, _ = build_fine_lattice(96, 31, Fraction(1, 2), 4, seed=rng.derive_key(5, 96, 0))
     assert lat.k_eff == lat.n - rank(lat.H)
-    form = lat._systematic()
+    form = lat._systematic
     r = np.array(form.r)
     assert np.allclose(form.q_t.T @ r, form.basis, atol=1e-8)
     assert (np.diag(r) > 0).all()
