@@ -492,6 +492,8 @@ def verify_mindist(codes: int = 50, n: int = 30, p: int = 31,
                    w_max: int = 4, master_seed: int = 0) -> VerifyReport:
     """Bounded-weight codeword search over seeded LDA fine codes; passes only
     when no code contains a nonzero codeword of weight <= w_max."""
+    if codes < 1:
+        raise ValueError(f"codes = {codes} must be at least 1")
     offenders = 0
     found: list[tuple[int, int]] = []
     for c in range(codes):

@@ -23,7 +23,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import combinations
 
 import numpy as np
 
@@ -35,6 +34,7 @@ from .gfmatrix import rank  # noqa: F401  (re-exported: the benchmark traces ``l
 DEFAULT_ENUMERATION_BUDGET = 100_000_000
 DEFAULT_QUANTIZER_BUDGET = 250_000
 DEFAULT_SUPPORT_BUDGET = 2_000_000
+SUPPORT_CHUNK = 4096  # supports pruned per pass; bounds the pass's temporaries
 
 
 # ---------------------------------------------------------------------------
@@ -361,6 +361,50 @@ def _search(r: list[list[float]], z: list[float], start: float, budget: int,
     return np.array([leaf for d, leaf in leaves if d <= bound], dtype=np.int64).reshape(-1, n)
 
 
+def _column_masks(H: np.ndarray) -> np.ndarray:
+    """Each column's row support as bits of uint64 words: shape (words, n),
+    one word per 64 rows (row r is bit r % 64 of word r // 64)."""
+    packed = np.packbits(H != 0, axis=0, bitorder="little")
+    packed = np.pad(packed, ((0, -len(packed) % 8), (0, 0)))
+    return np.ascontiguousarray(packed.T).view(np.uint64).T
+
+
+def _grow_supports(prev: np.ndarray, n: int) -> np.ndarray:
+    """The size-(w + 1) subsets of range(n) in lex order, one per column,
+    from the size-w ones in lex order: each a in range(n), followed by every
+    size-w subset whose least element exceeds a, a suffix of ``prev``."""
+    count = prev.shape[1]
+    starts = np.cumsum(np.bincount(prev[0], minlength=n)).tolist()
+    out = np.empty((len(prev) + 1, sum(count - s for s in starts)), dtype=prev.dtype)
+    end = 0
+    for a, s in enumerate(starts):
+        lo, end = end, end + count - s
+        out[0, lo:end] = a
+        out[1:, lo:end] = prev[:, s:]
+    return out
+
+
+def _covered_twice(masks: np.ndarray, supports: np.ndarray) -> np.ndarray:
+    """For each support (a column of ``supports``), whether every row its
+    columns touch is touched by at least two of them.
+
+    A dependency with all coefficients nonzero forces each column's rows to
+    be covered by the others', so a support with a "private" row (touched
+    once) has none; a dependency that zeroes some coefficient lives on a
+    smaller support and is caught at a lower w, keeping the weight exact.
+    """
+    keep = np.ones(supports.shape[1], dtype=bool)
+    for word in masks:
+        once = word.take(supports[0])
+        twice = np.zeros_like(once)
+        for column in supports[1:]:
+            m = word.take(column)
+            twice |= once & m
+            once |= m
+        keep &= once == twice
+    return keep
+
+
 class ConstructionALattice:
     """Lattice of integer vectors x with H x^T = 0 mod p."""
 
@@ -495,34 +539,32 @@ class ConstructionALattice:
         submatrix for rank deficiency: a nonzero codeword supported inside J
         exists iff rank(H[:, J]) < |J|.  A deficiency at size w with no
         deficiency at any smaller size pins the minimum weight exactly.
+
+        The supports of one size are listed in lex order as one array of
+        small integers and pruned SUPPORT_CHUNK at a time on packed column
+        masks (``_covered_twice``); only the survivors are row-reduced.
+        More than ``budget`` supports in all are refused before any is
+        built.
         """
-        total = sum(math.comb(self.n, w) for w in range(1, min(w_max, self.n) + 1))
+        if w_max < 1:
+            raise ValueError(f"w_max = {w_max} must be at least 1")
+        n, Harr = self.n, self.H.array
+        w_top = min(w_max, n)
+        total = sum(math.comb(n, w) for w in range(1, w_top + 1))
         if total > budget:
             raise BudgetExceededError(
                 f"support enumeration refused: {total} supports exceed budget {budget}"
             )
-        Harr = self.H.array
-        # Row-support bitmask per column.  A dependency with all coefficients
-        # nonzero forces every column's rows to be covered by the others', so
-        # supports with a "private" row are pruned without elimination; a
-        # dependency that zeroes some coefficient lives on a smaller support
-        # and is caught at a lower w, keeping the returned weight exact.
-        masks = [0] * self.n
-        for r, c in zip(*np.nonzero(Harr)):
-            masks[c] |= 1 << int(r)
-        for w in range(1, min(w_max, self.n) + 1):
-            for J in combinations(range(self.n), w):
-                covered = True
-                for j in J:
-                    others = 0
-                    for k in J:
-                        if k != j:
-                            others |= masks[k]
-                    if masks[j] & ~others:
-                        covered = False
-                        break
-                if covered and len(_rref(Harr[:, J], self.p)[1]) < w:
-                    return w
+        masks = _column_masks(Harr)
+        supports = np.arange(n, dtype=np.min_scalar_type(n))[None]
+        for w in range(1, w_top + 1):
+            if w > 1:
+                supports = _grow_supports(supports, n)
+            for lo in range(0, supports.shape[1], SUPPORT_CHUNK):
+                chunk = supports[:, lo:lo + SUPPORT_CHUNK]
+                for s in np.flatnonzero(_covered_twice(masks, chunk)):
+                    if len(_rref(Harr[:, chunk[:, s]], self.p)[1]) < w:
+                        return w
         return None
 
     def min_euclidean_distance(

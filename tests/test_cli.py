@@ -387,6 +387,18 @@ def test_cli_verify_mindist_refuses_a_rate_outside_the_open_interval(capsys, rat
     assert "PASS" not in captured.out
 
 
+@pytest.mark.parametrize("argv, named", [
+    (["--w-max", "0", "--codes", "2"], "w_max = 0"),
+    (["--w-max", "-3", "--codes", "2"], "w_max = -3"),
+    (["--codes", "0"], "codes = 0"),
+])
+def test_cli_verify_mindist_refuses_a_vacuous_search(capsys, argv, named):
+    assert main(["verify-mindist", *argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"refused: {named} must be at least 1")
+    assert "PASS" not in captured.out
+
+
 @pytest.mark.parametrize("argv", [
     ["simulate", "--config", "{missing}/cfg.toml", "--out", "{tmp}/x.csv"],
     ["gen", "--config", "{missing}/cfg.toml", "--out", "{tmp}/pair.txt"],

@@ -3,7 +3,9 @@
 from __future__ import annotations
 
 import math
-from itertools import product
+import tracemalloc
+from fractions import Fraction
+from itertools import combinations, product
 
 import numpy as np
 import pytest
@@ -11,11 +13,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lda_lab import rng
+from lda_lab.codec import build_fine_lattice
 from lda_lab.expander import BudgetExceededError
-from lda_lab.gfmatrix import GfMatrix, NoSolutionError, rank, solve
+from lda_lab.gfmatrix import GfMatrix, NoSolutionError, _rref, rank, solve
 from lda_lab.lattice import (
     BallSpec,
     ConstructionALattice,
+    _column_masks,
+    _covered_twice,
+    _grow_supports,
     ball_volume,
     count_congruent_in_ball,
     count_integer_points,
@@ -246,6 +252,135 @@ def test_min_hamming_weight_matches_codeword_enumeration():
         nz = words[np.any(words, axis=1)]
         oracle = int(np.min(np.count_nonzero(nz, axis=1))) if len(nz) else None
         assert lat.min_hamming_weight(n) == oracle
+
+
+def row_masks(H: np.ndarray) -> list[int]:
+    """Each column's row support as one Python integer."""
+    masks = [0] * H.shape[1]
+    for r, c in zip(*np.nonzero(H)):
+        masks[c] |= 1 << int(r)
+    return masks
+
+
+def private_row_free(masks: list[int], J: tuple[int, ...]) -> bool:
+    """No column of J touches a row that no other column of J touches."""
+    for j in J:
+        others = 0
+        for k in J:
+            if k != j:
+                others |= masks[k]
+        if masks[j] & ~others:
+            return False
+    return True
+
+
+def support_loop_min_weight(lat: ConstructionALattice, w_max: int) -> int | None:
+    """The support search one support at a time: the private-row prune on
+    Python-integer masks, then the rank test.  The oracle of
+    ``min_hamming_weight``."""
+    H = lat.H.array
+    masks = row_masks(H)
+    for w in range(1, min(w_max, lat.n) + 1):
+        for J in combinations(range(lat.n), w):
+            if private_row_free(masks, J) and len(_rref(H[:, J], lat.p)[1]) < w:
+                return w
+    return None
+
+
+@st.composite
+def support_search_cases(draw):
+    """A random parity check small enough to enumerate its code: n <= 8,
+    p in {3, 5, 7}, up to n + 1 rows or 63-70 rows (two mask words), and
+    sometimes an all-zero column or a column proportional to another."""
+    p = draw(st.sampled_from([3, 5, 7]))
+    n = draw(st.integers(1, {3: 8, 5: 6, 7: 5}[p]))
+    rows = draw(st.one_of(st.integers(1, n + 1), st.integers(63, 70)))
+    H = np.array(draw(st.lists(st.integers(0, p - 1), min_size=rows * n,
+                               max_size=rows * n))).reshape(rows, n)
+    j = draw(st.integers(0, n - 1))
+    edit = draw(st.sampled_from(["none", "zero column", "proportional columns"]))
+    if edit == "zero column":
+        H[:, j] = 0
+    elif edit == "proportional columns" and n > 1:
+        k = draw(st.integers(0, n - 1).filter(lambda k: k != j))
+        H[:, k] = draw(st.integers(1, p - 1)) * H[:, j] % p
+    return ConstructionALattice(GfMatrix(H, p))
+
+
+@settings(max_examples=200, deadline=None)
+@given(support_search_cases())
+def test_support_search_agrees_with_the_loop_and_the_code(lat):
+    words = lat.codewords()
+    weights = np.count_nonzero(words, axis=1)
+    least = int(weights[weights > 0].min()) if weights.any() else None
+    for w_max in range(1, lat.n + 3):
+        expect = least if least is not None and least <= w_max else None
+        assert lat.min_hamming_weight(w_max) == support_loop_min_weight(lat, w_max) == expect
+
+
+@settings(max_examples=100, deadline=None)
+@given(support_search_cases())
+def test_batched_prune_keeps_exactly_the_supports_the_loop_keeps(lat):
+    H = lat.H.array
+    masks = row_masks(H)
+    supports = np.arange(lat.n, dtype=np.uint8)[None]
+    for w in range(1, lat.n + 1):
+        if w > 1:
+            supports = _grow_supports(supports, lat.n)
+        assert _covered_twice(_column_masks(H), supports).tolist() == [
+            private_row_free(masks, tuple(J)) for J in supports.T.tolist()]
+
+
+@pytest.mark.parametrize("n, w_top", [(2, 2), (6, 6), (30, 4), (300, 2)])
+def test_grow_supports_lists_every_subset_in_lex_order(n, w_top):
+    supports = np.arange(n, dtype=np.min_scalar_type(n))[None]
+    for w in range(2, w_top + 1):
+        supports = _grow_supports(supports, n)
+        assert supports.dtype == np.min_scalar_type(n)
+        assert supports.T.tolist() == [list(J) for J in combinations(range(n), w)]
+
+
+def test_min_hamming_weight_reads_every_mask_word():
+    # 80 rows, so two mask words per column.  Making a column proportional
+    # to one whose rows fall in both words plants a weight-2 word.
+    lat, _ = build_fine_lattice(160, 11, Fraction(1, 2), 8,
+                                seed=rng.derive_key(12, "two-words"))
+    H = lat.H.array.copy()
+    assert H.shape == (80, 160) and _column_masks(H).shape == (2, 160)
+    j1 = next(j for j in range(160) if H[:64, j].any() and H[64:, j].any())
+    j2 = (j1 + 80) % 160
+    H[:, j2] = 3 * H[:, j1] % 11
+    planted = ConstructionALattice(GfMatrix(H, 11))
+    assert planted.min_hamming_weight(3) == support_loop_min_weight(planted, 3) == 2
+    # Every pair the batched prune keeps is one the loop keeps, and back.
+    pairs = _grow_supports(np.arange(160, dtype=np.uint8)[None], 160)
+    masks = row_masks(H)
+    assert _covered_twice(_column_masks(H), pairs).tolist() == [
+        private_row_free(masks, tuple(J)) for J in pairs.T.tolist()]
+    assert lat.min_hamming_weight(2) is None and support_loop_min_weight(lat, 2) is None
+
+
+def test_min_hamming_weight_refuses_over_budget_before_building_supports():
+    # A check that counts supports level by level would build every support
+    # of weight <= 3 (1.3 million) before refusing at weight 4.
+    lat = lattice_from([[1] * 200], 3)
+    total = sum(math.comb(200, w) for w in range(1, 7))
+    tracemalloc.start()
+    try:
+        with pytest.raises(BudgetExceededError, match=f"support enumeration refused: {total} "
+                                                      f"supports exceed budget 2000000"):
+            lat.min_hamming_weight(6)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 100_000
+
+
+@pytest.mark.parametrize("w_max", [0, -3])
+def test_min_hamming_weight_refuses_a_weight_below_one(w_max):
+    lat = lattice_from([[1, 2, 0, 0], [0, 1, 2, 0], [0, 0, 1, 2]], 3)
+    with pytest.raises(ValueError, match=f"w_max = {w_max} must be at least 1"):
+        lat.min_hamming_weight(w_max)
 
 
 def test_min_euclidean_distance_extremes():
