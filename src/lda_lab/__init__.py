@@ -1,6 +1,6 @@
 """Nested Construction-A / LDA lattice coding laboratory."""
 
-from .channel import capacity, decoding_radius, sigma_max, wiener
+from .channel import capacity, wiener
 from .codec import NestedLatticePair, bp_decode, build_pair, encode, extract_message, mmse_decode_exact
 from .expander import (
     TannerGraph,
@@ -31,7 +31,6 @@ __all__ = [
     "centered_rep",
     "check_d_good",
     "count_integer_points",
-    "decoding_radius",
     "delta_threshold",
     "encode",
     "extract_message",
@@ -40,7 +39,6 @@ __all__ = [
     "nearest_prime",
     "neighborhood",
     "rank",
-    "sigma_max",
     "solve",
     "wiener",
 ]

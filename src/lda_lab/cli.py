@@ -356,6 +356,14 @@ def emit_plot_data(results: list[SnrResult], path_prefix: str) -> None:
 # Verifier subcommands
 
 
+def _require(least: float, strict: bool = False, **values: float) -> None:
+    """Refuse a verifier run that would check nothing, or divide by zero:
+    every value must be at least ``least`` (above it when ``strict``)."""
+    for name, value in values.items():
+        if not (value > least if strict else value >= least):
+            raise ValueError(f"{name} = {value} must be {'above' if strict else 'at least'} {least}")
+
+
 @dataclass(frozen=True)
 class VerifyReport:
     name: str
@@ -373,6 +381,8 @@ def verify_noise(n: int = 10_000, sigma: float = 1.0, eps: float = 0.05,
                  trials: int = 10_000, master_seed: int = 0,
                  pass_freq: float = 0.999) -> VerifyReport:
     """Fraction of noise draws with norm inside sigma*sqrt(n)*(1 +/- eps)."""
+    _require(1, n=n, trials=trials)
+    _require(0, strict=True, sigma=sigma)
     lo = sigma * math.sqrt(n) * (1 - eps)
     hi = sigma * math.sqrt(n) * (1 + eps)
     inside = 0
@@ -392,7 +402,11 @@ def verify_noise(n: int = 10_000, sigma: float = 1.0, eps: float = 0.05,
 def verify_ortho(n: int = 10_000, sigma: float = 1.0, trials: int = 10_000,
                  master_seed: int = 0) -> VerifyReport:
     """Violation rate of |x.w| <= f(n) sigma ||x|| with f(n) = ln n, against
-    the Chernoff level exp(-f^2/2) plus 3-sigma estimator slack."""
+    the Chernoff level exp(-f^2/2) plus 3-sigma estimator slack.  At n = 1,
+    f = 0 puts the level at 1, so n starts at 2."""
+    _require(2, n=n)
+    _require(1, trials=trials)
+    _require(0, strict=True, sigma=sigma)
     f = math.log(n)
     x = rng.gaussian(master_seed, "verify-ortho-x", size=n)
     xnorm = math.sqrt(float(x @ x))
@@ -420,6 +434,7 @@ def verify_norm(kind: str = "dense", n: int = 16, p: int = 3,
                 threshold: float = 0.9) -> VerifyReport:
     """Fraction of encoded points with norm within the window around the
     exact effective radius of the shaping lattice."""
+    _require(1, count=count)
     inside = 0
     for t in range(count):
         pair = codec.build_pair(n, p, R, R_f, kind,
@@ -455,10 +470,14 @@ def planted_counterexample() -> expander.TannerGraph:
 def verify_expansion(n_left: int = 200, f: Fraction = Fraction(1, 4), D: float = 2.0,
                      delta: int | None = None, graphs: int = 100,
                      budget: int = 100_000, master_seed: int = 0,
-                     required_clean: int = 95) -> VerifyReport:
+                     required_clean: int | None = None) -> VerifyReport:
     """Randomized falsifier on seeded permutation graphs with degree above
     the threshold; also demands that the falsifier catches a planted
-    violation, so a toothless checker cannot pass vacuously."""
+    violation, so a toothless checker cannot pass vacuously.  Without
+    ``required_clean``, 95% of the graphs, rounded up, must be clean."""
+    _require(1, graphs=graphs)
+    if required_clean is None:
+        required_clean = (95 * graphs + 99) // 100
     if delta is None:
         base = expander.delta_threshold_two_sided(D, float(f))
         delta = math.ceil(base)
@@ -492,8 +511,7 @@ def verify_mindist(codes: int = 50, n: int = 30, p: int = 31,
                    w_max: int = 4, master_seed: int = 0) -> VerifyReport:
     """Bounded-weight codeword search over seeded LDA fine codes; passes only
     when no code contains a nonzero codeword of weight <= w_max."""
-    if codes < 1:
-        raise ValueError(f"codes = {codes} must be at least 1")
+    _require(1, codes=codes)
     offenders = 0
     found: list[tuple[int, int]] = []
     for c in range(codes):
@@ -515,6 +533,7 @@ def verify_mindist(codes: int = 50, n: int = 30, p: int = 31,
 def verify_counts(cases: int = 100, master_seed: int = 0) -> VerifyReport:
     """Exhaustive geometry counts against their closed-form bounds, plus
     quantizer-vs-enumeration CVP cross-checks."""
+    _require(1, cases=cases)
     gen = rng.generator(master_seed, "counts")
     violations = 0
     # Integer points in a sphere against the two-sided volume bound.

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 import numpy as np
 
@@ -36,17 +37,29 @@ class LdaInfo:
 
 @dataclass(frozen=True)
 class NestedLatticePair:
-    n: int
-    p: int
-    R: Fraction
-    R_f: Fraction
-    kind: str  # "dense" | "lda"
-    seed: int
+    """A nested pair read off its stacked parity check: the shaping lattice
+    is the kernel of the full stack, the fine lattice that of its lower
+    block, and the ensemble kind is "lda" exactly when the pair carries its
+    LDA graphs."""
+
     stack: StackedParityCheck
-    shaping: ConstructionALattice
-    fine: ConstructionALattice
+    seed: int
     regenerations: int
     lda: LdaInfo | None = None
+
+    n = property(lambda self: self.stack.n)
+    p = property(lambda self: self.stack.p)
+    R = property(lambda self: self.stack.R)
+    R_f = property(lambda self: self.stack.R_f)
+    kind = property(lambda self: "dense" if self.lda is None else "lda")
+
+    @cached_property
+    def shaping(self) -> ConstructionALattice:
+        return ConstructionALattice(self.stack.full)
+
+    @cached_property
+    def fine(self) -> ConstructionALattice:
+        return ConstructionALattice(self.stack.lower)
 
     @property
     def ell(self) -> int:
@@ -80,6 +93,14 @@ def _skeleton(n: int, rows: int, delta_p: int, seed: int, tag: str) -> TannerGra
     return build_graph(n, Fraction(rows, n), delta_p, rng.derive_key(seed, f"skeleton-{tag}"))
 
 
+def _check_ensemble(p: int, kind: str) -> None:
+    """Refuse a modulus that is not an odd prime and an unknown ensemble kind."""
+    if not is_prime(p) or p == 2:
+        raise ValueError("p must be an odd prime")
+    if kind not in ("dense", "lda"):
+        raise ValueError(f"unknown ensemble kind {kind!r}")
+
+
 def build_pair(
     n: int,
     p: int,
@@ -102,43 +123,27 @@ def build_pair(
     """
     R = Fraction(R)
     R_f = Fraction(R_f)
-    if not is_prime(p) or p == 2:
-        raise ValueError("p must be an odd prime")
+    _check_ensemble(p, kind)
     ell, r = block_heights(n, R, R_f)
+    lda = None
     if kind == "lda":
         if delta_p is None:
             raise ValueError("LDA pairs need delta_p")
-        fine_graph = _skeleton(n, r, delta_p, seed, "fine")
-        upper_graph = _skeleton(n, ell, delta_p, seed, "upper")
-    elif kind != "dense":
-        raise ValueError(f"unknown ensemble kind {kind!r}")
+        lda = LdaInfo(delta_p, _skeleton(n, r, delta_p, seed, "fine"),
+                      _skeleton(n, ell, delta_p, seed, "upper"))
 
-    full_rank = ell + r
     for attempt in range(MAX_RANK_ATTEMPTS):
-        if kind == "dense":
+        if lda is None:
             gen = rng.generator(seed, "dense-H", attempt)
             upper = GfMatrix.random(ell, n, p, gen)
             lower = GfMatrix.random(r, n, p, gen)
         else:
-            upper = _label_graph(upper_graph, ell, n, p, seed, "upper", attempt)
-            lower = _label_graph(fine_graph, r, n, p, seed, "fine", attempt)
-        stack = StackedParityCheck(upper=upper, lower=lower, n=n, R=R, R_f=R_f)
-        shaping = ConstructionALattice(stack.full)
+            upper = _label_graph(lda.upper_graph, ell, n, p, seed, "upper", attempt)
+            lower = _label_graph(lda.fine_graph, r, n, p, seed, "fine", attempt)
+        pair = NestedLatticePair(StackedParityCheck(upper, lower, n, R, R_f), seed, attempt, lda)
         # The rank is read off the one row reduction the encoder needs anyway.
-        if n - shaping.k_eff == full_rank:
-            return NestedLatticePair(
-                n=n,
-                p=p,
-                R=R,
-                R_f=R_f,
-                kind=kind,
-                seed=seed,
-                stack=stack,
-                shaping=shaping,
-                fine=ConstructionALattice(stack.lower),
-                regenerations=attempt,
-                lda=LdaInfo(delta_p, fine_graph, upper_graph) if kind == "lda" else None,
-            )
+        if n - pair.shaping.k_eff == ell + r:
+            return pair
     raise RuntimeError(f"no full-rank draw after {MAX_RANK_ATTEMPTS} attempts (seed {seed})")
 
 
@@ -465,6 +470,7 @@ def pair_from_text(text: str) -> NestedLatticePair:
         R, R_f = Fraction(head["R"]), Fraction(head["Rf"])
         ell, r = block_heights(n, R, R_f)
         kind, seed = head["kind"], int(head["seed"])
+        _check_ensemble(p, kind)
         delta_p, regen = int(head["deltap"]), int(head["regen"])
         blocks: dict[str, tuple[GfMatrix, TannerGraph]] = {}
         i = 2
@@ -500,16 +506,5 @@ def pair_from_text(text: str) -> NestedLatticePair:
         if i >= len(lines):
             raise ValueError(f"bad pair file: truncated after line {len(lines)}") from exc
         raise ValueError(f"bad pair file at line {i + 1}: {type(exc).__name__}: {exc}") from exc
-    return NestedLatticePair(
-        n=n,
-        p=p,
-        R=R,
-        R_f=R_f,
-        kind=kind,
-        seed=seed,
-        stack=stack,
-        shaping=ConstructionALattice(stack.full),
-        fine=ConstructionALattice(stack.lower),
-        regenerations=regen,
-        lda=LdaInfo(delta_p, blocks["fine"][1], blocks["upper"][1]) if kind == "lda" else None,
-    )
+    lda = LdaInfo(delta_p, blocks["fine"][1], blocks["upper"][1]) if kind == "lda" else None
+    return NestedLatticePair(stack, seed, regen, lda)

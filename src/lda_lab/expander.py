@@ -109,6 +109,8 @@ def build_graph(n_left: int, f: Fraction, delta: int, seed: int) -> TannerGraph:
     Both n_right = f*n_left and the variable degree f*delta must be
     integers for the graph to be biregular.
     """
+    if n_left < 1:
+        raise ValueError(f"n_left = {n_left} must be at least 1")
     f = Fraction(f)
     n_right = f * n_left
     dv = f * delta

@@ -128,8 +128,10 @@ def solve(M: GfMatrix, s: np.ndarray) -> np.ndarray:
 def block_heights(n: int, R: Fraction | None, R_f: Fraction) -> tuple[int, int]:
     """The rate rule of a nested pair: the heights (ell, r) = (n(R_f - R),
     n(1 - R_f)) of its message and fine blocks.  Raises ValueError unless
-    0 < R < R_f < 1 and both heights are integers.  ``R = None`` is the
-    rule of a fine code alone: 0 < R_f < 1, an integral r, and ell = 0."""
+    n >= 1, 0 < R < R_f < 1 and both heights are integers.  ``R = None`` is
+    the rule of a fine code alone: 0 < R_f < 1, an integral r, and ell = 0."""
+    if n < 1:
+        raise ValueError(f"n = {n} must be at least 1")
     if R is None:
         if not 0 < R_f < 1:
             raise ValueError(f"rate R_f = {R_f} breaks 0 < R_f < 1")

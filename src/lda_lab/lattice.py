@@ -88,35 +88,42 @@ class BallSpec:
 # ---------------------------------------------------------------------------
 # Integer point enumeration
 
-def _count_rec(center: np.ndarray, rr: float, i: int) -> int:
-    """Count integer points of the ball by interval recursion; the last
-    coordinate is closed-form."""
-    c = center[i]
-    r = math.sqrt(rr)
-    lo = math.ceil(c - r)
-    hi = math.floor(c + r)
-    if lo > hi:
-        return 0
-    if i == len(center) - 1:
-        return hi - lo + 1
-    total = 0
-    for z in range(lo, hi + 1):
-        rem = rr - (z - c) ** 2
-        if rem >= 0:
-            total += _count_rec(center, rem, i + 1)
-    return total
+def _ball_runs(ball: BallSpec, budget: int):
+    """Walk the integer points of the ball by interval recursion, yielding
+    each run along the last axis as (prefix, lo, hi): the points
+    prefix + (z,) for lo <= z <= hi.  The prefix list is reused between
+    runs.  Refuses when the volume-based upper bound on the count exceeds
+    the budget, reporting the estimate."""
+    _, bound = lemma2_bounds(ball)
+    if bound > budget:
+        raise BudgetExceededError(
+            f"integer-point enumeration refused: upper bound {bound:.3g} points "
+            f"exceeds budget {budget} (ball volume ~ {ball_volume(ball.dim, ball.radius):.3g})"
+        )
+    center = ball.center.tolist()
+    last = ball.dim - 1
+    prefix = [0] * last
+
+    def walk(rr: float, i: int):
+        c = center[i]
+        r = math.sqrt(rr)
+        lo, hi = math.ceil(c - r), math.floor(c + r)
+        if i == last:
+            if lo <= hi:
+                yield prefix, lo, hi
+            return
+        for z in range(lo, hi + 1):
+            rem = rr - (z - c) ** 2
+            if rem >= 0:
+                prefix[i] = z
+                yield from walk(rem, i + 1)
+
+    yield from walk(ball.radius**2, 0)
 
 
 def count_integer_points(ball: BallSpec, budget: int = DEFAULT_ENUMERATION_BUDGET) -> int:
-    """|Z^n intersect ball|, exact.  Refuses when the volume-based upper
-    bound on the count exceeds the budget, reporting the estimate."""
-    lo, hi = lemma2_bounds(ball)
-    if hi > budget:
-        raise BudgetExceededError(
-            f"integer-point enumeration refused: upper bound {hi:.3g} points "
-            f"exceeds budget {budget} (ball volume ~ {ball_volume(ball.dim, ball.radius):.3g})"
-        )
-    return _count_rec(ball.center, ball.radius**2, 0)
+    """|Z^n intersect ball|, exact: the summed run lengths of the ball walk."""
+    return sum(hi - lo + 1 for _prefix, lo, hi in _ball_runs(ball, budget))
 
 
 def lemma2_bounds(ball: BallSpec) -> tuple[float, float]:
@@ -129,35 +136,13 @@ def lemma2_bounds(ball: BallSpec) -> tuple[float, float]:
 
 
 def integer_points_in_ball(ball: BallSpec, budget: int = DEFAULT_ENUMERATION_BUDGET):
-    """Yield the integer points of the ball as int64 rows, in chunks."""
-    _, hi = lemma2_bounds(ball)
-    if hi > budget:
-        raise BudgetExceededError(
-            f"integer-point enumeration refused: upper bound {hi:.3g} exceeds budget {budget}"
-        )
-    n = ball.dim
-    prefix = np.zeros(n, dtype=np.int64)
-
-    def rec(rr: float, i: int):
-        c = ball.center[i]
-        r = math.sqrt(rr)
-        lo = math.ceil(c - r)
-        hi_i = math.floor(c + r)
-        if lo > hi_i:
-            return
-        if i == n - 1:
-            vals = np.arange(lo, hi_i + 1, dtype=np.int64)
-            chunk = np.tile(prefix, (len(vals), 1))
-            chunk[:, n - 1] = vals
-            yield chunk
-            return
-        for z in range(lo, hi_i + 1):
-            rem = rr - (z - c) ** 2
-            if rem >= 0:
-                prefix[i] = z
-                yield from rec(rem, i + 1)
-
-    yield from rec(ball.radius**2, 0)
+    """Yield the integer points of the ball as int64 rows, one chunk per run
+    of the ball walk."""
+    for prefix, lo, hi in _ball_runs(ball, budget):
+        chunk = np.empty((hi - lo + 1, ball.dim), dtype=np.int64)
+        chunk[:, :-1] = prefix
+        chunk[:, -1] = np.arange(lo, hi + 1)
+        yield chunk
 
 
 def count_congruent_in_ball(
@@ -584,8 +569,9 @@ class ConstructionALattice:
         <= w_max the certified bound min{p, sqrt(w_max + 1)} is returned,
         exact=False.
         """
-        if self.k_eff == 0:
-            # Code is {0}: the lattice is exactly pZ^n.
+        if self.k_eff == 0 and w_max >= 1:
+            # Code is {0}: the lattice is exactly pZ^n.  A w_max below 1 goes
+            # on to min_hamming_weight's refusal, whatever the code.
             return MinDistanceResult(value=float(self.p), exact=True, weight=None)
         w = self.min_hamming_weight(w_max, budget)
         if w is None:

@@ -399,6 +399,47 @@ def test_cli_verify_mindist_refuses_a_vacuous_search(capsys, argv, named):
     assert "PASS" not in captured.out
 
 
+# Each of these printed a [PASS] that checked nothing, a FAIL for a bad
+# argument, or a traceback; every one is refused (exit 2) before any work.
+@pytest.mark.parametrize("argv, reason", [
+    (["verify-noise", "--trials", "0"], "trials = 0 must be at least 1"),
+    (["verify-noise", "--n", "0", "--trials", "20"], "n = 0 must be at least 1"),
+    (["verify-noise", "--sigma", "-1", "--n", "100", "--trials", "20"],
+     "sigma = -1.0 must be above 0"),
+    (["verify-ortho", "--trials", "0"], "trials = 0 must be at least 1"),
+    (["verify-ortho", "--sigma", "0", "--n", "100", "--trials", "20"], "sigma = 0.0 must be above 0"),
+    (["verify-ortho", "--n", "1", "--trials", "20"], "n = 1 must be at least 2"),
+    (["verify-norm", "--count", "0"], "count = 0 must be at least 1"),
+    (["verify-counts", "--cases", "0"], "cases = 0 must be at least 1"),
+    (["verify-counts", "--cases", "-1"], "cases = -1 must be at least 1"),
+    (["verify-expansion", "--graphs", "0"], "graphs = 0 must be at least 1"),
+    (["verify-expansion", "--n-left", "0", "--graphs", "2"], "n_left = 0 must be at least 1"),
+    (["verify-mindist", "--n", "0", "--codes", "2"], "n = 0 must be at least 1"),
+    (["verify-mindist", "--n", "-5", "--codes", "2"], "n = -5 must be at least 1"),
+])
+def test_cli_refuses_an_empty_or_degenerate_verifier_run(capsys, argv, reason):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"refused: {reason}") and "Traceback" not in captured.err
+    assert "PASS" not in captured.out
+
+
+@pytest.mark.parametrize("command", ["simulate", "gen"])
+def test_cli_refuses_a_dimension_below_one(tmp_path, capsys, command):
+    cfg = write_config(tmp_path, n=0)
+    assert main([command, "--config", cfg, "--out", str(tmp_path / "out.txt")]) == 2
+    assert capsys.readouterr().err.startswith("refused: n = 0 must be at least 1")
+    assert sorted(f.name for f in tmp_path.iterdir()) == ["cfg.toml"]
+
+
+@pytest.mark.parametrize("graphs, bound", [(3, 3), (10, 10), (20, 19), (100, 95)])
+def test_verify_expansion_asks_95_percent_of_the_graphs_clean(graphs, bound):
+    # ceil(95 graphs / 100), so a short run can pass; an explicit
+    # required_clean still wins (test_verify_expansion_small).
+    report = verify_expansion(n_left=60, graphs=graphs, budget=2_000, master_seed=2)
+    assert report.bound == bound and report.measured == graphs and report.passed
+
+
 @pytest.mark.parametrize("argv", [
     ["simulate", "--config", "{missing}/cfg.toml", "--out", "{tmp}/x.csv"],
     ["gen", "--config", "{missing}/cfg.toml", "--out", "{tmp}/pair.txt"],

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from fractions import Fraction
 
@@ -12,6 +13,7 @@ from hypothesis import strategies as st
 
 from lda_lab import channel, rng
 from lda_lab.codec import (
+    NestedLatticePair,
     _check_messages,
     _check_node_messages,
     _edges,
@@ -56,6 +58,14 @@ def test_build_pair_rejects_bad_rates():
         build_pair(7, 5, Fraction(1, 2), Fraction(3, 4))
     with pytest.raises(ValueError):
         build_pair(8, 4, Fraction(1, 2), Fraction(3, 4))  # p must be odd prime
+    with pytest.raises(ValueError, match="unknown ensemble kind 'foo'"):
+        build_pair(8, 5, Fraction(1, 2), Fraction(3, 4), "foo")
+    # verify-norm --n 0 reaches build_pair first; a 0-dimensional pair
+    # would leave its nonzero-message loop spinning on an empty message.
+    for n in (0, -4):
+        for kind in ("dense", "lda"):
+            with pytest.raises(ValueError, match=f"n = {n} must be at least 1"):
+                build_pair(n, 3, Fraction(1, 2), Fraction(3, 4), kind, delta_p=4)
 
 
 def test_lda_pair_regular_profile():
@@ -324,10 +334,25 @@ def _edit_line(number, edit):
     (_edit_line(2, lambda ln, _: [ln.replace("R=1/4", "R=1/0")]), "at line 2: ZeroDivisionError"),
     (_edit_line(2, lambda ln, _: [ln.replace("R=1/4", "R=3/4")]),
      "at line 2: .*R = 3/4, R_f = 1/2 break 0 < R < R_f < 1"),
+    (_edit_line(2, lambda ln, _: [ln.replace("kind=lda", "kind=foo")]),
+     "at line 2: .*unknown ensemble kind 'foo'"),
+    (_edit_line(2, lambda ln, _: [ln.replace("p=7", "p=2")]), "at line 2: .*p must be an odd prime"),
+    (_edit_line(2, lambda ln, _: [ln.replace("n=12", "n=0")]), "at line 2: .*n = 0 must be at least 1"),
 ])
 def test_pair_from_text_rejects_malformed_input(damage, message):
     with pytest.raises(ValueError, match=message):
         pair_from_text(damage(pair_to_text(lda_pair(17))))
+
+
+def test_pair_is_read_off_its_stack():
+    assert [f.name for f in dataclasses.fields(NestedLatticePair)] == [
+        "stack", "seed", "regenerations", "lda"]
+    for pair, kind in ((small_pair(16), "dense"), (lda_pair(17), "lda")):
+        stack = pair.stack
+        assert (pair.n, pair.p, pair.R, pair.R_f, pair.kind) == (
+            stack.n, stack.p, stack.R, stack.R_f, kind)
+        assert pair.shaping.H == stack.full and pair.fine.H == stack.lower
+        assert pair.shaping is pair.shaping and pair.fine is pair.fine
 
 
 def test_build_pair_redraws_until_the_stack_has_full_rank():

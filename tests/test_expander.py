@@ -54,6 +54,12 @@ def test_build_graph_deterministic():
     assert a.edges != c.edges
 
 
+@pytest.mark.parametrize("n_left", [0, -4])
+def test_build_graph_refuses_fewer_than_one_left_node(n_left):
+    with pytest.raises(ValueError, match=f"n_left = {n_left} must be at least 1"):
+        build_graph(n_left, Fraction(1, 2), 4, seed=1)
+
+
 def test_build_graph_matches_socket_wiring():
     # Independent reconstruction of the socket convention: left socket t
     # belongs to variable t // dv, right socket s to check s // delta.

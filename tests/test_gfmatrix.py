@@ -15,6 +15,7 @@ from lda_lab.gfmatrix import (
     GfMatrix,
     NoSolutionError,
     StackedParityCheck,
+    block_heights,
     rank,
     solve,
 )
@@ -120,6 +121,15 @@ def test_stacked_parity_check_rejects_non_integral_rates():
             R=Fraction(1, 2),
             R_f=Fraction(3, 4),
         )
+
+
+@pytest.mark.parametrize("n", [0, -4])
+def test_block_heights_refuse_a_dimension_below_one(n):
+    # Both the pair rule and the fine-code rule: at n = 0 the rates give
+    # integral heights 0, and at n = -4 negative ones.
+    for R in (Fraction(1, 2), None):
+        with pytest.raises(ValueError, match=f"n = {n} must be at least 1"):
+            block_heights(n, R, Fraction(3, 4))
 
 
 def test_matrices_are_immutable():

@@ -26,6 +26,7 @@ from lda_lab.lattice import (
     count_congruent_in_ball,
     count_integer_points,
     effective_radius_asymptotic,
+    integer_points_in_ball,
     lemma2_bounds,
     lemmaC_bound,
     log_ball_volume,
@@ -68,6 +69,21 @@ def test_count_integer_points_matches_bruteforce():
         rho = float(gen.uniform(0.5, 6.0))
         center = gen.uniform(-4, 4, size=dim)
         assert count_integer_points(BallSpec(center, rho, dim)) == brute_count(center, rho)
+
+
+def test_integer_points_in_ball_yields_each_point_once():
+    # The enumerator and the count share one walk; check the points
+    # themselves against the grid-scan oracle.
+    gen = rng.generator(7, "ball-walk")
+    for _ in range(60):
+        dim = int(gen.integers(1, 5))
+        rho = float(gen.uniform(0.5, 4.0))
+        center = gen.uniform(-4, 4, size=dim)
+        chunks = list(integer_points_in_ball(BallSpec(center, rho, dim)))
+        assert all(chunk.dtype == np.int64 for chunk in chunks)
+        points = np.concatenate([np.empty((0, dim), dtype=np.int64), *chunks]).tolist()
+        assert len(set(map(tuple, points))) == len(points) == brute_count(center, rho)
+        assert all(sum((zi - ci) ** 2 for zi, ci in zip(z, center)) <= rho**2 for z in points)
 
 
 def test_count_refuses_over_budget():
@@ -381,6 +397,9 @@ def test_min_hamming_weight_refuses_a_weight_below_one(w_max):
     lat = lattice_from([[1, 2, 0, 0], [0, 1, 2, 0], [0, 0, 1, 2]], 3)
     with pytest.raises(ValueError, match=f"w_max = {w_max} must be at least 1"):
         lat.min_hamming_weight(w_max)
+    # The code {0} (the lattice pZ^n) is refused the same way.
+    with pytest.raises(ValueError, match=f"w_max = {w_max} must be at least 1"):
+        ConstructionALattice(GfMatrix.identity(4, 7)).min_euclidean_distance(w_max)
 
 
 def test_min_euclidean_distance_extremes():
