@@ -44,6 +44,21 @@ def default_power(p: int, R) -> float:
     return float(p) ** (2.0 * (1.0 - float(R))) / TWO_PI_E
 
 
+def noise_variance(P: float, snr_db: float) -> float:
+    """Noise variance per dimension at snr_db dB: sigma2 = P / 10^(snr_db / 10).
+    An SNR that is not finite, or whose sigma2 is not a positive finite
+    float, raises ValueError naming it."""
+    if not math.isfinite(snr_db):
+        raise ValueError(f"snr_db = {snr_db} is not finite")
+    try:
+        sigma2 = P / 10.0 ** (snr_db / 10.0)
+    except (OverflowError, ZeroDivisionError):
+        sigma2 = 0.0
+    if not 0.0 < sigma2 < math.inf:
+        raise ValueError(f"snr_db = {snr_db} puts the noise variance out of float range")
+    return sigma2
+
+
 def awgn_transmit(x: np.ndarray, sigma: float, noise_seed: int) -> np.ndarray:
     """y = x + w, w ~ N(0, sigma^2 I), deterministic in noise_seed."""
     if sigma <= 0:

@@ -85,6 +85,9 @@ class ExperimentConfig:
                 raise ValueError(f"{name} must be at least 1, got {getattr(cfg, name)}")
         if not cfg.snr_db_grid:
             raise ValueError("snr_db must list at least 1 grid point")
+        P = channel.default_power(cfg.p, cfg.R)
+        for snr_db in cfg.snr_db_grid:
+            channel.noise_variance(P, snr_db)
         if cfg.decoder not in ("exact", "bp"):
             raise ValueError(f"unknown decoder {cfg.decoder!r}")
         if cfg.decoder == "bp" and cfg.kind != "lda":
@@ -215,6 +218,7 @@ class TrialRecord:
     symbol_error_count: int
     word_error: bool
     decoder_status: str  # verified | unverified
+    bp_iterations: int | None  # sum-product iterations; None under the exact decoder
 
 
 @dataclass(frozen=True)
@@ -259,43 +263,53 @@ def _pair_for_trial(cfg: ExperimentConfig, trial: int) -> codec.NestedLatticePai
     )
 
 
-def _run_trial(cfg: ExperimentConfig, trial: int,
-               fixed_pair: codec.NestedLatticePair | None) -> tuple[list[TrialRecord], float]:
-    """One trial at every grid point: the pair, message and sent point do
-    not depend on the SNR, so they are drawn and encoded once; only the
-    noise is drawn per grid point.  Returns one record per grid point, in
-    grid order, and the realized power of the sent point."""
-    pair = fixed_pair if fixed_pair is not None else _pair_for_trial(cfg, trial)
-    P = channel.default_power(cfg.p, cfg.R)
+# Points per sum-product call when every trial shares one pair.
+BP_BATCH = 64
+
+
+def _transmit(cfg: ExperimentConfig, trial: int, pair: codec.NestedLatticePair,
+              sigma2s: list[float]) -> tuple[list[tuple], float]:
+    """One trial through the channel at every grid point: the pair, message
+    and sent point do not depend on the SNR, so they are drawn and encoded
+    once; only the noise is drawn per grid point.  Returns one point to
+    decode per grid point, in grid order, as (record so far, message, noise
+    variance, channel output), and the realized power of the sent point."""
     gen = rng.generator(cfg.master_seed, "message", trial)
     message = gen.integers(0, cfg.p, size=pair.ell, dtype=np.int64)
     x = codec.encode(pair, message, budget=cfg.quantizer_budget).point
     digest = blake2b(message.tobytes(), digest_size=8).hexdigest()
     sent_norm = float(np.linalg.norm(x))
     sent = x.astype(float)
-    records = []
-    for snr_db in cfg.snr_db_grid:
-        sigma2 = P / (10.0 ** (snr_db / 10.0))
+    points = []
+    for snr_db, sigma2 in zip(cfg.snr_db_grid, sigma2s):
         noise_seed = rng.derive_key(cfg.master_seed, "noise", snr_db, trial)
         y = channel.awgn_transmit(sent, math.sqrt(sigma2), noise_seed)
-        if cfg.decoder == "exact":
-            decoded = codec.mmse_decode_exact(pair, y, P, sigma2, budget=cfg.quantizer_budget)
-            status = "verified"
-        else:
-            result = codec.bp_decode(pair, y, P, sigma2, iters=cfg.bp_iters)
-            decoded = result.message
-            status = "verified" if result.verified else "unverified"
-        errs = int(np.count_nonzero(decoded != message))
-        records.append(TrialRecord(
-            trial_index=trial,
-            message_digest=digest,
-            sent_norm=sent_norm,
-            noise_seed=noise_seed,
-            symbol_error_count=errs,
-            word_error=errs > 0,
-            decoder_status=status,
-        ))
-    return records, float(x @ x) / pair.n
+        record = TrialRecord(trial_index=trial, message_digest=digest, sent_norm=sent_norm,
+                             noise_seed=noise_seed, symbol_error_count=0, word_error=False,
+                             decoder_status="", bp_iterations=None)
+        points.append((record, message, sigma2, y))
+    return points, float(x @ x) / pair.n
+
+
+def _decode_points(cfg: ExperimentConfig, pair: codec.NestedLatticePair, P: float,
+                   points: list[tuple]) -> list[TrialRecord]:
+    """The records of points that share one pair: the exact decoder takes
+    them one by one, the sum-product decoder all in one call."""
+    if cfg.decoder == "exact":
+        decoded = [(codec.mmse_decode_exact(pair, y, P, sigma2, budget=cfg.quantizer_budget),
+                    "verified", None) for _rec, _msg, sigma2, y in points]
+    else:
+        results = codec.bp_decode_batch(pair, [y for *_, y in points], P,
+                                        [sigma2 for _rec, _msg, sigma2, _y in points],
+                                        iters=cfg.bp_iters)
+        decoded = [(r.message, "verified" if r.verified else "unverified", r.iterations)
+                   for r in results]
+    records = []
+    for (record, message, _sigma2, _y), (estimate, status, iterations) in zip(points, decoded):
+        errs = int(np.count_nonzero(estimate != message))
+        records.append(replace(record, symbol_error_count=errs, word_error=errs > 0,
+                               decoder_status=status, bp_iterations=iterations))
+    return records
 
 
 def run_monte_carlo(config: ExperimentConfig) -> list[SnrResult]:
@@ -303,23 +317,39 @@ def run_monte_carlo(config: ExperimentConfig) -> list[SnrResult]:
 
     Trials run in the outer loop and the SNR grid in the inner one, so each
     trial's pair and sent point are built once and shared by every grid
-    point.  A budget refusal comes from the first quantizer search that
-    visits more than ``quantizer_budget`` nodes; no file is written.
+    point.  Points that share a pair are decoded together: each trial's
+    grid as it is sent, and, under the sum-product decoder with one fixed
+    pair, ``BP_BATCH`` points of consecutive trials per call.  Each point
+    decodes as it would alone, so the batch changes no result.  A budget
+    refusal comes from the first quantizer search that visits more than
+    ``quantizer_budget`` nodes; no file is written.
     """
     cfg = config.resolve()
+    P = channel.default_power(cfg.p, cfg.R)
+    sigma2s = [channel.noise_variance(P, snr_db) for snr_db in cfg.snr_db_grid]
     fixed_pair = None if cfg.resample_lattice else _pair_for_trial(cfg, 0)
-    rows = [_run_trial(cfg, t, fixed_pair) for t in range(cfg.trials)]
-    mean_power = sum(pw for _recs, pw in rows) / len(rows)
+    batch = BP_BATCH if fixed_pair is not None and cfg.decoder == "bp" else len(sigma2s)
+    records: list[TrialRecord] = []
+    powers, pending = [], []
+    for t in range(cfg.trials):
+        pair = fixed_pair if fixed_pair is not None else _pair_for_trial(cfg, t)
+        points, power = _transmit(cfg, t, pair, sigma2s)
+        powers.append(power)
+        pending += points
+        while len(pending) >= batch or (pending and t == cfg.trials - 1):
+            records += _decode_points(cfg, pair, P, pending[:batch])
+            del pending[:batch]
+    mean_power = sum(powers) / len(powers)
     results = []
     for i, snr_db in enumerate(cfg.snr_db_grid):
-        records = tuple(recs[i] for recs, _pw in rows)
+        grid_records = tuple(records[i::len(sigma2s)])
         results.append(
             SnrResult(
                 snr_db=snr_db,
                 config=cfg,
-                symbol_errors=sum(r.symbol_error_count for r in records),
-                word_errors=sum(r.word_error for r in records),
-                records=records,
+                symbol_errors=sum(r.symbol_error_count for r in grid_records),
+                word_errors=sum(r.word_error for r in grid_records),
+                records=grid_records,
                 mean_power=mean_power,
             )
         )
@@ -383,6 +413,8 @@ def verify_noise(n: int = 10_000, sigma: float = 1.0, eps: float = 0.05,
     """Fraction of noise draws with norm inside sigma*sqrt(n)*(1 +/- eps)."""
     _require(1, n=n, trials=trials)
     _require(0, strict=True, sigma=sigma)
+    if not 0 < eps < 1:  # at eps >= 1 the window checks nothing; at eps <= 0 it is empty
+        raise ValueError(f"eps = {eps} must be inside (0, 1)")
     lo = sigma * math.sqrt(n) * (1 - eps)
     hi = sigma * math.sqrt(n) * (1 + eps)
     inside = 0
@@ -654,7 +686,7 @@ def _decode(pair: str, y: str, snr_db: float, decoder: str = "exact") -> int:
     lattices = _read_pair(pair)
     samples = np.array([float(t) for t in y.split(",")])
     P = channel.default_power(lattices.p, lattices.R)
-    sigma2 = P / (10.0 ** (snr_db / 10.0))
+    sigma2 = channel.noise_variance(P, snr_db)
     if decoder == "exact":
         return _print_symbols(codec.mmse_decode_exact(lattices, samples, P, sigma2))
     return _print_symbols(codec.bp_decode(lattices, samples, P, sigma2).message)

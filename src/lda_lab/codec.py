@@ -218,31 +218,31 @@ class BpResult:
     iterations: int
 
 
-def _channel_priors(z: np.ndarray, p: int, noise_var: float) -> np.ndarray:
-    """Per-coordinate posteriors over residues a mod p, folding the Gaussian
-    density over a +/- 3-period window of representatives around z_i."""
-    n = len(z)
+def _channel_priors(Z: np.ndarray, p: int, noise_vars: np.ndarray) -> np.ndarray:
+    """Per-coordinate posteriors over residues a mod p of each row of Z,
+    folding the Gaussian density of that row's noise variance over a
+    +/- 3-period window of representatives around z_i."""
     res = np.arange(p, dtype=np.int64)
-    base = res[None, :] + p * np.rint((z[:, None] - res[None, :]) / p)
-    shifts = p * np.arange(-3, 4)
-    reps = base[:, :, None] + shifts[None, None, :]
-    logd = -((z[:, None, None] - reps) ** 2) / (2.0 * noise_var)
-    logd -= logd.max(axis=(1, 2), keepdims=True)
-    pri = np.exp(logd).sum(axis=2)
-    pri /= pri.sum(axis=1, keepdims=True)
-    return pri  # shape (n, p)
+    base = res + p * np.rint((Z[..., None] - res) / p)
+    reps = base[..., None] + p * np.arange(-3, 4)
+    logd = -((Z[..., None, None] - reps) ** 2) / (2.0 * noise_vars[:, None, None, None])
+    logd -= logd.max(axis=(2, 3), keepdims=True)
+    pri = np.exp(logd).sum(axis=3)
+    pri /= pri.sum(axis=2, keepdims=True)
+    return pri  # shape (points, n, p)
 
 
 @dataclass(frozen=True)
 class _Edges:
     """The nonzero entries h of a parity check in check-major order, and the
-    index maps of the check update."""
+    flat index maps of one point's check update."""
 
-    rows: np.ndarray  # check of each edge
     cols: np.ndarray  # variable of each edge
-    slots: np.ndarray  # position of each edge in its check's row of the padded product
-    to_hx: np.ndarray  # (E, p): the message of h x = b reads x = b / h
-    from_hx: np.ndarray  # (E, p): the outgoing message of x = a reads h x = -h a
+    slots: np.ndarray  # each edge's cell in the (checks, max degree + 2) padded product
+    before: np.ndarray  # the cell before it: the prefix product over the earlier edges
+    after: np.ndarray  # the cell after it, in the row-reversed array: the suffix product
+    to_hx: np.ndarray  # into (E, p): the message of h x = b reads x = b / h
+    from_hx: np.ndarray  # into (E, p): the outgoing message of x = a reads h x = -h a
     shape: tuple[int, int, int]  # (checks, max degree + 2, p)
 
 
@@ -251,65 +251,116 @@ def _edges(H: GfMatrix) -> _Edges:
     h = H.array[rows, cols][:, None]
     a = np.arange(H.p)
     degree = np.bincount(rows, minlength=H.rows)
-    slots = np.arange(len(rows)) - (np.cumsum(degree) - degree)[rows] + 1
-    return _Edges(rows, cols, slots, np.argsort(a * h % H.p, axis=1), -a * h % H.p,
-                  (H.rows, int(degree.max(initial=0)) + 2, H.p))
+    width = int(degree.max(initial=0)) + 2
+    slot = np.arange(len(rows)) - (np.cumsum(degree) - degree)[rows] + 1
+    edge_start = H.p * np.arange(len(rows))[:, None]
+    cell = rows * width + slot
+    return _Edges(cols, cell, cell - 1, rows * width + (width - 2 - slot),
+                  (edge_start + np.argsort(a * h % H.p, axis=1)).ravel(),
+                  (edge_start + -a * h % H.p).ravel(), (H.rows, width, H.p))
 
 
 def _check_messages(edges: _Edges, v2c: np.ndarray) -> np.ndarray:
     """Outgoing sum-product messages of every check sum_j h_j x_j = 0 mod p,
-    one row per edge.
+    one (edges, p) block per point of the (points, edges, p) batch v2c.
 
     Each incoming message is carried to the y = h x domain and through a
     length-p DFT, where the Z_p convolution of the other edges' messages is
     a pointwise product: the prefix times the suffix product along the
     check's row of a ones-padded array.  The inverse DFT, clipped at 0, is
-    read at y = -h x and normalized (uniform when it sums to 0).
+    read at y = -h x and normalized (uniform when it sums to 0).  Gathers
+    use ``take``, whose C-ordered output keeps each row's sums in the order
+    of a one-point call.
     """
-    spectra = np.ones(edges.shape, dtype=complex)
-    spectra[edges.rows, edges.slots] = np.fft.fft(np.take_along_axis(v2c, edges.to_hx, axis=1))
-    prefix = np.cumprod(spectra, axis=1)
-    suffix = np.cumprod(spectra[:, ::-1], axis=1)[:, ::-1]
-    others = prefix[edges.rows, edges.slots - 1] * suffix[edges.rows, edges.slots + 1]
+    points, _E, p = v2c.shape
+    checks, width, _p = edges.shape
+    spectra = np.ones((points, checks * width, p), dtype=complex)
+    incoming = v2c.reshape(points, -1).take(edges.to_hx, axis=1).reshape(v2c.shape)
+    spectra[:, edges.slots] = np.fft.fft(incoming)
+    spectra = spectra.reshape(points, checks, width, p)
+    prefix = np.cumprod(spectra, axis=2).reshape(points, -1, p)
+    suffix = np.cumprod(spectra[:, :, ::-1], axis=2).reshape(points, -1, p)
+    others = prefix.take(edges.before, axis=1) * suffix.take(edges.after, axis=1)
     conv = np.maximum(np.fft.ifft(others).real, 0.0)
-    msg = np.take_along_axis(conv, edges.from_hx, axis=1)
-    total = msg.sum(axis=1, keepdims=True)
-    return np.divide(msg, total, out=np.full_like(msg, 1.0 / edges.shape[2]), where=total > 0)
+    msg = conv.reshape(points, -1).take(edges.from_hx, axis=1).reshape(v2c.shape)
+    total = msg.sum(axis=2, keepdims=True)
+    return np.divide(msg, total, out=np.full_like(msg, 1.0 / p), where=total > 0)
 
 
-def _sum_product_point(
-    H: GfMatrix, z: np.ndarray, noise_var: float, iters: int
-) -> tuple[np.ndarray, bool, int]:
-    """Flooding-schedule non-binary sum-product toward H x = 0 near z, with
-    the messages of both directions held as (edges, p) arrays.
+def _sum_product_points(
+    H: GfMatrix, Z: np.ndarray, noise_vars: np.ndarray, iters: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Flooding-schedule non-binary sum-product toward H x = 0 near each row
+    of Z, at that row's noise variance, with the messages of both directions
+    held as (points, edges, p) arrays.  A point leaves the batch once it is
+    verified or has run ``iters`` iterations, and no array operation mixes
+    points, so each row gets the floats it would get decoded alone.
 
-    Returns the hard-decision integer point (each symbol re-lifted to the
-    representative of its residue class nearest z_i), whether it satisfies
-    the parity check, and the number of iterations used.
+    Returns, per row, the hard-decision integer point (each symbol re-lifted
+    to the representative of its residue class nearest z_i), whether it
+    satisfies the parity check, and the number of iterations used.
     """
     if iters < 1:
         raise ValueError("need at least one iteration")
     p = H.p
+    count, n = Z.shape
     edges = _edges(H)
-    priors = _channel_priors(z, p, noise_var)
-    log_prior = np.log(np.maximum(priors, 1e-300))
-    var_to_check = priors[edges.cols]
+    priors = _channel_priors(Z, p, noise_vars)
+    log_prior = np.log(np.maximum(priors, 1e-300)).reshape(count, -1)
+    var_to_check = priors.take(edges.cols, axis=1)
+    # One bincount sums every posterior: each point's bins are its priors,
+    # then its checks' messages in edge order, the order of np.add.at.
+    bins = np.concatenate([np.arange(n * p), (edges.cols[:, None] * p + np.arange(p)).ravel()])
+    bins = bins + n * p * np.arange(count)[:, None]
+    points = np.empty((count, n), dtype=np.int64)
+    verified = np.zeros(count, dtype=bool)
+    used = np.zeros(count, dtype=np.int64)
+    active, z = np.arange(count), Z
     for it in range(1, iters + 1):
         log_c2v = np.log(np.maximum(_check_messages(edges, var_to_check), 1e-300))
-        # Variable-node update and posterior: each variable adds its
-        # checks' messages in check order.
-        log_post = log_prior.copy()
-        np.add.at(log_post, edges.cols, log_c2v)
-        hard = log_post.argmax(axis=1)
+        live = len(active)
+        weights = np.concatenate([log_prior, log_c2v.reshape(live, -1)], axis=1)
+        log_post = np.bincount(bins[:live].ravel(), weights.ravel(),
+                               minlength=live * n * p).reshape(live, n, p)
+        hard = log_post.argmax(axis=2)
         point = hard + p * np.rint((z - hard) / p).astype(np.int64)
-        verified = not H.mul_vec(point).any()
-        if verified:
-            break
-        ext = log_post[edges.cols] - log_c2v
-        ext -= ext.max(axis=1, keepdims=True)
+        ok = ~((point % p) @ H.array.T % p).any(axis=1)
+        done = ok | (it == iters)
+        if done.any():
+            finished = active[done]
+            points[finished], verified[finished], used[finished] = point[done], ok[done], it
+            if done.all():
+                break
+            go = ~done
+            active, z, log_prior, log_post, log_c2v = (
+                a[go] for a in (active, z, log_prior, log_post, log_c2v))
+        ext = log_post.take(edges.cols, axis=1) - log_c2v
+        ext -= ext.max(axis=2, keepdims=True)
         var_to_check = np.exp(ext)
-        var_to_check /= var_to_check.sum(axis=1, keepdims=True)
-    return point, verified, it
+        var_to_check /= var_to_check.sum(axis=2, keepdims=True)
+    return points, verified, used
+
+
+def bp_decode_batch(
+    pair: NestedLatticePair,
+    Y: np.ndarray | list[np.ndarray],
+    P: float,
+    sigma2s: list[float],
+    iters: int = 200,
+) -> list[BpResult]:
+    """:func:`bp_decode` of every row of Y, each at its own noise variance
+    ``sigma2s[i]``, in one call of the batched kernel.  Each result is the
+    one that row would get decoded alone."""
+    if pair.kind != "lda":
+        raise ValueError("bp_decode requires an LDA pair")
+    Y = np.array([checked_point(y, pair.n) for y in Y]).reshape(-1, pair.n)
+    if len(sigma2s) != len(Y):
+        raise ValueError(f"{len(Y)} outputs but {len(sigma2s)} noise variances")
+    Z = np.array([wiener(P, s) for s in sigma2s])[:, None] * Y
+    noise_vars = np.array([max(effective_noise_variance(P, s), 1e-12) for s in sigma2s])
+    points, verified, used = _sum_product_points(pair.stack.lower, Z, noise_vars, iters)
+    return [BpResult(message=extract_message(pair, x), point=x, verified=bool(v), iterations=int(i))
+            for x, v, i in zip(points, verified, used)]
 
 
 def bp_decode(
@@ -328,18 +379,7 @@ def bp_decode(
     Non-convergence is flagged ``unverified`` (best-effort decision) rather
     than raised.
     """
-    if pair.kind != "lda":
-        raise ValueError("bp_decode requires an LDA pair")
-    y = checked_point(y, pair.n)
-    z = wiener(P, sigma2) * y
-    noise_var = max(effective_noise_variance(P, sigma2), 1e-12)
-    point, verified, used_iters = _sum_product_point(pair.stack.lower, z, noise_var, iters)
-    return BpResult(
-        message=extract_message(pair, point),
-        point=point,
-        verified=verified,
-        iterations=used_iters,
-    )
+    return bp_decode_batch(pair, [y], P, [sigma2], iters)[0]
 
 
 def _zp_convolve(a: np.ndarray, b: np.ndarray, idx_sub: np.ndarray) -> np.ndarray:

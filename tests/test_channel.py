@@ -8,13 +8,26 @@ import numpy as np
 import pytest
 
 from lda_lab import rng
-from lda_lab.channel import awgn_transmit, capacity, effective_noise_variance, wiener
+from lda_lab.channel import awgn_transmit, capacity, effective_noise_variance, noise_variance, wiener
 
 
 def test_capacity_values():
     assert capacity(1.0) == 0.5
     assert capacity(3.0) == 1.0
     assert capacity(100.0) == pytest.approx(3.3291057413758973, abs=1e-10)
+
+
+def test_noise_variance_values_and_refusals():
+    assert noise_variance(2.0, 0.0) == 2.0
+    assert noise_variance(1.0, 10.0) == 0.1
+    assert noise_variance(5.0, 7.0) == 5.0 / 10.0 ** 0.7
+    for snr_db in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match=f"snr_db = {snr_db} is not finite"):
+            noise_variance(1.0, snr_db)
+    # 10^(snr/10) overflows or underflows to 0, or sigma2 overflows to inf.
+    for P, snr_db in ((1.0, 4000.0), (1.0, -4000.0), (1e10, -3050.0)):
+        with pytest.raises(ValueError, match=f"snr_db = {snr_db} puts the noise variance"):
+            noise_variance(P, snr_db)
 
 
 def test_wiener_values():

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import inspect
 import math
 from fractions import Fraction
@@ -9,7 +10,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from lda_lab import cli, codec
+from lda_lab import channel, cli, codec, rng
 from lda_lab.cli import (
     CSV_HEADER,
     ExperimentConfig,
@@ -231,6 +232,35 @@ def test_runner_builds_and_encodes_each_trial_once(monkeypatch, resample, pairs)
     assert calls == {"build_pair": pairs, "encode": 4}
 
 
+@pytest.mark.parametrize("resample", [False, True])
+def test_runner_batches_give_the_records_of_a_per_point_bp_decode_loop(monkeypatch, resample):
+    # A batch size of 4 splits trials of 3 grid points across calls.
+    monkeypatch.setattr(cli, "BP_BATCH", 4)
+    cfg = ExperimentConfig(n=12, p=7, R=Fraction(1, 4), R_f=Fraction(1, 2), kind="lda",
+                           delta_p=4, allow_below_threshold=True, snr_db_grid=[0.0, 4.0, 10.0],
+                           trials=7, decoder="bp", bp_iters=30, master_seed=5,
+                           resample_lattice=resample)
+    results = run_monte_carlo(cfg)
+    P = channel.default_power(cfg.p, cfg.R)
+    for res in results:
+        sigma2 = channel.noise_variance(P, res.snr_db)
+        for rec in res.records:
+            pair = cli._pair_for_trial(cfg, rec.trial_index)
+            message = rng.generator(cfg.master_seed, "message", rec.trial_index).integers(
+                0, cfg.p, size=pair.ell, dtype=np.int64)
+            y = channel.awgn_transmit(codec.encode(pair, message).point.astype(float),
+                                      math.sqrt(sigma2), rec.noise_seed)
+            alone = codec.bp_decode(pair, y, P, sigma2, iters=cfg.bp_iters)
+            errs = int(np.count_nonzero(alone.message != message))
+            assert rec.symbol_error_count == errs and rec.word_error == (errs > 0)
+            assert rec.decoder_status == ("verified" if alone.verified else "unverified")
+            assert rec.bp_iterations == alone.iterations
+    statuses = {rec.decoder_status for res in results for rec in res.records}
+    assert statuses == {"verified", "unverified"}
+    exact = run_monte_carlo(dataclasses.replace(cfg, decoder="exact"))
+    assert {rec.bp_iterations for res in exact for rec in res.records} == {None}
+
+
 def test_plot_data_files(tmp_path):
     cfg = zero_noise_config()
     results = run_monte_carlo(cfg)
@@ -416,12 +446,41 @@ def test_cli_verify_mindist_refuses_a_vacuous_search(capsys, argv, named):
     (["verify-expansion", "--n-left", "0", "--graphs", "2"], "n_left = 0 must be at least 1"),
     (["verify-mindist", "--n", "0", "--codes", "2"], "n = 0 must be at least 1"),
     (["verify-mindist", "--n", "-5", "--codes", "2"], "n = -5 must be at least 1"),
+    (["verify-noise", "--eps", "5", "--n", "100", "--trials", "20"], "eps = 5.0 must be inside (0, 1)"),
+    (["verify-noise", "--eps=-0.1", "--n", "100", "--trials", "20"],
+     "eps = -0.1 must be inside (0, 1)"),
 ])
 def test_cli_refuses_an_empty_or_degenerate_verifier_run(capsys, argv, reason):
     assert main(argv) == 2
     captured = capsys.readouterr()
     assert captured.err.startswith(f"refused: {reason}") and "Traceback" not in captured.err
     assert "PASS" not in captured.out
+
+
+@pytest.mark.parametrize("snr", ["nan", "inf", "-inf"])
+def test_cli_refuses_a_non_finite_snr_before_any_pair(tmp_path, capsys, monkeypatch, snr):
+    cfg = write_config(tmp_path, kind='"lda"', n=12, p=7, Rf='"1/2"', delta_p=4,
+                       allow_below_threshold="true")
+    pairpath = tmp_path / "pair.txt"
+    assert main(["gen", "--config", cfg, "--out", str(pairpath)]) == 0
+    capsys.readouterr()
+    for decoder in ("exact", "bp"):
+        assert main(["decode", "--pair", str(pairpath), "--y", ",".join(["0.5"] * 12),
+                     f"--snr-db={snr}", "--decoder", decoder]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"refused: snr_db = {float(snr)} is not finite\n"
+        assert captured.out == ""
+
+    def no_pairs(*args, **kwargs):
+        raise AssertionError("a pair was built before the SNR grid was checked")
+
+    monkeypatch.setattr(codec, "build_pair", no_pairs)
+    out = tmp_path / "x.csv"
+    for argv in (["--config", cfg, f"--snr-db=4,{snr}"],
+                 ["--config", write_config(tmp_path, snr_db=f"[8.0, {snr}]")]):
+        assert main(["simulate", *argv, "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"refused: snr_db = {float(snr)} is not finite\n"
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("command", ["simulate", "gen"])

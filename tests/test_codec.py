@@ -8,7 +8,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 from lda_lab import channel, rng
@@ -17,9 +17,10 @@ from lda_lab.codec import (
     _check_messages,
     _check_node_messages,
     _edges,
-    _sum_product_point,
+    _sum_product_points,
     all_messages,
     bp_decode,
+    bp_decode_batch,
     build_fine_lattice,
     build_pair,
     encode,
@@ -261,7 +262,7 @@ def single_checks(draw):
 @given(single_checks())
 def test_check_update_matches_the_per_check_oracle(check):
     H, v2c = check
-    got = _check_messages(_edges(H), v2c)
+    got = _check_messages(_edges(H), v2c[None])[0]
     assert np.allclose(got, oracle_messages(H, v2c), rtol=1e-9, atol=1e-12)
     assert np.allclose(got.sum(axis=1), 1.0)
 
@@ -277,7 +278,7 @@ def test_sum_product_on_a_block_with_an_empty_row_and_a_degree_one_check():
     gen = rng.generator(18, "v2c")
     v2c = gen.random((9, p))
     v2c /= v2c.sum(axis=1, keepdims=True)
-    got = _check_messages(_edges(H), v2c)
+    got = _check_messages(_edges(H), v2c[None])[0]
     assert np.allclose(got, oracle_messages(H, v2c), rtol=1e-9, atol=1e-12)
     assert np.allclose(got[0], np.eye(p)[0])
     lat = ConstructionALattice(H)
@@ -285,10 +286,45 @@ def test_sum_product_on_a_block_with_an_empty_row_and_a_degree_one_check():
     assert lat.contains(x)
     for t in range(20):
         z = x + rng.generator(18, "z", t).normal(0.0, 0.25, size=6)
-        point, verified, iters = _sum_product_point(H, z, 0.0625, 20)
+        (point,), (verified,), (iters,) = _sum_product_points(H, z[None], np.array([0.0625]), 20)
         assert verified and 1 <= iters <= 20
         assert point[0] % p == 0
         assert np.array_equal(point, lat.quantize(z))
+
+
+@st.composite
+def sum_product_batches(draw):
+    """A small LDA fine block and a batch of outputs near its points, each
+    at its own noise level; the iteration cap is low enough that some
+    members stop at it unverified."""
+    n, R_f, delta_p = draw(st.sampled_from([(6, Fraction(1, 2), 2), (10, Fraction(1, 2), 4),
+                                            (12, Fraction(1, 2), 4), (12, Fraction(2, 3), 6)]))
+    p = draw(st.sampled_from([3, 5, 7, 11, 13]))
+    lat, _graph = build_fine_lattice(n, p, R_f, delta_p, seed=draw(st.integers(0, 2**32)))
+    gen = rng.generator(draw(st.integers(0, 2**32)), "batch")
+    count = draw(st.integers(1, 6))
+    noise_vars = np.array(draw(st.lists(st.sampled_from([0.01, 0.1, 0.5, 1.0, 3.0, 10.0]),
+                                        min_size=count, max_size=count)))
+    G = lat.generator.array
+    points = gen.integers(0, p, size=(count, len(G))) @ G % p - p * gen.integers(0, 2, (count, n))
+    Z = points + gen.normal(size=(count, n)) * np.sqrt(noise_vars)[:, None]
+    return lat.H, Z, noise_vars, draw(st.integers(1, 12))
+
+
+@settings(max_examples=150, deadline=None)
+@given(sum_product_batches())
+def test_a_batch_decodes_each_member_as_it_would_alone(case):
+    H, Z, noise_vars, iters = case
+    points, verified, used = _sum_product_points(H, Z, noise_vars, iters)
+    event(f"batch of {len(Z)}")
+    if not verified.all():
+        event("a member stops at the cap")
+    for i in range(len(Z)):
+        (point,), (ok,), (its,) = _sum_product_points(H, Z[i:i + 1], noise_vars[i:i + 1], iters)
+        assert np.array_equal(points[i], point)
+        assert (verified[i], used[i]) == (ok, its)
+        assert 1 <= its <= iters and (ok or its == iters)
+        assert ok == (not H.mul_vec(point).any())
 
 
 def test_serialization_round_trip_dense_and_lda():
@@ -377,6 +413,8 @@ def test_decoders_reject_non_finite_channel_output():
         with pytest.raises(ValueError, match="non-finite"):
             bp_decode(pair, y, P, 1.0)
         with pytest.raises(ValueError, match="non-finite"):
+            bp_decode_batch(pair, [np.zeros(pair.n), y], P, [1.0, 1.0])
+        with pytest.raises(ValueError, match="non-finite"):
             mmse_decode_exact(pair, y, P, 1.0)
 
 
@@ -387,6 +425,8 @@ def test_decoders_refuse_a_wrong_length_channel_output():
         for decode in (bp_decode, mmse_decode_exact):
             with pytest.raises(ValueError, match=f"expected length-{pair.n} vector"):
                 decode(pair, y, P, 1.0)
+    with pytest.raises(ValueError, match="2 outputs but 1 noise variances"):
+        bp_decode_batch(pair, np.zeros((2, pair.n)), P, [1.0])
 
 
 @settings(max_examples=40, deadline=None)
