@@ -85,6 +85,7 @@ class ExperimentConfig:
                 raise ValueError(f"{name} must be at least 1, got {getattr(cfg, name)}")
         if not cfg.snr_db_grid:
             raise ValueError("snr_db must list at least 1 grid point")
+        codec._check_ensemble(cfg.p, cfg.kind)  # the power below is complex at p < 0
         P = channel.default_power(cfg.p, cfg.R)
         for snr_db in cfg.snr_db_grid:
             channel.noise_variance(P, snr_db)
@@ -263,52 +264,63 @@ def _pair_for_trial(cfg: ExperimentConfig, trial: int) -> codec.NestedLatticePai
     )
 
 
-# Points per sum-product call when every trial shares one pair.
-BP_BATCH = 64
+@dataclass(frozen=True)
+class _Received:
+    """One trial's sent point through the channel at one grid point."""
+    trial: int
+    message: np.ndarray
+    digest: str
+    sent_norm: float
+    noise_seed: int
+    sigma2: float
+    y: np.ndarray
 
 
 def _transmit(cfg: ExperimentConfig, trial: int, pair: codec.NestedLatticePair,
-              sigma2s: list[float]) -> tuple[list[tuple], float]:
+              sigma2s: list[float]) -> tuple[list[_Received], float]:
     """One trial through the channel at every grid point: the pair, message
     and sent point do not depend on the SNR, so they are drawn and encoded
-    once; only the noise is drawn per grid point.  Returns one point to
-    decode per grid point, in grid order, as (record so far, message, noise
-    variance, channel output), and the realized power of the sent point."""
+    once; only the noise is drawn per grid point.  Returns the channel
+    outputs in grid order and the realized power of the sent point."""
     gen = rng.generator(cfg.master_seed, "message", trial)
     message = gen.integers(0, cfg.p, size=pair.ell, dtype=np.int64)
     x = codec.encode(pair, message, budget=cfg.quantizer_budget).point
     digest = blake2b(message.tobytes(), digest_size=8).hexdigest()
     sent_norm = float(np.linalg.norm(x))
     sent = x.astype(float)
-    points = []
+    received = []
     for snr_db, sigma2 in zip(cfg.snr_db_grid, sigma2s):
         noise_seed = rng.derive_key(cfg.master_seed, "noise", snr_db, trial)
         y = channel.awgn_transmit(sent, math.sqrt(sigma2), noise_seed)
-        record = TrialRecord(trial_index=trial, message_digest=digest, sent_norm=sent_norm,
-                             noise_seed=noise_seed, symbol_error_count=0, word_error=False,
-                             decoder_status="", bp_iterations=None)
-        points.append((record, message, sigma2, y))
-    return points, float(x @ x) / pair.n
+        received.append(_Received(trial, message, digest, sent_norm, noise_seed, sigma2, y))
+    return received, float(x @ x) / pair.n
 
 
 def _decode_points(cfg: ExperimentConfig, pair: codec.NestedLatticePair, P: float,
-                   points: list[tuple]) -> list[TrialRecord]:
-    """The records of points that share one pair: the exact decoder takes
-    them one by one, the sum-product decoder all in one call."""
+                   received: list[_Received]) -> list[TrialRecord]:
+    """The records of channel outputs that share one pair: the exact
+    decoder takes them one by one, the sum-product decoder all in one call."""
     if cfg.decoder == "exact":
-        decoded = [(codec.mmse_decode_exact(pair, y, P, sigma2, budget=cfg.quantizer_budget),
-                    "verified", None) for _rec, _msg, sigma2, y in points]
+        decoded = [(codec.mmse_decode_exact(pair, r.y, P, r.sigma2, budget=cfg.quantizer_budget),
+                    "verified", None) for r in received]
     else:
-        results = codec.bp_decode_batch(pair, [y for *_, y in points], P,
-                                        [sigma2 for _rec, _msg, sigma2, _y in points],
-                                        iters=cfg.bp_iters)
-        decoded = [(r.message, "verified" if r.verified else "unverified", r.iterations)
-                   for r in results]
+        results = codec.bp_decode_batch(pair, [r.y for r in received], P,
+                                        [r.sigma2 for r in received], iters=cfg.bp_iters)
+        decoded = [(res.message, "verified" if res.verified else "unverified", res.iterations)
+                   for res in results]
     records = []
-    for (record, message, _sigma2, _y), (estimate, status, iterations) in zip(points, decoded):
-        errs = int(np.count_nonzero(estimate != message))
-        records.append(replace(record, symbol_error_count=errs, word_error=errs > 0,
-                               decoder_status=status, bp_iterations=iterations))
+    for r, (estimate, status, iterations) in zip(received, decoded):
+        errs = int(np.count_nonzero(estimate != r.message))
+        records.append(TrialRecord(
+            trial_index=r.trial,
+            message_digest=r.digest,
+            sent_norm=r.sent_norm,
+            noise_seed=r.noise_seed,
+            symbol_error_count=errs,
+            word_error=errs > 0,
+            decoder_status=status,
+            bp_iterations=iterations,
+        ))
     return records
 
 
@@ -319,26 +331,28 @@ def run_monte_carlo(config: ExperimentConfig) -> list[SnrResult]:
     trial's pair and sent point are built once and shared by every grid
     point.  Points that share a pair are decoded together: each trial's
     grid as it is sent, and, under the sum-product decoder with one fixed
-    pair, ``BP_BATCH`` points of consecutive trials per call.  Each point
-    decodes as it would alone, so the batch changes no result.  A budget
-    refusal comes from the first quantizer search that visits more than
-    ``quantizer_budget`` nodes; no file is written.
+    pair, every point of every trial in one call after the last trial is
+    sent.  Each point decodes as it would alone, so the batch changes no
+    result.  A budget refusal comes from the first quantizer search that
+    visits more than ``quantizer_budget`` nodes; no file is written.
     """
     cfg = config.resolve()
     P = channel.default_power(cfg.p, cfg.R)
     sigma2s = [channel.noise_variance(P, snr_db) for snr_db in cfg.snr_db_grid]
     fixed_pair = None if cfg.resample_lattice else _pair_for_trial(cfg, 0)
-    batch = BP_BATCH if fixed_pair is not None and cfg.decoder == "bp" else len(sigma2s)
+    one_call = fixed_pair is not None and cfg.decoder == "bp"
     records: list[TrialRecord] = []
-    powers, pending = [], []
+    powers, held = [], []
     for t in range(cfg.trials):
         pair = fixed_pair if fixed_pair is not None else _pair_for_trial(cfg, t)
-        points, power = _transmit(cfg, t, pair, sigma2s)
+        received, power = _transmit(cfg, t, pair, sigma2s)
         powers.append(power)
-        pending += points
-        while len(pending) >= batch or (pending and t == cfg.trials - 1):
-            records += _decode_points(cfg, pair, P, pending[:batch])
-            del pending[:batch]
+        if one_call:
+            held += received
+        else:
+            records += _decode_points(cfg, pair, P, received)
+    if one_call:
+        records = _decode_points(cfg, fixed_pair, P, held)
     mean_power = sum(powers) / len(powers)
     results = []
     for i, snr_db in enumerate(cfg.snr_db_grid):

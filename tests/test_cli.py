@@ -233,9 +233,7 @@ def test_runner_builds_and_encodes_each_trial_once(monkeypatch, resample, pairs)
 
 
 @pytest.mark.parametrize("resample", [False, True])
-def test_runner_batches_give_the_records_of_a_per_point_bp_decode_loop(monkeypatch, resample):
-    # A batch size of 4 splits trials of 3 grid points across calls.
-    monkeypatch.setattr(cli, "BP_BATCH", 4)
+def test_runner_batches_give_the_records_of_a_per_point_bp_decode_loop(resample):
     cfg = ExperimentConfig(n=12, p=7, R=Fraction(1, 4), R_f=Fraction(1, 2), kind="lda",
                            delta_p=4, allow_below_threshold=True, snr_db_grid=[0.0, 4.0, 10.0],
                            trials=7, decoder="bp", bp_iters=30, master_seed=5,
@@ -489,6 +487,17 @@ def test_cli_refuses_a_dimension_below_one(tmp_path, capsys, command):
     assert main([command, "--config", cfg, "--out", str(tmp_path / "out.txt")]) == 2
     assert capsys.readouterr().err.startswith("refused: n = 0 must be at least 1")
     assert sorted(f.name for f in tmp_path.iterdir()) == ["cfg.toml"]
+
+
+@pytest.mark.parametrize("p", [-3, 0])
+@pytest.mark.parametrize("command", ["simulate", "gen"])
+def test_cli_refuses_a_modulus_that_is_not_an_odd_prime(tmp_path, capsys, command, p):
+    # The default power p^(2(1-R)) / (2 pi e) is complex at p < 0 and 0 at
+    # p = 0, so the modulus is checked before the SNR grid is.
+    out = tmp_path / "out.txt"
+    assert main([command, "--config", write_config(tmp_path, p=p), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == "refused: p must be an odd prime\n"
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("graphs, bound", [(3, 3), (10, 10), (20, 19), (100, 95)])
