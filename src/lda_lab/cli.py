@@ -3,8 +3,9 @@
 Every trial is a pure function of (config, master_seed, trial_index):
 message, noise, and ensemble draws come from independently derived
 streams, so results are byte-identical across runs.  Trials run in order
-on one thread; the ``threads`` key and ``--threads`` flag are accepted
-and validated but select nothing.
+on one thread; a pair's points are decoded together once its last trial
+is sent.  The ``threads`` key and ``--threads`` flag are accepted and
+validated but select nothing.
 """
 
 from __future__ import annotations
@@ -53,7 +54,6 @@ class ExperimentConfig:
     delta_p: int | None = None
     D: float = 2.0
     snr_db_grid: list[float] = field(default_factory=lambda: [10.0])
-    gamma: float | None = None
     trials: int = 100
     decoder: str = "exact"
     bp_iters: int = 50
@@ -66,11 +66,18 @@ class ExperimentConfig:
     def resolve(self) -> "ExperimentConfig":
         """Pin the prime; validate the rate rule and degree thresholds."""
         cfg = self
+        block_heights(cfg.n, cfg.R, cfg.R_f)  # n >= 1, so n**lambda below is real
         if cfg.p is None:
             if cfg.lam is None:
                 raise ValueError("config needs p or lambda")
-            cfg = replace(cfg, p=nearest_prime(float(cfg.n) ** cfg.lam))
-        block_heights(cfg.n, cfg.R, cfg.R_f)
+            try:
+                target = float(cfg.n) ** cfg.lam
+            except OverflowError:
+                target = math.inf
+            if not math.isfinite(target):
+                raise ValueError(f"lambda = {cfg.lam} gives n**lambda = {target} at n = {cfg.n}, "
+                                 "not a finite number")
+            cfg = replace(cfg, p=nearest_prime(target))
         if cfg.kind == "lda":
             if cfg.delta_p is None:
                 raise ValueError("LDA configs need delta_p")
@@ -93,17 +100,6 @@ class ExperimentConfig:
             raise ValueError(f"unknown decoder {cfg.decoder!r}")
         if cfg.decoder == "bp" and cfg.kind != "lda":
             raise ValueError("bp decoding needs an LDA pair")
-        if cfg.gamma is not None:
-            # The realized rate must stay below gamma * capacity at every
-            # grid point (the binding one is the smallest SNR).
-            realized = cfg.ell * math.log2(cfg.p) / cfg.n
-            for snr_db in cfg.snr_db_grid:
-                cap = channel.capacity(10.0 ** (snr_db / 10.0))
-                if realized > cfg.gamma * cap + 1e-12:
-                    raise ValueError(
-                        f"rate {realized:.4f} bits/dim exceeds gamma*C = "
-                        f"{cfg.gamma * cap:.4f} at {snr_db} dB"
-                    )
         return cfg
 
     @property
@@ -145,17 +141,22 @@ def _parse_value(raw: str):
 
 
 def load_config_file(path: str) -> dict:
-    """Flat key = value lines (a TOML-compatible subset); # starts a comment."""
+    """Flat key = value lines (a TOML-compatible subset); # starts a comment.
+    As in TOML, a key may appear only once."""
     out: dict = {}
+    first_line: dict[str, int] = {}
     with open(path, encoding="utf-8") as fh:
-        for line in fh:
+        for number, line in enumerate(fh, 1):
             line = line.split("#", 1)[0].strip()
             if not line:
                 continue
             if "=" not in line:
                 raise ValueError(f"bad config line: {line!r}")
-            key, raw = line.split("=", 1)
-            out[key.strip()] = _parse_value(raw)
+            key, raw = (part.strip() for part in line.split("=", 1))
+            if key in first_line:
+                raise ValueError(f"config key {key!r} is set twice, on lines {first_line[key]} and {number}")
+            first_line[key] = number
+            out[key] = _parse_value(raw)
     return out
 
 
@@ -169,7 +170,6 @@ _CONFIG_KEYS = {
     "delta_p": ("delta_p", int),
     "D": ("D", float),
     "snr_db": ("snr_db_grid", None),
-    "gamma": ("gamma", float),
     "trials": ("trials", int),
     "decoder": ("decoder", str),
     "bp_iters": ("bp_iters", int),
@@ -188,9 +188,10 @@ def config_from_mapping(mapping: dict) -> ExperimentConfig:
             raise ValueError(f"unknown config key {key!r}")
         attr, conv = _CONFIG_KEYS[key]
         if key == "snr_db":
-            if isinstance(value, (int, float)):
-                value = [value]
-            kwargs[attr] = [float(v) for v in value]
+            grid = value if isinstance(value, list) else [value]
+            if not all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in grid):
+                raise ValueError(f"config key 'snr_db' needs a number or a list of numbers, got {value!r}")
+            kwargs[attr] = [float(v) for v in grid]
         elif conv is bool:
             if not isinstance(value, bool):
                 raise ValueError(f"config key {key!r} needs true or false, got {value!r}")
@@ -201,6 +202,8 @@ def config_from_mapping(mapping: dict) -> ExperimentConfig:
             if isinstance(value, bool) or not isinstance(value, int):
                 raise ValueError(f"config key {key!r} needs an integer, got {value!r}")
             kwargs[attr] = value
+        elif conv is float and isinstance(value, bool):
+            raise ValueError(f"config key {key!r} needs a number, got {value!r}")
         else:
             kwargs[attr] = conv(value)
     return ExperimentConfig(**kwargs)
@@ -226,14 +229,20 @@ class TrialRecord:
 class SnrResult:
     snr_db: float
     config: ExperimentConfig
-    symbol_errors: int
-    word_errors: int
     records: tuple[TrialRecord, ...]
     mean_power: float
 
     @property
     def trials(self) -> int:
         return len(self.records)
+
+    @property
+    def symbol_errors(self) -> int:
+        return sum(r.symbol_error_count for r in self.records)
+
+    @property
+    def word_errors(self) -> int:
+        return sum(r.word_error for r in self.records)
 
     @property
     def ser(self) -> float:
@@ -264,75 +273,41 @@ def _pair_for_trial(cfg: ExperimentConfig, trial: int) -> codec.NestedLatticePai
     )
 
 
-@dataclass(frozen=True)
-class _Received:
-    """One trial's sent point through the channel at one grid point."""
-    trial: int
-    message: np.ndarray
-    digest: str
-    sent_norm: float
-    noise_seed: int
-    sigma2: float
-    y: np.ndarray
-
-
-def _transmit(cfg: ExperimentConfig, trial: int, pair: codec.NestedLatticePair,
-              sigma2s: list[float]) -> tuple[list[_Received], float]:
-    """One trial through the channel at every grid point: the pair, message
-    and sent point do not depend on the SNR, so they are drawn and encoded
-    once; only the noise is drawn per grid point.  Returns the channel
-    outputs in grid order and the realized power of the sent point."""
-    gen = rng.generator(cfg.master_seed, "message", trial)
-    message = gen.integers(0, cfg.p, size=pair.ell, dtype=np.int64)
-    x = codec.encode(pair, message, budget=cfg.quantizer_budget).point
-    digest = blake2b(message.tobytes(), digest_size=8).hexdigest()
-    sent_norm = float(np.linalg.norm(x))
-    sent = x.astype(float)
-    received = []
-    for snr_db, sigma2 in zip(cfg.snr_db_grid, sigma2s):
-        noise_seed = rng.derive_key(cfg.master_seed, "noise", snr_db, trial)
-        y = channel.awgn_transmit(sent, math.sqrt(sigma2), noise_seed)
-        received.append(_Received(trial, message, digest, sent_norm, noise_seed, sigma2, y))
-    return received, float(x @ x) / pair.n
-
-
-def _decode_points(cfg: ExperimentConfig, pair: codec.NestedLatticePair, P: float,
-                   received: list[_Received]) -> list[TrialRecord]:
-    """The records of channel outputs that share one pair: the exact
-    decoder takes them one by one, the sum-product decoder all in one call."""
+def _decode_trials(cfg: ExperimentConfig, pair: codec.NestedLatticePair, P: float, sigma2s: list[float],
+                   sent: list[tuple[int, np.ndarray, np.ndarray]]) -> list[TrialRecord]:
+    """The records of the trials sent on one pair, given as (trial, message,
+    point) triples: in trial order, and in grid order within a trial.  Each
+    point's noise is drawn at every grid point, and the outputs are decoded,
+    the exact decoder one by one, the sum-product decoder in one call; each
+    decodes as it would alone."""
+    points = [(t, message, x, rng.derive_key(cfg.master_seed, "noise", snr_db, t), sigma2)
+              for t, message, x in sent for snr_db, sigma2 in zip(cfg.snr_db_grid, sigma2s)]
+    ys = [channel.awgn_transmit(x.astype(float), math.sqrt(sigma2), noise_seed)
+          for _t, _message, x, noise_seed, sigma2 in points]
+    variances = sigma2s * len(sent)
     if cfg.decoder == "exact":
-        decoded = [(codec.mmse_decode_exact(pair, r.y, P, r.sigma2, budget=cfg.quantizer_budget),
-                    "verified", None) for r in received]
+        decoded = [(codec.mmse_decode_exact(pair, y, P, sigma2, budget=cfg.quantizer_budget),
+                    "verified", None) for y, sigma2 in zip(ys, variances)]
     else:
-        results = codec.bp_decode_batch(pair, [r.y for r in received], P,
-                                        [r.sigma2 for r in received], iters=cfg.bp_iters)
         decoded = [(res.message, "verified" if res.verified else "unverified", res.iterations)
-                   for res in results]
+                   for res in codec.bp_decode_batch(pair, ys, P, variances, iters=cfg.bp_iters)]
     records = []
-    for r, (estimate, status, iterations) in zip(received, decoded):
-        errs = int(np.count_nonzero(estimate != r.message))
+    for (t, message, x, noise_seed, _sigma2), (estimate, status, iterations) in zip(points, decoded):
+        errs = int(np.count_nonzero(estimate != message))
         records.append(TrialRecord(
-            trial_index=r.trial,
-            message_digest=r.digest,
-            sent_norm=r.sent_norm,
-            noise_seed=r.noise_seed,
-            symbol_error_count=errs,
-            word_error=errs > 0,
-            decoder_status=status,
-            bp_iterations=iterations,
-        ))
+            t, blake2b(message.tobytes(), digest_size=8).hexdigest(), float(np.linalg.norm(x)),
+            noise_seed, errs, errs > 0, status, iterations))
     return records
 
 
 def run_monte_carlo(config: ExperimentConfig) -> list[SnrResult]:
     """One SnrResult per grid point; deterministic in (config, master_seed).
 
-    Trials run in the outer loop and the SNR grid in the inner one, so each
-    trial's pair and sent point are built once and shared by every grid
-    point.  Points that share a pair are decoded together: each trial's
-    grid as it is sent, and, under the sum-product decoder with one fixed
-    pair, every point of every trial in one call after the last trial is
-    sent.  Each point decodes as it would alone, so the batch changes no
+    Each trial draws its pair (or takes the fixed one) and its message and
+    encodes once: the sent point does not depend on the SNR.  A pair's
+    points are decoded together when its last trial is sent: after every
+    trial with resampled pairs, after the last trial with one fixed pair.
+    Each point decodes as it would alone, so this schedule changes no
     result.  A budget refusal comes from the first quantizer search that
     visits more than ``quantizer_budget`` nodes; no file is written.
     """
@@ -340,34 +315,21 @@ def run_monte_carlo(config: ExperimentConfig) -> list[SnrResult]:
     P = channel.default_power(cfg.p, cfg.R)
     sigma2s = [channel.noise_variance(P, snr_db) for snr_db in cfg.snr_db_grid]
     fixed_pair = None if cfg.resample_lattice else _pair_for_trial(cfg, 0)
-    one_call = fixed_pair is not None and cfg.decoder == "bp"
     records: list[TrialRecord] = []
-    powers, held = [], []
+    powers, sent = [], []
     for t in range(cfg.trials):
         pair = fixed_pair if fixed_pair is not None else _pair_for_trial(cfg, t)
-        received, power = _transmit(cfg, t, pair, sigma2s)
-        powers.append(power)
-        if one_call:
-            held += received
-        else:
-            records += _decode_points(cfg, pair, P, received)
-    if one_call:
-        records = _decode_points(cfg, fixed_pair, P, held)
+        message = rng.generator(cfg.master_seed, "message", t).integers(
+            0, cfg.p, size=pair.ell, dtype=np.int64)
+        x = codec.encode(pair, message, budget=cfg.quantizer_budget).point
+        powers.append(float(x @ x) / pair.n)
+        sent.append((t, message, x))
+        if fixed_pair is None or t == cfg.trials - 1:
+            records += _decode_trials(cfg, pair, P, sigma2s, sent)
+            sent = []
     mean_power = sum(powers) / len(powers)
-    results = []
-    for i, snr_db in enumerate(cfg.snr_db_grid):
-        grid_records = tuple(records[i::len(sigma2s)])
-        results.append(
-            SnrResult(
-                snr_db=snr_db,
-                config=cfg,
-                symbol_errors=sum(r.symbol_error_count for r in grid_records),
-                word_errors=sum(r.word_error for r in grid_records),
-                records=grid_records,
-                mean_power=mean_power,
-            )
-        )
-    return results
+    return [SnrResult(snr_db, cfg, tuple(records[i::len(sigma2s)]), mean_power)
+            for i, snr_db in enumerate(cfg.snr_db_grid)]
 
 
 def emit_csv(results: list[SnrResult], path: str) -> None:

@@ -109,7 +109,7 @@ def test_config_rejects_non_positive_counts(tmp_path, key, value):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("key", ["bp_damping", "enumeration_budget", "goodness_budget"])
+@pytest.mark.parametrize("key", ["bp_damping", "enumeration_budget", "goodness_budget", "gamma"])
 def test_config_refuses_deleted_keys(tmp_path, key):
     path = write_config(tmp_path, **{key: 1})
     with pytest.raises(ValueError, match=f"unknown config key '{key}'"):
@@ -131,12 +131,43 @@ def test_thread_count_comes_only_from_the_flag_or_the_key(tmp_path, monkeypatch)
     ("seed", "1.5"),
     ("threads", "true"),
     ("trials", "inf"),
+    ("snr_db", '"10"'),  # not the grid [1.0, 0.0] of the string's characters
+    ("snr_db", "true"),
+    ("snr_db", '["4", "8"]'),
+    ("lambda", "true"),
+    ("D", "false"),
 ])
 def test_config_refuses_loose_values(tmp_path, key, raw):
     path = write_config(tmp_path, **{key: raw})
     with pytest.raises(ValueError, match=f"config key {key!r} needs"):
         config_from_mapping(load_config_file(path))
     assert main(["simulate", "--config", path, "--out", str(tmp_path / "x.csv")]) == 2
+
+
+def test_config_refuses_a_repeated_key(tmp_path, capsys):
+    # TOML forbids a repeated key; the last line must not win silently.
+    path = write_config(tmp_path, trials=3)
+    with open(path, "a") as fh:
+        fh.write("trials = 5\n")
+    out = tmp_path / "x.csv"
+    assert main(["simulate", "--config", path, "--out", str(out)]) == 2
+    assert capsys.readouterr().err == "refused: config key 'trials' is set twice, on lines 7 and 10\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("n, lam, reason", [
+    (-8, "1.2", "n = -8 must be at least 1"),  # (-8.0) ** 1.2 is complex
+    (12, "inf", "lambda = inf gives n**lambda = inf at n = 12, not a finite number"),
+    (12, "1e300", "lambda = 1e+300 gives n**lambda = inf at n = 12, not a finite number"),
+    (12, "nan", "lambda = nan gives n**lambda = nan at n = 12, not a finite number"),
+])
+@pytest.mark.parametrize("command", ["simulate", "gen"])
+def test_cli_refuses_a_lambda_with_no_finite_power(tmp_path, capsys, command, n, lam, reason):
+    path = tmp_path / "cfg.toml"
+    path.write_text(f'n = {n}\nlambda = {lam}\nR = "1/4"\nRf = "1/2"\ntrials = 2\n')
+    assert main([command, "--config", str(path), "--out", str(tmp_path / "out.txt")]) == 2
+    assert capsys.readouterr().err == f"refused: {reason}\n"
+    assert sorted(f.name for f in tmp_path.iterdir()) == ["cfg.toml"]
 
 
 @pytest.mark.parametrize("raw, expected", [("true", True), ("false", False)])
@@ -206,13 +237,19 @@ def test_csv_contract_and_determinism(tmp_path):
     assert float(row[11]) == words / trials
 
 
+def lda_config(**overrides) -> ExperimentConfig:
+    return ExperimentConfig(n=12, p=7, R=Fraction(1, 4), R_f=Fraction(1, 2), kind="lda",
+                            delta_p=4, allow_below_threshold=True, **overrides)
+
+
 @pytest.mark.parametrize("resample, pairs", [(True, 4), (False, 1)])
 def test_runner_builds_and_encodes_each_trial_once(monkeypatch, resample, pairs):
     # The sent point does not depend on the SNR, so a trial's pair and
-    # encoding are shared by every grid point.
-    from lda_lab import codec
-
-    calls = {"build_pair": 0, "encode": 0}
+    # encoding are shared by every grid point, and a pair's points are
+    # decoded in one sum-product call: per trial when each trial draws
+    # its own pair, once for a fixed pair.
+    names = ("build_pair", "encode", "bp_decode_batch", "mmse_decode_exact")
+    calls = {}
 
     def counted(name):
         original = getattr(codec, name)
@@ -222,41 +259,52 @@ def test_runner_builds_and_encodes_each_trial_once(monkeypatch, resample, pairs)
             return original(*args, **kwargs)
         monkeypatch.setattr(codec, name, wrapper)
 
-    counted("build_pair")
-    counted("encode")
-    cfg = ExperimentConfig(n=8, p=5, R=Fraction(1, 4), R_f=Fraction(3, 4),
-                           snr_db_grid=[6.0, 9.0, 12.0], trials=4, master_seed=3,
-                           resample_lattice=resample)
-    results = run_monte_carlo(cfg)
-    assert [r.trials for r in results] == [4, 4, 4]
-    assert calls == {"build_pair": pairs, "encode": 4}
+    for name in names:
+        counted(name)
+    for decoder, batches in (("exact", 0), ("bp", pairs)):
+        calls.update(dict.fromkeys(names, 0))
+        cfg = lda_config(snr_db_grid=[6.0, 9.0, 12.0], trials=4, master_seed=3, decoder=decoder,
+                         bp_iters=10, resample_lattice=resample)
+        results = run_monte_carlo(cfg)
+        assert [r.trials for r in results] == [4, 4, 4]
+        assert calls == {"build_pair": pairs, "encode": 4, "bp_decode_batch": batches,
+                         "mmse_decode_exact": 12 if decoder == "exact" else 0}
+
+
+def decoded_alone(cfg, pair, y, P, sigma2):
+    """(estimate, decoder status, bp iterations) of one output decoded on its own."""
+    if cfg.decoder == "exact":
+        return codec.mmse_decode_exact(pair, y, P, sigma2), "verified", None
+    res = codec.bp_decode(pair, y, P, sigma2, iters=cfg.bp_iters)
+    return res.message, "verified" if res.verified else "unverified", res.iterations
 
 
 @pytest.mark.parametrize("resample", [False, True])
 def test_runner_batches_give_the_records_of_a_per_point_bp_decode_loop(resample):
-    cfg = ExperimentConfig(n=12, p=7, R=Fraction(1, 4), R_f=Fraction(1, 2), kind="lda",
-                           delta_p=4, allow_below_threshold=True, snr_db_grid=[0.0, 4.0, 10.0],
-                           trials=7, decoder="bp", bp_iters=30, master_seed=5,
-                           resample_lattice=resample)
-    results = run_monte_carlo(cfg)
-    P = channel.default_power(cfg.p, cfg.R)
-    for res in results:
-        sigma2 = channel.noise_variance(P, res.snr_db)
-        for rec in res.records:
-            pair = cli._pair_for_trial(cfg, rec.trial_index)
-            message = rng.generator(cfg.master_seed, "message", rec.trial_index).integers(
-                0, cfg.p, size=pair.ell, dtype=np.int64)
-            y = channel.awgn_transmit(codec.encode(pair, message).point.astype(float),
-                                      math.sqrt(sigma2), rec.noise_seed)
-            alone = codec.bp_decode(pair, y, P, sigma2, iters=cfg.bp_iters)
-            errs = int(np.count_nonzero(alone.message != message))
-            assert rec.symbol_error_count == errs and rec.word_error == (errs > 0)
-            assert rec.decoder_status == ("verified" if alone.verified else "unverified")
-            assert rec.bp_iterations == alone.iterations
-    statuses = {rec.decoder_status for res in results for rec in res.records}
-    assert statuses == {"verified", "unverified"}
-    exact = run_monte_carlo(dataclasses.replace(cfg, decoder="exact"))
-    assert {rec.bp_iterations for res in exact for rec in res.records} == {None}
+    # Under either decoder each record is the one its point gets decoded
+    # alone, by bp_decode or by mmse_decode_exact.
+    base = lda_config(snr_db_grid=[0.0, 4.0, 10.0], trials=7, bp_iters=30, master_seed=5,
+                      resample_lattice=resample)
+    P = channel.default_power(base.p, base.R)
+    for decoder in ("bp", "exact"):
+        cfg = dataclasses.replace(base, decoder=decoder)
+        results = run_monte_carlo(cfg)
+        for res in results:
+            sigma2 = channel.noise_variance(P, res.snr_db)
+            for rec in res.records:
+                pair = cli._pair_for_trial(cfg, rec.trial_index)
+                message = rng.generator(cfg.master_seed, "message", rec.trial_index).integers(
+                    0, cfg.p, size=pair.ell, dtype=np.int64)
+                y = channel.awgn_transmit(codec.encode(pair, message).point.astype(float),
+                                          math.sqrt(sigma2), rec.noise_seed)
+                estimate, status, iterations = decoded_alone(cfg, pair, y, P, sigma2)
+                errs = int(np.count_nonzero(estimate != message))
+                assert rec.symbol_error_count == errs and rec.word_error == (errs > 0)
+                assert (rec.decoder_status, rec.bp_iterations) == (status, iterations)
+        records = [rec for res in results for rec in res.records]
+        assert 0 < sum(rec.word_error for rec in records) < len(records)
+        if decoder == "bp":
+            assert {rec.decoder_status for rec in records} == {"verified", "unverified"}
 
 
 def test_plot_data_files(tmp_path):
@@ -623,15 +671,6 @@ def test_exact_decoder_wer_curve_monotone_with_wilson_slack():
     for i in range(len(wers) - 1):
         assert wers[i + 1] <= wers[i] or intervals[i + 1][0] <= intervals[i][1]
     assert wers[-1] < wers[0]
-
-
-def test_gamma_rate_guard():
-    # (R_f - R) log2 p = 0.5 * log2(5) ~ 1.161 bits/dim; at 8 dB capacity
-    # is ~1.37 so gamma = 0.5 forbids the rate while gamma = 0.9 allows it.
-    base = dict(n=8, p=5, R=Fraction(1, 4), R_f=Fraction(3, 4), snr_db_grid=[8.0])
-    with pytest.raises(ValueError):
-        ExperimentConfig(**base, gamma=0.5).resolve()
-    ExperimentConfig(**base, gamma=0.9).resolve()
 
 
 def test_nonzero_message_rarely_decodes_to_zero():
