@@ -496,13 +496,13 @@ def verify_expansion(n_left: int = 200, f: Fraction = Fraction(1, 4), D: float =
     for g in range(graphs):
         graph = expander.build_graph(n_left, f, delta,
                                      seed=rng.derive_key(master_seed, "expansion", g))
-        verdict = expander.check_d_good(graph, D, "both", "randomized", budget,
+        verdict = expander.check_d_good(graph, D, "both", budget,
                                         seed=rng.derive_key(master_seed, "check", g))
         if not verdict.found_violation:
             clean += 1
             margin = min(margin, verdict.min_expansion_ratio)
     planted = expander.check_d_good(planted_counterexample(), 2.0, "left_to_right",
-                                    "randomized", budget=10_000, seed=master_seed)
+                                    budget=10_000, seed=master_seed)
     caught = planted.found_violation
     return VerifyReport(
         name="d-goodness",
@@ -654,7 +654,10 @@ def _print_symbols(values: np.ndarray) -> int:
 
 def _encode(pair: str, message: str) -> int:
     lattices = _read_pair(pair)
-    symbols = np.array([int(t) for t in message.split(",")], dtype=np.int64)
+    symbols = [int(t) for t in message.split(",")]
+    for s in symbols:
+        if not -2**63 <= s < 2**63:
+            raise ValueError(f"--message symbol {s} does not fit in int64")
     return _print_symbols(codec.encode(lattices, symbols).point)
 
 

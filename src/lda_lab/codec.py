@@ -19,10 +19,10 @@ import numpy as np
 
 from . import rng
 from .channel import effective_noise_variance, wiener
-from .expander import TannerGraph, build_graph, export_text, import_text
+from .expander import BudgetExceededError, TannerGraph, build_graph, export_text, import_text
 from .fieldcore import is_prime
-from .gfmatrix import GfMatrix, StackedParityCheck, block_heights, solve
-from .gfmatrix import rank  # noqa: F401  (re-exported: the benchmark traces ``codec.rank``)
+from .gfmatrix import GfMatrix, StackedParityCheck, block_heights, check_modulus
+from .gfmatrix import rank, solve  # noqa: F401  (re-exported: the benchmark traces ``codec.rank``, ``codec.solve``)
 from .lattice import DEFAULT_QUANTIZER_BUDGET, ConstructionALattice, checked_point
 
 MAX_RANK_ATTEMPTS = 64
@@ -78,6 +78,7 @@ class NestedLatticePair:
 def _label_graph(graph: TannerGraph, rows: int, n: int, p: int, seed: int, tag: str, attempt: int) -> GfMatrix:
     """Put i.i.d. uniform GF(p) labels on the merged edges, in the fixed
     lexicographic edge order."""
+    check_modulus(p, rows, n)  # before the draw, which cannot hold such labels
     gen = rng.generator(seed, "labels", tag, attempt)
     H = np.zeros((rows, n), dtype=np.int64)
     H[graph.edges.array[:, 1], graph.edges.array[:, 0]] = gen.integers(
@@ -166,7 +167,8 @@ def encode(
 
     Reads a particular integer point x with H x^T = (m | 0)^T off the
     shaping lattice's cached row transform and subtracts Q(x) in the
-    shaping lattice; ``budget`` bounds the quantizer's search nodes.  The
+    shaping lattice; ``budget`` bounds the quantizer's search nodes, and a
+    refusal says that it was the shaping lattice's, during encode.  The
     output's syndrome is re-verified before returning.
     """
     message = np.asarray(message, dtype=np.int64) % pair.p
@@ -174,7 +176,10 @@ def encode(
         raise ValueError(f"message must have length {pair.ell}")
     target = np.concatenate([message, np.zeros(pair.stack.r, dtype=np.int64)])
     x = pair.shaping.coset_point(target)
-    point = x - pair.shaping.quantize(x.astype(float), budget=budget)
+    try:
+        point = x - pair.shaping.quantize(x.astype(float), budget=budget)
+    except BudgetExceededError as exc:
+        raise BudgetExceededError(f"encode: shaping {exc}") from exc
     up, low = pair.syndrome(point)
     if not (np.array_equal(up, message) and not low.any()):
         raise AssertionError("encoded point fails its own syndrome check")
@@ -195,18 +200,16 @@ def mmse_decode_exact(
     y: np.ndarray,
     P: float,
     sigma2: float,
-    alpha: float | None = None,
     budget: int = DEFAULT_QUANTIZER_BUDGET,
 ) -> np.ndarray:
-    """Scale by the Wiener coefficient, quantize in the fine lattice, and
-    read the message: H' Q(alpha y) mod p.
-
-    ``alpha`` overrides the MMSE coefficient (alpha = 1 disables scaling,
-    for comparison experiments).
-    """
+    """Scale by the Wiener coefficient alpha, quantize in the fine lattice,
+    and read the message: H' Q(alpha y) mod p.  A refusal of the search
+    says that it was the fine lattice's, during decode."""
     y = checked_point(y, pair.n)
-    a = wiener(P, sigma2) if alpha is None else alpha
-    x_hat = pair.fine.quantize(a * y, budget=budget)
+    try:
+        x_hat = pair.fine.quantize(wiener(P, sigma2) * y, budget=budget)
+    except BudgetExceededError as exc:
+        raise BudgetExceededError(f"decode: fine {exc}") from exc
     return extract_message(pair, x_hat)
 
 
@@ -375,50 +378,11 @@ def bp_decode(
     Channel priors fold the Gaussian density of the MMSE-scaled output over
     each residue class within a +/- 3-period window; check nodes convolve
     over Z_p as pointwise products of length-p DFTs, O(d p log p) per check
-    of degree d (``_check_node_messages`` is the direct per-check oracle).
+    of degree d (``tests/oracles.py`` holds the direct per-check oracle).
     Non-convergence is flagged ``unverified`` (best-effort decision) rather
     than raised.
     """
     return bp_decode_batch(pair, [y], P, [sigma2], iters)[0]
-
-
-def _zp_convolve(a: np.ndarray, b: np.ndarray, idx_sub: np.ndarray) -> np.ndarray:
-    """(a * b)[t] = sum_s a[s] b[(t - s) mod p]."""
-    return b[idx_sub] @ a
-
-
-def _check_node_messages(
-    coeffs: np.ndarray, incoming: list[np.ndarray], p: int, idx_sub: np.ndarray
-) -> list[np.ndarray]:
-    """Outgoing sum-product messages of one check sum_j h_j x_j = 0 mod p.
-
-    Incoming beliefs are mapped to the y_j = h_j x_j domain, convolved with
-    forward/backward partial products (O(d p^2) per check), evaluated at
-    -y_j, and mapped back through x_j = y_j / h_j.  The direct oracle of
-    ``_check_messages``, which the decoder runs.
-    """
-    d = len(incoming)
-    scaled = []
-    for k in range(d):
-        inv = pow(int(coeffs[k]), p - 2, p)
-        perm = (np.arange(p) * inv) % p  # q[b] = m[b / h] on index level
-        scaled.append(incoming[k][perm])
-    unit = np.zeros(p)
-    unit[0] = 1.0
-    fwd = [unit]
-    for k in range(d):
-        fwd.append(_zp_convolve(fwd[k], scaled[k], idx_sub))
-    bwd = [unit] * (d + 1)
-    for k in range(d - 1, -1, -1):
-        bwd[k] = _zp_convolve(bwd[k + 1], scaled[k], idx_sub)
-    out = []
-    for k in range(d):
-        conv = _zp_convolve(fwd[k], bwd[k + 1], idx_sub)
-        back = (np.arange(p) * int(coeffs[k])) % p
-        msg = conv[(-back) % p]
-        s = msg.sum()
-        out.append(msg / s if s > 0 else np.full(p, 1.0 / p))
-    return out
 
 
 def build_fine_lattice(
@@ -431,37 +395,6 @@ def build_fine_lattice(
     _ell, r = block_heights(n, None, Fraction(R_f))
     graph = _skeleton(n, r, delta_p, seed, "fine")
     return ConstructionALattice(_label_graph(graph, r, n, p, seed, "fine", attempt=0)), graph
-
-
-# ---------------------------------------------------------------------------
-# Independent codebook oracle
-
-
-def voronoi_codebook_bruteforce(pair: NestedLatticePair, budget: int = 10_000_000) -> set[tuple[int, ...]]:
-    """The Voronoi codebook Lambda_f ∩ V(Lambda), one minimal-norm coset
-    representative per message, computed through ``gfmatrix.solve`` and the
-    enumeration CVP oracle rather than the encoder's transform and search."""
-    book: set[tuple[int, ...]] = set()
-    for m_index in range(pair.codebook_size):
-        message = _index_to_message(m_index, pair.p, pair.ell)
-        target = np.concatenate([message, np.zeros(pair.stack.r, dtype=np.int64)])
-        x = solve(pair.stack.full, target)
-        rep = x - pair.shaping.closest_point_bruteforce(x.astype(float), budget=budget)
-        book.add(tuple(int(v) for v in rep))
-    return book
-
-
-def _index_to_message(index: int, p: int, ell: int) -> np.ndarray:
-    digits = np.zeros(ell, dtype=np.int64)
-    for k in range(ell):
-        digits[k] = index % p
-        index //= p
-    return digits
-
-
-def all_messages(pair: NestedLatticePair):
-    for m_index in range(pair.codebook_size):
-        yield _index_to_message(m_index, pair.p, pair.ell)
 
 
 # ---------------------------------------------------------------------------
@@ -498,7 +431,8 @@ def pair_from_text(text: str) -> NestedLatticePair:
     """Inverse of :func:`pair_to_text`.  Each block's graph is read by
     ``expander.import_text`` and must be n x (block rows).  Malformed input
     (empty, truncated, a graph ``import_text`` refuses or of the wrong
-    shape, an out-of-range edge index) raises ValueError naming the line."""
+    shape, an edge index or a label out of range) raises ValueError naming
+    the line."""
     lines = [ln.rstrip() for ln in text.strip().splitlines()]
     i = 0
     try:
@@ -511,6 +445,7 @@ def pair_from_text(text: str) -> NestedLatticePair:
         ell, r = block_heights(n, R, R_f)
         kind, seed = head["kind"], int(head["seed"])
         _check_ensemble(p, kind)
+        check_modulus(p, ell + r, n)
         delta_p, regen = int(head["deltap"]), int(head["regen"])
         blocks: dict[str, tuple[GfMatrix, TannerGraph]] = {}
         i = 2
@@ -537,6 +472,8 @@ def pair_from_text(text: str) -> NestedLatticePair:
                 idx, lab = (int(t) for t in lines[i].split())
                 if not 0 <= idx < len(graph.edges):
                     raise ValueError(f"edge index {idx} out of range for {len(graph.edges)} edges")
+                if not 0 <= lab < p:
+                    raise ValueError(f"label {lab} out of range [0, {p})")
                 l, r, _m = graph.edges.array[idx]
                 arr[r, l] = lab
                 i += 1

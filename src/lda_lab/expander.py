@@ -3,8 +3,9 @@
 Graphs come from the permutation model: left sockets are wired to right
 sockets through one seeded permutation, so the edge multiset is a pure
 function of (n_left, f, delta, seed).  Expansion ("D-goodness") is
-verified either exhaustively on small graphs or by a randomized greedy
-falsifier that hunts for small subsets with compressed neighborhoods.
+checked by a randomized greedy falsifier that hunts for small subsets
+with compressed neighborhoods; the exhaustive subset search that checks
+it in turn lives with the other test oracles in ``tests/oracles.py``.
 """
 
 from __future__ import annotations
@@ -12,7 +13,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
 
 import numpy as np
 
@@ -76,19 +76,6 @@ class TannerGraph:
     def f(self) -> Fraction:
         return Fraction(self.n_right, self.n_left)
 
-    def degree_histogram(self, side: str, count_multiplicity: bool = True) -> dict[int, int]:
-        if side not in ("left", "right"):
-            raise ValueError(f"side must be 'left' or 'right', got {side!r}")
-        idx = 0 if side == "left" else 1
-        n = self.n_left if side == "left" else self.n_right
-        degs = [0] * n
-        for e in self.edges:
-            degs[e[idx]] += e[2] if count_multiplicity else 1
-        hist: dict[int, int] = {}
-        for d in degs:
-            hist[d] = hist.get(d, 0) + 1
-        return hist
-
     @classmethod
     def from_edges(
         cls, n_left: int, n_right: int, pairs: list[tuple[int, int]], delta: int = 0, seed: int = 0
@@ -150,7 +137,6 @@ def neighborhood(graph: TannerGraph, nodes: set[int] | frozenset[int], side: str
 class GoodnessVerdict:
     D: float
     direction: str  # left_to_right | right_to_left | both
-    mode: str  # exhaustive | randomized
     violated_set: tuple[int, ...] | None
     violated_side: str | None
     subsets_checked: int
@@ -172,24 +158,6 @@ def _direction_params(graph: TannerGraph, D: float, direction: str):
     if direction == "right_to_left":
         return biadjacency(graph).T, int(graph.n_right / (D + 1)), D / f, "right"
     raise ValueError(f"unknown direction {direction!r}")
-
-
-def _check_exhaustive(graph: TannerGraph, D: float, direction: str):
-    B, max_size, factor, side = _direction_params(graph, D, direction)
-    masks = [int.from_bytes(np.packbits(row, bitorder="little").tobytes(), "little") for row in B]
-    checked = 0
-    min_ratio = math.inf
-    for size in range(1, max_size + 1):
-        for subset in combinations(range(len(masks)), size):
-            acc = 0
-            for v in subset:
-                acc |= masks[v]
-            checked += 1
-            covered = acc.bit_count()
-            min_ratio = min(min_ratio, covered / (factor * size))
-            if covered < factor * size:
-                return subset, side, checked, min_ratio
-    return None, None, checked, min_ratio
 
 
 # Greedy chains grown side by side in one block; 64 keeps a block's score
@@ -235,53 +203,38 @@ def _check_randomized(graph: TannerGraph, D: float, direction: str, budget: int,
     return None, None, checked, min_ratio
 
 
-EXHAUSTIVE_NODE_LIMIT = 24
-
-
 def check_d_good(
     graph: TannerGraph,
     D: float,
     direction: str = "both",
-    mode: str = "randomized",
     budget: int = 100_000,
     seed: int = 0,
 ) -> GoodnessVerdict:
     """Test the expansion condition |N(S)| >= f*D*|S| for small subsets.
 
-    Exhaustive mode enumerates every subset up to the size bound and is
-    refused above EXHAUSTIVE_NODE_LIMIT nodes; randomized mode spends at
-    most ``budget`` candidate subsets, split evenly over the directions, on
-    a greedy falsifier and reports either a verified violation witness or
-    "no violation found".  A budget that leaves a direction no subset is
-    refused, so a clean verdict always means something was checked.
+    Spends at most ``budget`` candidate subsets, split evenly over the
+    directions, on a greedy falsifier and reports either a verified
+    violation witness or "no violation found".  A budget that leaves a
+    direction no subset is refused, so a clean verdict always means
+    something was checked.
     """
     if D < 1:
         raise ValueError("D must be >= 1")
     directions = ["left_to_right", "right_to_left"] if direction == "both" else [direction]
     share = budget // len(directions)
-    if mode == "randomized" and share < 1:
+    if share < 1:
         raise ValueError(f"budget {budget} leaves fewer than one subset for each of "
                          f"{len(directions)} direction(s)")
     total_checked = 0
     min_ratio = math.inf
     for d in directions:
-        side_n = graph.n_left if d == "left_to_right" else graph.n_right
-        if mode == "exhaustive":
-            if side_n > EXHAUSTIVE_NODE_LIMIT:
-                raise BudgetExceededError(
-                    f"exhaustive D-goodness refused for {side_n} > {EXHAUSTIVE_NODE_LIMIT} nodes"
-                )
-            witness, side, checked, ratio = _check_exhaustive(graph, D, d)
-        elif mode == "randomized":
-            witness, side, checked, ratio = _check_randomized(graph, D, d, share, seed)
-        else:
-            raise ValueError(f"unknown mode {mode!r}")
+        witness, side, checked, ratio = _check_randomized(graph, D, d, share, seed)
         total_checked += checked
         min_ratio = min(min_ratio, ratio)
         if witness is not None:
             _assert_violation(graph, witness, side, D)
-            return GoodnessVerdict(D, direction, mode, tuple(witness), side, total_checked, min_ratio)
-    return GoodnessVerdict(D, direction, mode, None, None, total_checked, min_ratio)
+            return GoodnessVerdict(D, direction, tuple(witness), side, total_checked, min_ratio)
+    return GoodnessVerdict(D, direction, None, None, total_checked, min_ratio)
 
 
 def _assert_violation(graph: TannerGraph, subset: tuple[int, ...], side: str, D: float) -> None:
@@ -305,19 +258,6 @@ def binary_entropy(theta: float) -> float:
     if not 0.0 < theta < 1.0:
         raise ValueError(f"theta must lie in [0, 1], got {theta}")
     return -theta * math.log2(theta) - (1.0 - theta) * math.log2(1.0 - theta)
-
-
-def binomial_bounds(n: int, theta: float) -> tuple[float, float]:
-    """Two-sided entropy bounds for C(n, theta*n); theta*n must be integral."""
-    k = theta * n
-    if abs(k - round(k)) > 1e-9:
-        raise ValueError(f"theta*n = {k} is not an integer")
-    if not 0.0 < theta < 1.0:
-        raise ValueError("bounds require 0 < theta < 1")
-    mid = 2.0 ** (n * binary_entropy(theta))
-    lower = mid / math.sqrt(8.0 * n * theta * (1.0 - theta))
-    upper = mid / math.sqrt(2.0 * math.pi * n * theta * (1.0 - theta))
-    return lower, upper
 
 
 def _expansion_correction(D: float) -> float:
@@ -371,15 +311,15 @@ def import_text(text: str) -> TannerGraph:
     if not rows:
         raise ValueError("line 1: empty graph text, expected header 'n_left n_right delta seed'")
     (number, header), edges = rows[0], rows[1:]
-    if len(header) != 4 or min(header[:3]) < 0:
+    if len(header) != 4 or not all(0 <= v < 2**31 for v in header[:3]):
         raise ValueError(f"line {number}: header must be 'n_left n_right delta seed' "
-                         f"with non-negative sizes, got {header}")
+                         f"with non-negative sizes below 2^31, got {header}")
     n_left, n_right, delta, seed = header
     previous = [-1, -1]
     for number, e in edges:
-        if len(e) != 3 or not (0 <= e[0] < n_left and 0 <= e[1] < n_right and e[2] >= 1):
+        if len(e) != 3 or not (0 <= e[0] < n_left and 0 <= e[1] < n_right and 1 <= e[2] < 2**31):
             raise ValueError(f"line {number}: edge must be 'left right multiplicity' within "
-                             f"{n_left} x {n_right} with multiplicity >= 1, got {e}")
+                             f"{n_left} x {n_right} with multiplicity >= 1 and below 2^31, got {e}")
         if e[:2] <= previous:  # a repeat breaks "each pair once"; disorder moves labels
             raise ValueError(f"line {number}: edge {e[:2]} repeats or is out of sorted order")
         previous = e[:2]

@@ -19,6 +19,16 @@ class NoSolutionError(ValueError):
     """The linear system M x = s has no solution over GF(p)."""
 
 
+def check_modulus(p: int, rows: int, cols: int) -> None:
+    """Refuse a modulus at which int64 arithmetic on a rows x cols matrix
+    over GF(p) can overflow: a product of residues reaches (p - 1)^2, and a
+    matrix-vector product sums max(rows, cols) of them."""
+    size = max(rows, cols, 1)
+    if (p - 1) ** 2 * size >= 2**63:
+        raise ValueError(f"modulus p = {p} is too large for int64 arithmetic on a {rows} x {cols} "
+                         f"matrix: (p - 1)^2 * {size} >= 2^63")
+
+
 class GfMatrix:
     """An immutable dense matrix over GF(p)."""
 
@@ -27,9 +37,10 @@ class GfMatrix:
     def __init__(self, array: np.ndarray, p: int):
         if not is_prime(p):
             raise ValueError(f"modulus {p} is not prime")
-        a = np.asarray(array, dtype=np.int64) % p
-        if a.ndim != 2:
+        if np.ndim(array) != 2:
             raise ValueError("GfMatrix expects a 2-D array")
+        check_modulus(p, *np.shape(array))
+        a = np.asarray(array, dtype=np.int64) % p
         a.setflags(write=False)
         self.array = a
         self.p = p
@@ -52,6 +63,7 @@ class GfMatrix:
 
     @classmethod
     def random(cls, rows: int, cols: int, p: int, gen: np.random.Generator) -> "GfMatrix":
+        check_modulus(p, rows, cols)  # before the draw, which cannot hold such entries
         return cls(gen.integers(0, p, size=(rows, cols), dtype=np.int64), p)
 
     def stack(self, lower: "GfMatrix") -> "GfMatrix":

@@ -52,24 +52,6 @@ def ball_volume(n: int, rho: float) -> float:
     return math.exp(log_ball_volume(n, rho))
 
 
-def log_stirling_volume(n: int, rho: float) -> float:
-    """log of the Stirling form (1/sqrt(pi n)) (sqrt(2 pi e) rho / sqrt(n))^n."""
-    if n < 1 or rho <= 0:
-        raise ValueError("need n >= 1 and rho > 0")
-    return -0.5 * math.log(math.pi * n) + n * math.log(
-        math.sqrt(2 * math.pi * math.e) * rho / math.sqrt(n)
-    )
-
-
-def stirling_volume(n: int, rho: float) -> float:
-    return math.exp(log_stirling_volume(n, rho))
-
-
-def effective_radius_asymptotic(n: int, p: int, R) -> float:
-    """sqrt(n) p^(1-R) / sqrt(2 pi e)."""
-    return math.sqrt(n) * float(p) ** (1.0 - float(R)) / math.sqrt(2 * math.pi * math.e)
-
-
 @dataclass(frozen=True)
 class BallSpec:
     center: np.ndarray

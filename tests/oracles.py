@@ -1,0 +1,150 @@
+"""Independent oracles that only the tests run, one per fast path they check.
+
+- ``_check_node_messages``: the direct O(d p^2) Z_p convolution of one
+  check, against the DFT check update ``codec._check_messages``.
+- ``voronoi_codebook_bruteforce``: the Voronoi codebook through
+  ``gfmatrix.solve`` and the enumeration CVP oracle, against the encoder.
+- ``check_d_good_exhaustive``: every subset up to the size bound, against
+  the greedy falsifier ``expander.check_d_good``.
+- ``degree_histogram``: socket degrees read off a graph's edge list.
+
+Import as ``from oracles import ...``: pytest puts this directory on the
+path of the test modules beside it.
+"""
+
+from __future__ import annotations
+
+import math
+from itertools import combinations
+
+import numpy as np
+
+from lda_lab.codec import NestedLatticePair
+from lda_lab.expander import (
+    BudgetExceededError,
+    GoodnessVerdict,
+    TannerGraph,
+    _assert_violation,
+    _direction_params,
+)
+from lda_lab.gfmatrix import solve
+
+# ---------------------------------------------------------------------------
+# Sum-product check node
+
+
+def _zp_convolve(a: np.ndarray, b: np.ndarray, idx_sub: np.ndarray) -> np.ndarray:
+    """(a * b)[t] = sum_s a[s] b[(t - s) mod p]."""
+    return b[idx_sub] @ a
+
+
+def _check_node_messages(
+    coeffs: np.ndarray, incoming: list[np.ndarray], p: int, idx_sub: np.ndarray
+) -> list[np.ndarray]:
+    """Outgoing sum-product messages of one check sum_j h_j x_j = 0 mod p.
+
+    Incoming beliefs are mapped to the y_j = h_j x_j domain, convolved with
+    forward/backward partial products (O(d p^2) per check), evaluated at
+    -y_j, and mapped back through x_j = y_j / h_j.  The direct oracle of
+    ``codec._check_messages``, which the decoder runs.
+    """
+    d = len(incoming)
+    scaled = []
+    for k in range(d):
+        inv = pow(int(coeffs[k]), p - 2, p)
+        perm = (np.arange(p) * inv) % p  # q[b] = m[b / h] on index level
+        scaled.append(incoming[k][perm])
+    unit = np.zeros(p)
+    unit[0] = 1.0
+    fwd = [unit]
+    for k in range(d):
+        fwd.append(_zp_convolve(fwd[k], scaled[k], idx_sub))
+    bwd = [unit] * (d + 1)
+    for k in range(d - 1, -1, -1):
+        bwd[k] = _zp_convolve(bwd[k + 1], scaled[k], idx_sub)
+    out = []
+    for k in range(d):
+        conv = _zp_convolve(fwd[k], bwd[k + 1], idx_sub)
+        back = (np.arange(p) * int(coeffs[k])) % p
+        msg = conv[(-back) % p]
+        s = msg.sum()
+        out.append(msg / s if s > 0 else np.full(p, 1.0 / p))
+    return out
+
+
+# ---------------------------------------------------------------------------
+# Voronoi codebook
+
+
+def voronoi_codebook_bruteforce(pair: NestedLatticePair, budget: int = 10_000_000) -> set[tuple[int, ...]]:
+    """The Voronoi codebook Lambda_f ∩ V(Lambda), one minimal-norm coset
+    representative per message, computed through ``gfmatrix.solve`` and the
+    enumeration CVP oracle rather than the encoder's transform and search."""
+    book: set[tuple[int, ...]] = set()
+    for m_index in range(pair.codebook_size):
+        message = _index_to_message(m_index, pair.p, pair.ell)
+        target = np.concatenate([message, np.zeros(pair.stack.r, dtype=np.int64)])
+        x = solve(pair.stack.full, target)
+        rep = x - pair.shaping.closest_point_bruteforce(x.astype(float), budget=budget)
+        book.add(tuple(int(v) for v in rep))
+    return book
+
+
+def _index_to_message(index: int, p: int, ell: int) -> np.ndarray:
+    digits = np.zeros(ell, dtype=np.int64)
+    for k in range(ell):
+        digits[k] = index % p
+        index //= p
+    return digits
+
+
+def all_messages(pair: NestedLatticePair):
+    for m_index in range(pair.codebook_size):
+        yield _index_to_message(m_index, pair.p, pair.ell)
+
+
+# ---------------------------------------------------------------------------
+# Expansion
+
+
+EXHAUSTIVE_NODE_LIMIT = 24
+
+
+def check_d_good_exhaustive(graph: TannerGraph, D: float, direction: str) -> GoodnessVerdict:
+    """``expander.check_d_good`` by enumerating every subset up to the size
+    bound, in each direction in turn; refused above EXHAUSTIVE_NODE_LIMIT
+    nodes on a side."""
+    directions = ["left_to_right", "right_to_left"] if direction == "both" else [direction]
+    total_checked = 0
+    min_ratio = math.inf
+    for d in directions:
+        B, max_size, factor, side = _direction_params(graph, D, d)
+        if len(B) > EXHAUSTIVE_NODE_LIMIT:
+            raise BudgetExceededError(
+                f"exhaustive D-goodness refused for {len(B)} > {EXHAUSTIVE_NODE_LIMIT} nodes")
+        masks = [int.from_bytes(np.packbits(row, bitorder="little").tobytes(), "little") for row in B]
+        for size in range(1, max_size + 1):
+            for subset in combinations(range(len(masks)), size):
+                acc = 0
+                for v in subset:
+                    acc |= masks[v]
+                total_checked += 1
+                covered = acc.bit_count()
+                min_ratio = min(min_ratio, covered / (factor * size))
+                if covered < factor * size:
+                    _assert_violation(graph, subset, side, D)
+                    return GoodnessVerdict(D, direction, subset, side, total_checked, min_ratio)
+    return GoodnessVerdict(D, direction, None, None, total_checked, min_ratio)
+
+
+def degree_histogram(graph: TannerGraph, side: str) -> dict[int, int]:
+    """{socket degree: node count} on one side, counting each merged edge
+    with its multiplicity."""
+    idx = 0 if side == "left" else 1
+    degs = [0] * (graph.n_left if side == "left" else graph.n_right)
+    for e in graph.edges:
+        degs[e[idx]] += e[2]
+    hist: dict[int, int] = {}
+    for d in degs:
+        hist[d] = hist.get(d, 0) + 1
+    return hist

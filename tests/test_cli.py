@@ -398,6 +398,17 @@ def test_cli_encode_decode_refuse_bad_input(tmp_path, capsys):
     assert main(["decode", "--pair", str(pairpath), "--y", "nan,0,0,0,0,0,0,0",
                  "--snr-db", "10"]) == 2
     assert "refused: point has non-finite entries" in capsys.readouterr().err
+    assert main(["encode", "--pair", str(pairpath), "--message", "99999999999999999999,2,3,4"]) == 2
+    assert capsys.readouterr().err == (
+        "refused: --message symbol 99999999999999999999 does not fit in int64\n")
+    lines = good.splitlines()
+    k = lines.index("labels") + 1
+    for label in ("99999999999999999999", "-5"):
+        lines[k] = f"0 {label}"
+        pairpath.write_text("\n".join(lines) + "\n")
+        assert main(["encode", "--pair", str(pairpath), "--message", "1,2,3,4"]) == 2
+        assert capsys.readouterr().err == (f"refused: bad pair file at line {k + 1}: ValueError: "
+                                           f"label {label} out of range [0, 5)\n")
 
 
 def test_cli_decode_refuses_a_wrong_length_y(tmp_path, capsys):
@@ -546,6 +557,26 @@ def test_cli_refuses_a_modulus_that_is_not_an_odd_prime(tmp_path, capsys, comman
     assert main([command, "--config", write_config(tmp_path, p=p), "--out", str(out)]) == 2
     assert capsys.readouterr().err == "refused: p must be an odd prime\n"
     assert not out.exists()
+
+
+@pytest.mark.parametrize("argv, p, size", [
+    (["verify-mindist", "--p", "99999999999999999989", "--codes", "1"],
+     99999999999999999989, "12 x 30"),
+    (["gen", "--config", "{lam30}", "--out", "{tmp}/pair.txt"],
+     237376313799769806328950291431513, "3 x 12"),
+    (["gen", "--config", "{lam9}", "--out", "{tmp}/pair.txt"], 5159780333, "3 x 12"),
+])
+def test_cli_refuses_a_modulus_past_int64_arithmetic(tmp_path, capsys, argv, p, size):
+    # The draw of the entries would otherwise fail inside numpy, or wrap.
+    fill = {"tmp": str(tmp_path)}
+    for lam in (30, 9):
+        path = tmp_path / f"lam{lam}.toml"
+        path.write_text(f'n = 12\nlambda = {lam}\nR = "1/4"\nRf = "1/2"\ntrials = 2\n')
+        fill[f"lam{lam}"] = str(path)
+    assert main([a.format(**fill) for a in argv]) == 2
+    assert capsys.readouterr().err.startswith(
+        f"refused: modulus p = {p} is too large for int64 arithmetic on a {size} matrix")
+    assert not (tmp_path / "pair.txt").exists()
 
 
 @pytest.mark.parametrize("graphs, bound", [(3, 3), (10, 10), (20, 19), (100, 95)])

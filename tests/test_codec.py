@@ -15,10 +15,8 @@ from lda_lab import channel, rng
 from lda_lab.codec import (
     NestedLatticePair,
     _check_messages,
-    _check_node_messages,
     _edges,
     _sum_product_points,
-    all_messages,
     bp_decode,
     bp_decode_batch,
     build_fine_lattice,
@@ -28,11 +26,11 @@ from lda_lab.codec import (
     mmse_decode_exact,
     pair_from_text,
     pair_to_text,
-    voronoi_codebook_bruteforce,
 )
 from lda_lab.expander import BudgetExceededError
 from lda_lab.gfmatrix import GfMatrix, rank
 from lda_lab.lattice import ConstructionALattice
+from oracles import _check_node_messages, all_messages, degree_histogram, voronoi_codebook_bruteforce
 
 
 def small_pair(seed=0):
@@ -73,11 +71,11 @@ def test_lda_pair_regular_profile():
     # delta_p = 5 at R_f = 3/5 gives the (2,5)-regular fine profile.
     pair = build_pair(30, 11, Fraction(1, 5), Fraction(3, 5), "lda", seed=3, delta_p=5)
     fine = pair.lda.fine_graph
-    assert fine.degree_histogram("right") == {5: 12}
-    assert fine.degree_histogram("left") == {2: 30}
+    assert degree_histogram(fine, "right") == {5: 12}
+    assert degree_histogram(fine, "left") == {2: 30}
     upper = pair.lda.upper_graph
-    assert upper.degree_histogram("right") == {5: 12}
-    assert upper.degree_histogram("left") == {2: 30}
+    assert degree_histogram(upper, "right") == {5: 12}
+    assert degree_histogram(upper, "left") == {2: 30}
 
 
 def test_lda_pair_rejects_non_integral_degrees():
@@ -152,10 +150,11 @@ def test_mmse_decode_zero_input():
 
 
 def test_mmse_decode_alpha_override():
+    # alpha = 1: the unscaled output, quantized in the fine lattice.
     pair = small_pair(10)
     m = next(iter(all_messages(pair)))
     y = encode(pair, m).point.astype(float)
-    assert np.array_equal(mmse_decode_exact(pair, y, 1.0, 0.5, alpha=1.0), m)
+    assert np.array_equal(extract_message(pair, pair.fine.quantize(y)), m)
 
 
 def test_encode_budget_refusal():
@@ -163,6 +162,17 @@ def test_encode_budget_refusal():
     m = np.array([1, 2, 3])
     with pytest.raises(BudgetExceededError, match="11 search nodes visited, over the budget of 10"):
         encode(pair, m, budget=10)
+
+
+def test_budget_refusals_name_the_lattice_and_the_stage():
+    pair = build_pair(12, 7, Fraction(1, 4), Fraction(1, 2), "lda", seed=11, delta_p=4)
+    with pytest.raises(BudgetExceededError, match="^encode: shaping lattice closest-point search "
+                       "refused: 2 search nodes visited, over the budget of 1 \\(n = 12\\)$"):
+        encode(pair, np.array([1, 2, 3]), budget=1)
+    y = encode(pair, np.array([1, 2, 3])).point + 0.4
+    with pytest.raises(BudgetExceededError, match="^decode: fine lattice closest-point search "
+                       "refused: 2 search nodes visited, over the budget of 1 \\(n = 12\\)$"):
+        mmse_decode_exact(pair, y, 1.0, 0.1, budget=1)
 
 
 def lda_pair(seed):
@@ -374,10 +384,71 @@ def _edit_line(number, edit):
      "at line 2: .*unknown ensemble kind 'foo'"),
     (_edit_line(2, lambda ln, _: [ln.replace("p=7", "p=2")]), "at line 2: .*p must be an odd prime"),
     (_edit_line(2, lambda ln, _: [ln.replace("n=12", "n=0")]), "at line 2: .*n = 0 must be at least 1"),
+    (_edit_line(18, lambda ln, _: [ln.split()[0] + " 99999999999999999999"]),
+     "at line 18: .*label 99999999999999999999 out of range \\[0, 7\\)"),
+    (_edit_line(18, lambda ln, _: [ln.split()[0] + " -5"]), "at line 18: .*label -5 out of range"),
+    (_edit_line(5, lambda ln, _: [ln.rsplit(" ", 1)[0] + " 99999999999999999999"]),
+     "at line 4: .*line 5: .*multiplicity >= 1 and below 2\\^31"),
+    (_edit_line(2, lambda ln, _: [ln.replace("p=7", "p=99999999999999999989")]),
+     "at line 2: .*modulus p = 99999999999999999989 is too large for int64 arithmetic on a "
+     "9 x 12 matrix"),
 ])
 def test_pair_from_text_rejects_malformed_input(damage, message):
     with pytest.raises(ValueError, match=message):
         pair_from_text(damage(pair_to_text(lda_pair(17))))
+
+
+PAIR_TEXTS = [pair_to_text(small_pair(16)), pair_to_text(lda_pair(17))]
+EXTREMES = [0, 1, -1, -5, 7, 2**31, 2**63 - 1, 2**63, 99999999999999999989, -10**20]
+
+
+@st.composite
+def edited_pair_files(draw):
+    """A valid pair file with one to three random edits: a line or a token
+    deleted, inserted or replaced, or a value set to an extreme integer."""
+    lines = draw(st.sampled_from(PAIR_TEXTS)).splitlines()
+    tokens = sorted({t for ln in lines for t in ln.split()})
+    token = st.one_of(st.sampled_from(tokens), st.sampled_from(EXTREMES).map(str),
+                      st.integers(-20, 20).map(str), st.text(max_size=4))
+    for _ in range(draw(st.integers(1, 3))):
+        i = draw(st.integers(0, len(lines) - 1))
+        words = lines[i].split()
+        j = draw(st.integers(0, len(words)))
+        edit = draw(st.sampled_from(["delete line", "insert line", "replace line",
+                                     "delete token", "insert token", "replace token", "extreme"]))
+        event(edit)
+        if edit == "delete line":
+            del lines[i]
+        elif edit == "insert line":
+            lines.insert(i, " ".join(draw(st.lists(token, max_size=3))))
+        elif edit == "replace line":
+            lines[i] = draw(st.sampled_from(lines))
+        elif edit == "insert token":
+            words.insert(j, draw(token))
+        elif j < len(words) and edit == "delete token":
+            del words[j]
+        elif j < len(words):
+            # A key=value token keeps its key; "extreme" puts in an extreme integer.
+            key = words[j].split("=")[0] + "=" if "=" in words[j] else ""
+            value = str(draw(st.sampled_from(EXTREMES))) if edit == "extreme" else draw(token)
+            words[j] = key + value
+        if edit.endswith("token") or edit == "extreme":
+            lines[i] = " ".join(words)
+        if not lines:
+            break
+    return "\n".join(lines) + "\n"
+
+
+@settings(max_examples=300, deadline=None)
+@given(text=edited_pair_files())
+def test_pair_from_text_refuses_or_round_trips_edited_files(text):
+    try:
+        pair = pair_from_text(text)
+    except ValueError:
+        event("refused")
+        return
+    event("read")
+    assert pair_from_text(pair_to_text(pair)) == pair
 
 
 def test_pair_is_read_off_its_stack():
@@ -447,4 +518,4 @@ def test_build_fine_lattice_is_the_first_fine_block_of_build_pair(seed, shape):
 def test_build_fine_lattice_profile():
     lat, graph = build_fine_lattice(30, 31, Fraction(3, 5), 5, seed=1)
     assert lat.n == 30 and lat.H.rows == 12
-    assert graph.degree_histogram("left") == {2: 30}
+    assert degree_histogram(graph, "left") == {2: 30}

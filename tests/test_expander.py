@@ -12,11 +12,9 @@ from hypothesis import strategies as st
 
 from lda_lab import rng
 from lda_lab.expander import (
-    BudgetExceededError,
     TannerGraph,
     biadjacency,
     binary_entropy,
-    binomial_bounds,
     build_graph,
     check_d_good,
     delta_threshold,
@@ -26,6 +24,7 @@ from lda_lab.expander import (
     lda_delta_p_threshold,
     neighborhood,
 )
+from oracles import check_d_good_exhaustive, degree_histogram
 
 
 def complete_bipartite(nl: int, nr: int) -> TannerGraph:
@@ -35,14 +34,8 @@ def complete_bipartite(nl: int, nr: int) -> TannerGraph:
 def test_build_graph_degrees_before_unification():
     g = build_graph(10, Fraction(1, 2), 4, seed=9)
     assert g.n_right == 5
-    assert g.degree_histogram("right") == {4: 5}
-    assert g.degree_histogram("left") == {2: 10}
-
-
-def test_degree_histogram_rejects_unknown_side():
-    g = build_graph(10, Fraction(1, 2), 4, seed=1)
-    with pytest.raises(ValueError, match="side must be"):
-        g.degree_histogram("middle")
+    assert degree_histogram(g, "right") == {4: 5}
+    assert degree_histogram(g, "left") == {2: 10}
 
 
 def test_build_graph_deterministic():
@@ -76,8 +69,8 @@ def test_build_graph_matches_socket_wiring():
 def test_degree_conservation_over_seeds():
     for seed in range(20):
         g = build_graph(12, Fraction(1, 3), 6, seed=seed)
-        left_total = sum(d * c for d, c in g.degree_histogram("left").items())
-        right_total = sum(d * c for d, c in g.degree_histogram("right").items())
+        left_total = sum(d * c for d, c in degree_histogram(g, "left").items())
+        right_total = sum(d * c for d, c in degree_histogram(g, "right").items())
         assert left_total == right_total == g.delta * g.n_right
 
 
@@ -86,9 +79,9 @@ def test_merged_edges_keep_multiplicity_and_cap_degrees():
         g = build_graph(6, Fraction(1, 1), 6, seed=seed)
         # distinct-neighbor degrees never exceed the socket counts that
         # include edge multiplicity
-        for side in ("left", "right"):
-            sockets = g.degree_histogram(side, count_multiplicity=True)
-            distinct = g.degree_histogram(side, count_multiplicity=False)
+        for side, n in (("left", g.n_left), ("right", g.n_right)):
+            sockets = degree_histogram(g, side)
+            distinct = {len(neighborhood(g, {v}, side)) for v in range(n)}
             assert max(distinct) <= max(sockets)
 
 
@@ -123,7 +116,7 @@ def test_neighborhood_rejects_unknown_side():
 def test_check_d_good_complete_bipartite_exhaustive():
     # K_{4,2}: every nonempty S of size <= 2 has |N(S)| = 2 >= |S|/2.
     g = complete_bipartite(4, 2)
-    verdict = check_d_good(g, 1.0, "left_to_right", "exhaustive")
+    verdict = check_d_good_exhaustive(g, 1.0, "left_to_right")
     assert not verdict.found_violation
     assert verdict.subsets_checked == 4 + 6  # sizes 1 and 2
     assert verdict.min_expansion_ratio == 2 / (0.5 * 1.0 * 2)  # |N(S)| = 2 at |S| = 2
@@ -136,9 +129,9 @@ def test_check_d_good_finds_planted_violation():
     for v in range(2, n):
         pairs += [(v, v % n), (v, (v + 1) % n), (v, (v + 3) % n)]
     g = TannerGraph.from_edges(n, n, pairs)
-    exact = check_d_good(g, 2.0, "left_to_right", "exhaustive")
+    exact = check_d_good_exhaustive(g, 2.0, "left_to_right")
     assert exact.found_violation
-    randomized = check_d_good(g, 2.0, "left_to_right", "randomized", budget=5000, seed=1)
+    randomized = check_d_good(g, 2.0, "left_to_right", budget=5000, seed=1)
     assert randomized.found_violation
     witness = set(randomized.violated_set)
     assert len(neighborhood(g, witness, "left")) < 2.0 * len(witness)
@@ -147,7 +140,7 @@ def test_check_d_good_finds_planted_violation():
 
 def test_check_d_good_vacuous_when_no_subsets():
     g = complete_bipartite(4, 4)
-    verdict = check_d_good(g, 5.0, "left_to_right", "exhaustive")  # n/(D+1) < 1
+    verdict = check_d_good_exhaustive(g, 5.0, "left_to_right")  # n/(D+1) < 1
     assert not verdict.found_violation
     assert verdict.subsets_checked == 0
 
@@ -156,20 +149,14 @@ def test_check_d_good_vacuous_when_no_subsets():
 def test_check_d_good_refuses_budget_below_one_subset_per_direction(direction, budget):
     g = build_graph(20, Fraction(1, 2), 12, seed=5)
     with pytest.raises(ValueError, match="fewer than one subset"):
-        check_d_good(g, 2.0, direction, "randomized", budget=budget)
-
-
-def test_check_d_good_exhaustive_refuses_large_graphs():
-    g = build_graph(32, Fraction(1, 2), 4, seed=0)
-    with pytest.raises(BudgetExceededError):
-        check_d_good(g, 2.0, "left_to_right", "exhaustive")
+        check_d_good(g, 2.0, direction, budget=budget)
 
 
 def test_randomized_checker_agrees_with_exhaustive_on_good_graph():
     g = build_graph(20, Fraction(1, 2), 12, seed=5)
-    verdict = check_d_good(g, 2.0, "both", "randomized", budget=20_000, seed=2)
+    verdict = check_d_good(g, 2.0, "both", budget=20_000, seed=2)
     assert not verdict.found_violation
-    exhaustive = check_d_good(g, 2.0, "left_to_right", "exhaustive")
+    exhaustive = check_d_good_exhaustive(g, 2.0, "left_to_right")
     assert not exhaustive.found_violation
 
 
@@ -199,6 +186,19 @@ def test_binary_entropy():
     assert binary_entropy(0.0) == 0.0 and binary_entropy(1.0) == 0.0
     for theta in (0.1, 0.25, 0.4):
         assert binary_entropy(theta) == pytest.approx(binary_entropy(1 - theta), abs=1e-12)
+
+
+def binomial_bounds(n: int, theta: float) -> tuple[float, float]:
+    """Two-sided entropy bounds for C(n, theta*n); theta*n must be integral."""
+    k = theta * n
+    if abs(k - round(k)) > 1e-9:
+        raise ValueError(f"theta*n = {k} is not an integer")
+    if not 0.0 < theta < 1.0:
+        raise ValueError("bounds require 0 < theta < 1")
+    mid = 2.0 ** (n * binary_entropy(theta))
+    lower = mid / math.sqrt(8.0 * n * theta * (1.0 - theta))
+    upper = mid / math.sqrt(2.0 * math.pi * n * theta * (1.0 - theta))
+    return lower, upper
 
 
 def test_binomial_bounds_bracket_central_coefficient():
@@ -252,8 +252,8 @@ def small_graphs(draw):
 @settings(max_examples=60, deadline=None)
 @given(graph=small_graphs(), D=st.sampled_from([1.0, 1.5, 2.0, 3.0]), seed=st.integers(0, 2**32))
 def test_randomized_witnesses_hold_against_the_oracles(graph, D, seed):
-    fast = check_d_good(graph, D, "both", "randomized", budget=400, seed=seed)
-    exact = check_d_good(graph, D, "both", "exhaustive")
+    fast = check_d_good(graph, D, "both", budget=400, seed=seed)
+    exact = check_d_good_exhaustive(graph, D, "both")
     if fast.found_violation:
         witness, side = set(fast.violated_set), fast.violated_side
         f = float(graph.f)

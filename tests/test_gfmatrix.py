@@ -136,3 +136,17 @@ def test_matrices_are_immutable():
     m = GfMatrix.identity(3, 5)
     with pytest.raises(ValueError):
         m.array[0, 0] = 2
+
+
+def test_modulus_is_refused_where_int64_arithmetic_could_overflow():
+    # On a 1 x 2 matrix the bound is (p - 1)^2 * 2 < 2^63, i.e. p <= 2^31:
+    # 2^31 - 1 is the largest prime below it and 2^31 + 11 the least above.
+    below, above = 2**31 - 1, 2**31 + 11
+    m = GfMatrix(np.array([[below - 1, below - 1]]), below)
+    assert m.mul_vec(np.array([below - 1, below - 1])).tolist() == [2 * (below - 1) ** 2 % below]
+    assert GfMatrix.random(1, 2, below, rng.generator(1, "modulus")).array.max() < below
+    for make in (lambda: GfMatrix(np.zeros((1, 2), dtype=np.int64), above),
+                 lambda: GfMatrix.random(1, 2, above, rng.generator(1, "modulus"))):
+        with pytest.raises(ValueError, match=f"modulus p = {above} is too large for int64 "
+                           r"arithmetic on a 1 x 2 matrix: \(p - 1\)\^2 \* 2 >= 2\^63"):
+            make()

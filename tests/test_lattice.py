@@ -25,15 +25,30 @@ from lda_lab.lattice import (
     ball_volume,
     count_congruent_in_ball,
     count_integer_points,
-    effective_radius_asymptotic,
     integer_points_in_ball,
     lemma2_bounds,
     lemmaC_bound,
     log_ball_volume,
-    log_stirling_volume,
-    stirling_volume,
     volume_ratio_check,
 )
+
+
+def log_stirling_volume(n: int, rho: float) -> float:
+    """log of the Stirling form (1/sqrt(pi n)) (sqrt(2 pi e) rho / sqrt(n))^n."""
+    if n < 1 or rho <= 0:
+        raise ValueError("need n >= 1 and rho > 0")
+    return -0.5 * math.log(math.pi * n) + n * math.log(
+        math.sqrt(2 * math.pi * math.e) * rho / math.sqrt(n)
+    )
+
+
+def stirling_volume(n: int, rho: float) -> float:
+    return math.exp(log_stirling_volume(n, rho))
+
+
+def effective_radius_asymptotic(n: int, p: int, R) -> float:
+    """sqrt(n) p^(1-R) / sqrt(2 pi e)."""
+    return math.sqrt(n) * float(p) ** (1.0 - float(R)) / math.sqrt(2 * math.pi * math.e)
 
 
 def brute_count(center: np.ndarray, rho: float) -> int:
