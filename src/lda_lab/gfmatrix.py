@@ -37,9 +37,10 @@ class GfMatrix:
     def __init__(self, array: np.ndarray, p: int):
         if not is_prime(p):
             raise ValueError(f"modulus {p} is not prime")
-        if np.ndim(array) != 2:
+        shape = np.shape(array)
+        if len(shape) != 2:
             raise ValueError("GfMatrix expects a 2-D array")
-        check_modulus(p, *np.shape(array))
+        check_modulus(p, *shape)
         a = np.asarray(array, dtype=np.int64) % p
         a.setflags(write=False)
         self.array = a
