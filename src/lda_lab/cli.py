@@ -202,7 +202,7 @@ def config_from_mapping(mapping: dict) -> ExperimentConfig:
             if isinstance(value, bool) or not isinstance(value, int):
                 raise ValueError(f"config key {key!r} needs an integer, got {value!r}")
             kwargs[attr] = value
-        elif conv is float and isinstance(value, bool):
+        elif conv is float and (isinstance(value, bool) or not isinstance(value, (int, float))):
             raise ValueError(f"config key {key!r} needs a number, got {value!r}")
         else:
             kwargs[attr] = conv(value)
@@ -491,6 +491,7 @@ def verify_expansion(n_left: int = 200, f: Fraction = Fraction(1, 4), D: float =
         delta = math.ceil(base)
         while (Fraction(delta) * f).denominator != 1:  # biregularity needs f*delta integral
             delta += 1
+    expander.refuse_oversized_check(n_left, math.ceil(n_left * f))  # before any graph is built
     clean = 0
     margin = math.inf  # smallest |N(S)| / (required factor * |S|) on a clean graph
     for g in range(graphs):

@@ -21,11 +21,19 @@ from . import rng
 from .channel import effective_noise_variance, wiener
 from .expander import BudgetExceededError, TannerGraph, build_graph, export_text, import_text
 from .fieldcore import is_prime
-from .gfmatrix import GfMatrix, StackedParityCheck, block_heights, check_modulus
+from .gfmatrix import GfMatrix, StackedParityCheck, _extend_rref, block_heights, check_modulus
 from .gfmatrix import rank, solve  # noqa: F401  (re-exported: the benchmark traces ``codec.rank``, ``codec.solve``)
 from .lattice import DEFAULT_QUANTIZER_BUDGET, ConstructionALattice, checked_point
 
 MAX_RANK_ATTEMPTS = 64
+# Sum-product limits.  Flooding BP settles in tens of iterations; more than
+# MAX_BP_ITERATIONS is refused.  A batch holds its channel priors and
+# messages as float arrays of about BP_BYTES_PER_SYMBOL bytes per point,
+# coordinate and residue (280-570 measured at n = 12 and 24), and more than
+# MAX_BP_BYTES of them are refused before any is built.
+MAX_BP_ITERATIONS = 10_000
+BP_BYTES_PER_SYMBOL = 600
+MAX_BP_BYTES = 2**30
 
 
 @dataclass(frozen=True)
@@ -55,7 +63,9 @@ class NestedLatticePair:
 
     @cached_property
     def shaping(self) -> ConstructionALattice:
-        return ConstructionALattice(self.stack.full)
+        # The stack's row reduction extends the fine block's by the message rows.
+        return ConstructionALattice(self.stack.full, _reduced=_extend_rref(
+            self.fine._systematic.reduced, self.stack.upper.array, self.p))
 
     @cached_property
     def fine(self) -> ConstructionALattice:
@@ -303,8 +313,8 @@ def _sum_product_points(
     to the representative of its residue class nearest z_i), whether it
     satisfies the parity check, and the number of iterations used.
     """
-    if iters < 1:
-        raise ValueError("need at least one iteration")
+    if not 1 <= iters <= MAX_BP_ITERATIONS:
+        raise ValueError(f"bp_iters = {iters} must be at least 1 and at most {MAX_BP_ITERATIONS}")
     p = H.p
     count, n = Z.shape
     edges = _edges(H)
@@ -353,12 +363,18 @@ def bp_decode_batch(
 ) -> list[BpResult]:
     """:func:`bp_decode` of every row of Y, each at its own noise variance
     ``sigma2s[i]``, in one call of the batched kernel.  Each result is the
-    one that row would get decoded alone."""
+    one that row would get decoded alone.  A batch whose arrays would pass
+    MAX_BP_BYTES is refused."""
     if pair.kind != "lda":
         raise ValueError("bp_decode requires an LDA pair")
     Y = np.array([checked_point(y, pair.n) for y in Y]).reshape(-1, pair.n)
     if len(sigma2s) != len(Y):
         raise ValueError(f"{len(Y)} outputs but {len(sigma2s)} noise variances")
+    need = BP_BYTES_PER_SYMBOL * len(Y) * pair.n * pair.p
+    if need > MAX_BP_BYTES:
+        raise BudgetExceededError(
+            f"bp decoder refused: {len(Y)} points at n = {pair.n}, p = {pair.p} need about "
+            f"{need} bytes of messages, over the allowed {MAX_BP_BYTES} bytes")
     Z = np.array([wiener(P, s) for s in sigma2s])[:, None] * Y
     noise_vars = np.array([max(effective_noise_variance(P, s), 1e-12) for s in sigma2s])
     points, verified, used = _sum_product_points(pair.stack.lower, Z, noise_vars, iters)

@@ -90,11 +90,18 @@ class TannerGraph:
         return cls(n_left, n_right, delta, seed, edges)
 
 
+# The most sockets one permutation-model graph may wire: each is a drawn
+# int64 and a Python pair of ints, about 360 bytes at the peak, so 2^21
+# of them take about 750 MB.
+MAX_SOCKETS = 2**21
+
+
 def build_graph(n_left: int, f: Fraction, delta: int, seed: int) -> TannerGraph:
     """Permutation-model graph: check degree delta, variable degree f*delta.
 
     Both n_right = f*n_left and the variable degree f*delta must be
-    integers for the graph to be biregular.
+    integers for the graph to be biregular, and a graph of more than
+    MAX_SOCKETS sockets is refused before it is drawn.
     """
     if n_left < 1:
         raise ValueError(f"n_left = {n_left} must be at least 1")
@@ -108,6 +115,9 @@ def build_graph(n_left: int, f: Fraction, delta: int, seed: int) -> TannerGraph:
     n_right = int(n_right)
     dv = int(dv)
     sockets = n_right * delta
+    if sockets > MAX_SOCKETS:
+        raise BudgetExceededError(f"graph build refused: n_right * delta = {sockets} sockets, "
+                                  f"over the allowed {MAX_SOCKETS}")
     perm = rng.generator(seed, "tanner-perm", n_left, n_right, delta).permutation(sockets)
     pairs = [(t // dv, int(perm[t]) // delta) for t in range(sockets)]
     return TannerGraph.from_edges(n_left, n_right, pairs, delta, seed)
@@ -163,6 +173,20 @@ def _direction_params(graph: TannerGraph, D: float, direction: str):
 # Greedy chains grown side by side in one block; 64 keeps a block's score
 # matrix small (64 x nodes floats) while one product serves many chains.
 CHAINS_PER_BLOCK = 64
+# The most bytes a direction of ``check_d_good`` may hold in its dense
+# n_left x n_right biadjacency (one byte an entry) and that matrix's
+# float64 copy (eight): 9 * n_left * n_right.
+MAX_CHECK_BYTES = 2**30
+
+
+def refuse_oversized_check(n_left: int, n_right: int) -> None:
+    """Refuse a D-goodness check whose dense matrices would pass
+    MAX_CHECK_BYTES, before any is allocated."""
+    need = 9 * n_left * n_right
+    if need > MAX_CHECK_BYTES:
+        raise BudgetExceededError(
+            f"expansion check refused: a dense {n_left} x {n_right} biadjacency and its "
+            f"float64 copy need {need} bytes, over the allowed {MAX_CHECK_BYTES} bytes")
 
 
 def _check_randomized(graph: TannerGraph, D: float, direction: str, budget: int, seed: int):
@@ -216,10 +240,12 @@ def check_d_good(
     directions, on a greedy falsifier and reports either a verified
     violation witness or "no violation found".  A budget that leaves a
     direction no subset is refused, so a clean verdict always means
-    something was checked.
+    something was checked.  A graph whose dense matrices would pass
+    MAX_CHECK_BYTES is refused before any is built.
     """
     if D < 1:
         raise ValueError("D must be >= 1")
+    refuse_oversized_check(graph.n_left, graph.n_right)
     directions = ["left_to_right", "right_to_left"] if direction == "both" else [direction]
     share = budget // len(directions)
     if share < 1:
@@ -261,12 +287,17 @@ def binary_entropy(theta: float) -> float:
 
 
 def _expansion_correction(D: float) -> float:
-    """1 - D h(1/D) / ((D+1) h(1/(D+1))); equals 1 at D = 1 since h(1) = 0."""
+    """1 - D h(1/D) / ((D+1) h(1/(D+1))); equals 1 at D = 1 since h(1) = 0.
+    It falls toward 0 as D grows; a D at which it rounds to 0, or is not a
+    number, is refused, since the thresholds divide by it."""
     if D < 1:
         raise ValueError("D must be >= 1")
     num = D * binary_entropy(1.0 / D)
     den = (D + 1.0) * binary_entropy(1.0 / (D + 1.0))
-    return 1.0 - num / den
+    correction = 1.0 - num / den
+    if not correction > 0.0:
+        raise ValueError(f"D = {D} is too large: its expansion correction is {correction}")
+    return correction
 
 
 def delta_threshold(D: float, f: float) -> float:

@@ -113,6 +113,33 @@ def _rref(a: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
     return m, pivots
 
 
+def _extend_rref(lower: tuple[np.ndarray, list[int]], upper: np.ndarray,
+                 p: int) -> tuple[np.ndarray, list[int]]:
+    """rref([U | I | 0; L | 0 | I]) mod p and its pivot columns, for the
+    stack of U (``upper``, reduced mod p) on L, from ``lower`` = rref([L | I])
+    and its pivot columns, without reducing the L rows again.
+
+    The L rows, spread to the stack's columns, are already reduced.  One
+    product clears their pivot columns from the U rows, which are then
+    reduced alone, and one product clears those rows' pivot columns from the
+    L rows.  Merged by pivot column, the rows are the stack's reduced form,
+    which is unique.  Both blocks have full row rank, so no row is zero.
+    """
+    low_red, low_pivots = lower
+    ell, n = upper.shape
+    r = low_red.shape[0]
+    low = np.zeros((r, n + ell + r), dtype=np.int64)
+    low[:, :n] = low_red[:, :n]
+    low[:, n + ell:] = low_red[:, n:]
+    low_pivots = [c if c < n else c + ell for c in low_pivots]
+    up = np.hstack([upper, np.eye(ell, dtype=np.int64), np.zeros((ell, r), dtype=np.int64)])
+    up, up_pivots = _rref((up - up[:, low_pivots] @ low) % p, p)
+    low = (low - low[:, up_pivots] @ up) % p
+    pivots = up_pivots + low_pivots
+    order = np.argsort(pivots)
+    return np.vstack([up, low])[order], sorted(pivots)
+
+
 def rank(M: GfMatrix) -> int:
     """Row rank over GF(p)."""
     _, pivots = _rref(M.array, M.p)
@@ -138,13 +165,24 @@ def solve(M: GfMatrix, s: np.ndarray) -> np.ndarray:
     return x
 
 
+# The largest code length of a pair or fine code.  A lattice's search holds
+# n x n float matrices (the basis, Q^T, R and their working copies, about
+# 64 n^2 bytes), about 1 GiB at n = 4096; far below it, the searches run
+# out of their node budgets.
+MAX_DIMENSION = 4096
+
+
 def block_heights(n: int, R: Fraction | None, R_f: Fraction) -> tuple[int, int]:
     """The rate rule of a nested pair: the heights (ell, r) = (n(R_f - R),
     n(1 - R_f)) of its message and fine blocks.  Raises ValueError unless
-    n >= 1, 0 < R < R_f < 1 and both heights are integers.  ``R = None`` is
-    the rule of a fine code alone: 0 < R_f < 1, an integral r, and ell = 0."""
+    1 <= n <= MAX_DIMENSION, 0 < R < R_f < 1 and both heights are integers.
+    ``R = None`` is the rule of a fine code alone: 0 < R_f < 1, an integral
+    r, and ell = 0."""
     if n < 1:
         raise ValueError(f"n = {n} must be at least 1")
+    if n > MAX_DIMENSION:
+        raise ValueError(f"n = {n} is above {MAX_DIMENSION}, the largest code length whose "
+                         "n x n lattice matrices are held")
     if R is None:
         if not 0 < R_f < 1:
             raise ValueError(f"rate R_f = {R_f} breaks 0 < R_f < 1")

@@ -204,12 +204,19 @@ class MinDistanceResult:
 
 @dataclass(frozen=True)
 class _SystematicForm:
-    """One reduced row echelon form of H and what is read off it."""
+    """One reduced row echelon form of [H | I] and what is read off it."""
 
-    pivots: list[int]
+    reduced: tuple[np.ndarray, list[int]]  # rref([H | I]) mod p and all its pivot columns
+    pivots: list[int]  # the pivot columns of H
     transform: np.ndarray  # T with T H = rref(H) mod p; rows past the rank annihilate H
     generator: GfMatrix
-    basis: np.ndarray  # int64, one Construction-A basis vector per column, in search order
+
+
+@dataclass(frozen=True)
+class _SortedQR:
+    """The Construction-A basis in search order and its QR factors."""
+
+    basis: np.ndarray  # int64, one basis vector per column, in search order
     q_t: np.ndarray  # Q^T of basis = Q R
     r: list[list[float]]  # R, upper triangular with a positive diagonal
 
@@ -225,48 +232,57 @@ def _null_rows(red: np.ndarray, pivots: list[int], p: int) -> np.ndarray:
     return g
 
 
-def _sorted_columns(basis: np.ndarray) -> np.ndarray:
-    """Sorted QR order (Wuebben et al., Electronics Letters 2001): each step
-    takes the remaining column of least residual length, so the Gram-Schmidt
-    lengths grow toward the last columns, which the search fixes first.  The
+def _systematic_form(H: GfMatrix, reduced: tuple[np.ndarray, list[int]] | None) -> _SystematicForm:
+    """The form read off ``reduced``, rref([H | I]) with its pivot columns,
+    or off H's own reduction when it is None."""
+    p, rows, n = H.p, H.rows, H.cols
+    if reduced is None:
+        # Reducing [H | I] applies the same row operations to H as reducing H
+        # alone, and records them in the right-hand block.
+        reduced = _rref(np.hstack([H.array, np.eye(rows, dtype=np.int64)]), p)
+    red, all_pivots = reduced
+    pivots = [c for c in all_pivots if c < n]
+    generator = GfMatrix(_null_rows(red[:, :n], pivots, p), p)
+    return _SystematicForm(reduced=reduced, pivots=pivots, transform=red[:, n:],
+                           generator=generator)
+
+
+def _sorted_qr(basis: np.ndarray) -> _SortedQR:
+    """Sorted QR (Wuebben et al., Electronics Letters 2001) in one modified
+    Gram-Schmidt pass: each step takes the remaining column of least
+    residual length, so the Gram-Schmidt lengths grow toward the last
+    columns, which the search fixes first, and records its unit vector as a
+    row of Q^T and its projections of every residual as a row of R.  The
     residual lengths are recomputed at every step: downdating them by the
     squared projections cancels to negative values at p = 31, n = 96."""
     a = basis.astype(float)
+    n = a.shape[1]
     order: list[int] = []
-    for _ in range(a.shape[1]):
+    q_t = np.empty((n, n))
+    proj = np.empty((n, n))
+    for i in range(n):
         norms = (a * a).sum(axis=0)
         norms[order] = np.inf
         j = int(np.argmin(norms))
         order.append(j)
-        q = a[:, j] / math.sqrt(norms[j])
-        a -= np.outer(q, q @ a)
-    return basis[:, order]
+        q_t[i] = a[:, j] / math.sqrt(norms[j])
+        proj[i] = q_t[i] @ a
+        a -= np.outer(q_t[i], proj[i])
+    # A picked column's later projections are rounding residue: R keeps the
+    # upper triangle, and its diagonal, q . a_j = |a_j|, is positive.
+    return _SortedQR(basis=basis[:, order], q_t=q_t, r=np.triu(proj[:, order]).tolist())
 
 
-def _systematic_form(H: GfMatrix) -> _SystematicForm:
-    p, rows, n = H.p, H.rows, H.cols
-    # Reducing [H | I] applies the same row operations to H as reducing H
-    # alone, and records them in the right-hand block.
-    red, pivots = _rref(np.hstack([H.array, np.eye(rows, dtype=np.int64)]), p)
-    pivots = [c for c in pivots if c < n]
-    generator = _null_rows(red[:, :n], pivots, p)
-    k = len(generator)
+def _construction_a_basis(form: _SystematicForm, n: int, p: int) -> np.ndarray:
+    """The triangular Construction-A basis: the generator rows, then p e_c
+    for each pivot column c."""
+    k = form.generator.rows
     basis = np.zeros((n, n), dtype=np.int64)
     # Generator entries as residues in (-p/2, p/2): the free columns reduced
     # by the p e_c columns, which about halves the search time.
-    basis[:, :k] = (generator.T + p // 2) % p - p // 2
-    basis[pivots, k + np.arange(len(pivots))] = p
-    basis = _sorted_columns(basis)
-    q, r = np.linalg.qr(basis.astype(float))
-    sign = np.where(np.diag(r) < 0, -1.0, 1.0)
-    return _SystematicForm(
-        pivots=pivots,
-        transform=red[:, n:],
-        generator=GfMatrix(generator, p),
-        basis=basis,
-        q_t=(q * sign).T,
-        r=(r * sign[:, None]).tolist(),
-    )
+    basis[:, :k] = (form.generator.array.T + p // 2) % p - p // 2
+    basis[form.pivots, k + np.arange(len(form.pivots))] = p
+    return basis
 
 
 def _slack(d2: float) -> float:
@@ -375,17 +391,26 @@ def _covered_twice(masks: np.ndarray, supports: np.ndarray) -> np.ndarray:
 class ConstructionALattice:
     """Lattice of integer vectors x with H x^T = 0 mod p."""
 
-    def __init__(self, H: GfMatrix):
+    def __init__(self, H: GfMatrix, _reduced: tuple[np.ndarray, list[int]] | None = None):
+        """``_reduced`` is rref([H | I]) mod p with its pivot columns, for a
+        caller that already has it; without it the lattice reduces H itself
+        on first use."""
         if not is_prime(H.p) or H.p == 2:
             raise ValueError("lattice constructions require an odd prime")
         self.H = H
         self.p = H.p
         self.n = H.cols
+        self._reduced = _reduced
 
     @cached_property
     def _systematic(self) -> _SystematicForm:
         """The row-reduced form of H, built on first use."""
-        return _systematic_form(self.H)
+        return _systematic_form(self.H, self._reduced)
+
+    @cached_property
+    def _sorted(self) -> _SortedQR:
+        """The search basis and its QR factors, built on first search."""
+        return _sorted_qr(_construction_a_basis(self._systematic, self.n, self.p))
 
     @property
     def k_eff(self) -> int:
@@ -453,7 +478,7 @@ class ConstructionALattice:
         search nodes.
         """
         y = checked_point(y, self.n)
-        form = self._systematic
+        form = self._sorted
         anchor = self.p * np.rint(y / self.p)
         t = y - anchor
         leaves = _search(form.r, (form.q_t @ t).tolist(), float((t * t).sum()),
@@ -466,7 +491,7 @@ class ConstructionALattice:
         """A shortest nonzero lattice vector (the lex-min of them), exact.
         The search starts at radius p, the length of p e_1; ``budget``
         bounds the visited search nodes."""
-        form = self._systematic
+        form = self._sorted
         leaves = _search(form.r, [0.0] * self.n, float(self.p**2), budget,
                          "shortest-vector search", nonzero=True)
         Z = leaves @ form.basis.T

@@ -7,6 +7,8 @@
 - ``check_d_good_exhaustive``: every subset up to the size bound, against
   the greedy falsifier ``expander.check_d_good``.
 - ``degree_histogram``: socket degrees read off a graph's edge list.
+- ``sorted_columns``: the sorted-QR column order by a plain residual
+  downdate, against the one-pass factorization ``lattice._sorted_qr``.
 
 Import as ``from oracles import ...``: pytest puts this directory on the
 path of the test modules beside it.
@@ -148,3 +150,24 @@ def degree_histogram(graph: TannerGraph, side: str) -> dict[int, int]:
     for d in degs:
         hist[d] = hist.get(d, 0) + 1
     return hist
+
+
+# ---------------------------------------------------------------------------
+# Sorted QR
+
+
+def sorted_columns(basis: np.ndarray) -> np.ndarray:
+    """The basis in sorted QR order (Wuebben et al., Electronics Letters
+    2001): each step takes the remaining column of least residual length,
+    recomputed from the residuals, and projects the pick out of them.  The
+    order only: ``lattice._sorted_qr`` also records Q and R as it goes."""
+    a = basis.astype(float)
+    order: list[int] = []
+    for _ in range(a.shape[1]):
+        norms = (a * a).sum(axis=0)
+        norms[order] = np.inf
+        j = int(np.argmin(norms))
+        order.append(j)
+        q = a[:, j] / math.sqrt(norms[j])
+        a -= np.outer(q, q @ a)
+    return basis[:, order]

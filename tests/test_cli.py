@@ -2,13 +2,19 @@
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import inspect
+import io
 import math
+import os
+import tempfile
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, event, example, given, settings
+from hypothesis import strategies as st
 
 from lda_lab import channel, cli, codec, rng
 from lda_lab.cli import (
@@ -136,6 +142,8 @@ def test_thread_count_comes_only_from_the_flag_or_the_key(tmp_path, monkeypatch)
     ("snr_db", '["4", "8"]'),
     ("lambda", "true"),
     ("D", "false"),
+    ("lambda", "[]"),
+    ("D", '"2"'),
 ])
 def test_config_refuses_loose_values(tmp_path, key, raw):
     path = write_config(tmp_path, **{key: raw})
@@ -677,6 +685,22 @@ def test_cli_verify_expansion_refuses_an_empty_budget(capsys, budget):
     assert "refused: budget" in capsys.readouterr().err
 
 
+def test_cli_verify_expansion_refuses_an_oversized_check_before_any_graph(capsys, monkeypatch):
+    # With the allowance cut to 1000 bytes, the default 60 x 15 graphs need
+    # 8100: refused by name before a graph is built.
+    from lda_lab import expander
+
+    def no_graph(*args, **kwargs):
+        raise AssertionError("a graph was built")
+
+    monkeypatch.setattr(expander, "MAX_CHECK_BYTES", 1000)
+    monkeypatch.setattr(expander, "build_graph", no_graph)
+    assert main(["verify-expansion", "--n-left", "60", "--graphs", "2"]) == 2
+    err = capsys.readouterr().err
+    assert "refused: expansion check refused: a dense 60 x 15 biadjacency" in err
+    assert "need 8100 bytes, over the allowed 1000 bytes" in err
+
+
 def test_verify_mindist_clean_profile():
     # Variable degree 4 at this delta_p: low-weight words are absent.
     report = verify_mindist(codes=5, n=24, p=11, R_f=Fraction(1, 2),
@@ -731,3 +755,84 @@ def test_nonzero_message_rarely_decodes_to_zero():
         if not codec.mmse_decode_exact(pair, y, P, sigma2).any():
             zero_decodes += 1
     assert zero_decodes <= res.word_errors
+
+# ---------------------------------------------------------------------------
+# Config files under random edits
+
+
+# No text sets quantizer_budget: an extreme budget asks for a search without
+# bound, which at lambda = 5 (p = 248,839) ran past two minutes.
+CONFIG_TEXTS = [
+    'n = 8\np = 5\nR = "1/4"\nRf = "3/4"\nkind = "dense"\nsnr_db = [8.0, 12.0]\n'
+    'trials = 30\ndecoder = "exact"\nseed = 42\n',
+    'n = 12\np = 7\nR = "1/4"\nRf = "1/2"\nkind = "lda"\ndelta_p = 4\nD = 2\n'
+    'allow_below_threshold = true\nsnr_db = [6.0, 10.0]\ntrials = 8\ndecoder = "exact"\n'
+    'seed = 3\nresample_lattice = true\n',
+    'n = 12\nlambda = 0.78\nR = "1/4"\nRf = "1/2"\nkind = "lda"\ndelta_p = 4\n'
+    'allow_below_threshold = true\nsnr_db = 10\ntrials = 4\ndecoder = "bp"\nbp_iters = 20\n'
+    'seed = 9\nresample_lattice = false\n',
+]
+CONFIG_EXTREMES = ["0", "1", "-1", "-5", "7", str(2**31), str(2**63 - 1), str(2**63),
+                   "99999999999999999989", str(-10**20), "1e308", "-1e308", "1e-300", "inf",
+                   "nan", "0.0", '""', "[]", "true"]
+
+
+@st.composite
+def edited_config_files(draw):
+    """A valid simulate config with one to three random edits: a line or a
+    token deleted, inserted or replaced, or a value set to an extreme."""
+    lines = draw(st.sampled_from(CONFIG_TEXTS)).splitlines()
+    tokens = sorted({t for ln in lines for t in ln.split()})
+    token = st.one_of(st.sampled_from(tokens), st.sampled_from(CONFIG_EXTREMES),
+                      st.integers(-20, 20).map(str), st.text(max_size=4))
+    for _ in range(draw(st.integers(1, 3))):
+        i = draw(st.integers(0, len(lines) - 1))
+        words = lines[i].split()
+        j = draw(st.integers(0, len(words)))
+        edit = draw(st.sampled_from(["delete line", "insert line", "replace line",
+                                     "delete token", "insert token", "replace token", "extreme"]))
+        event(edit)
+        if edit == "delete line":
+            del lines[i]
+        elif edit == "insert line":
+            lines.insert(i, " ".join(draw(st.lists(token, max_size=3))))
+        elif edit == "replace line":
+            lines[i] = draw(st.sampled_from(lines))
+        elif edit == "insert token":
+            words.insert(j, draw(token))
+        elif j < len(words) and edit == "delete token":
+            del words[j]
+        elif edit == "extreme":
+            words[-1:] = [draw(st.sampled_from(CONFIG_EXTREMES))]  # the value of "key = value"
+        elif j < len(words):
+            words[j] = draw(token)
+        if edit.endswith("token") or edit == "extreme":
+            lines[i] = " ".join(words)
+        if not lines:
+            break
+    return "\n".join(lines) + "\n"
+
+
+@settings(max_examples=400, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(text=edited_config_files())
+# Holes the fuzz found: a 32 GiB graph permutation, a list where a number
+# belongs, a D whose threshold divided by zero, and 2^31 BP iterations.
+@example(text=CONFIG_TEXTS[1].replace("n = 12", f"n = {2**31}"))
+@example(text=CONFIG_TEXTS[2].replace("lambda = 0.78", "lambda = []"))
+@example(text=CONFIG_TEXTS[1].replace("D = 2", f"D = {2**63 - 1}"))
+@example(text=CONFIG_TEXTS[2].replace("bp_iters = 20", f"bp_iters = {2**31}"))
+def test_simulate_runs_or_refuses_edited_config_files(text):
+    # One trial per run: exit 0, or 2 with a refused: line and no output
+    # file; never a traceback.
+    with tempfile.TemporaryDirectory() as folder:
+        config, out = os.path.join(folder, "cfg.toml"), os.path.join(folder, "x.csv")
+        with open(config, "w", encoding="utf-8") as fh:
+            fh.write(text)
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = main(["simulate", "--config", config, "--out", out, "--trials", "1"])
+        event(f"exit {code}")
+        assert code in (0, 2)
+        assert os.path.exists(out) == (code == 0)
+        if code == 2:
+            assert err.getvalue().startswith("refused: ")

@@ -184,6 +184,24 @@ def test_bp_requires_lda():
         bp_decode(small_pair(12), np.zeros(6), 1.0, 0.1)
 
 
+def test_bp_refuses_an_iteration_count_or_a_batch_past_its_limits(monkeypatch):
+    from lda_lab import codec
+
+    pair = lda_pair(13)
+    y = np.zeros((3, pair.n))
+    for iters in (0, codec.MAX_BP_ITERATIONS + 1):
+        with pytest.raises(ValueError, match=f"bp_iters = {iters} must be at least 1 and at most"):
+            bp_decode_batch(pair, y, 1.0, [0.1] * 3, iters=iters)
+    need = codec.BP_BYTES_PER_SYMBOL * 3 * 12 * 7
+    monkeypatch.setattr(codec, "MAX_BP_BYTES", need - 1)
+    with pytest.raises(BudgetExceededError, match=(
+            f"bp decoder refused: 3 points at n = 12, p = 7 need about {need} bytes of "
+            f"messages, over the allowed {need - 1} bytes")):
+        bp_decode_batch(pair, y, 1.0, [0.1] * 3)
+    monkeypatch.setattr(codec, "MAX_BP_BYTES", need)
+    assert len(bp_decode_batch(pair, y, 1.0, [0.1] * 3)) == 3
+
+
 def test_bp_noiseless_converges_fast():
     pair = lda_pair(13)
     P = channel.default_power(pair.p, pair.R)

@@ -12,6 +12,9 @@ from hypothesis import strategies as st
 
 from lda_lab import rng
 from lda_lab.expander import (
+    MAX_CHECK_BYTES,
+    MAX_SOCKETS,
+    BudgetExceededError,
     TannerGraph,
     biadjacency,
     binary_entropy,
@@ -152,6 +155,17 @@ def test_check_d_good_refuses_budget_below_one_subset_per_direction(direction, b
         check_d_good(g, 2.0, direction, budget=budget)
 
 
+def test_check_d_good_refuses_a_graph_too_large_for_its_dense_matrices():
+    # Three edges, but a dense 10^12 x 10^11 biadjacency and its float64
+    # copy: 9 bytes an entry, refused before either is allocated.
+    g = TannerGraph.from_edges(10**12, 10**11, [(0, 0), (1, 1), (2, 2)])
+    need = 9 * 10**23
+    with pytest.raises(BudgetExceededError, match=(
+            f"expansion check refused: a dense {10**12} x {10**11} biadjacency and its float64 "
+            f"copy need {need} bytes, over the allowed {MAX_CHECK_BYTES} bytes")):
+        check_d_good(g, 2.0)
+
+
 def test_randomized_checker_agrees_with_exhaustive_on_good_graph():
     g = build_graph(20, Fraction(1, 2), 12, seed=5)
     verdict = check_d_good(g, 2.0, "both", budget=20_000, seed=2)
@@ -179,6 +193,24 @@ def test_lda_delta_p_threshold_values():
 def test_lda_threshold_monotone_in_D():
     values = [lda_delta_p_threshold(D, 0.6) for D in range(2, 11)]
     assert all(b > a for a, b in zip(values, values[1:]))
+
+
+def test_thresholds_refuse_a_D_whose_correction_rounds_to_zero():
+    # The correction falls toward 0 as D grows; past about 1e15 it rounds
+    # to 0, and the thresholds would divide by it.
+    assert 0 < lda_delta_p_threshold(1e15, 0.5) < math.inf
+    for D in (2.0**63, 1e308, math.inf):
+        for threshold in (delta_threshold, lda_delta_p_threshold):
+            with pytest.raises(ValueError, match="too large: its expansion correction is"):
+                threshold(D, 0.5)
+
+
+def test_build_graph_refuses_more_sockets_than_allowed():
+    # 2^39 checks of degree 8, refused before the permutation is drawn.
+    with pytest.raises(BudgetExceededError, match=(
+            f"graph build refused: n_right \\* delta = {2**42} sockets, "
+            f"over the allowed {MAX_SOCKETS}")):
+        build_graph(2**40, Fraction(1, 2), 8, seed=0)
 
 
 def test_binary_entropy():

@@ -9,12 +9,16 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import event, example, given, settings
+from hypothesis import strategies as st
 
 from lda_lab import rng
 from lda_lab.gfmatrix import (
     GfMatrix,
     NoSolutionError,
     StackedParityCheck,
+    _extend_rref,
+    _rref,
     block_heights,
     rank,
     solve,
@@ -102,6 +106,42 @@ def test_generator_annihilated_by_parity():
         assert not H.mul_vec(combo).any()
 
 
+@st.composite
+def sparse_stacks(draw):
+    """(U, L, p): a message block of 1-4 rows on a fine block of 1-4 rows,
+    n = 2-10, entries zero with some drawn probability; a block may repeat a
+    multiple of its first row, which makes it rank deficient."""
+    p = draw(st.sampled_from([3, 5, 7, 11]))
+    n = draw(st.integers(2, 10))
+    gen = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    density = draw(st.sampled_from([0.2, 0.5, 1.0]))
+    blocks = []
+    for _ in range(2):
+        rows = draw(st.integers(1, 4))
+        block = gen.integers(0, p, size=(rows, n)) * (gen.random((rows, n)) < density)
+        if rows > 1 and draw(st.booleans()):
+            block[-1] = (draw(st.integers(0, p - 1)) * block[0]) % p
+        blocks.append(block)
+    return blocks[0], blocks[1], p
+
+
+@settings(max_examples=500, deadline=None)
+@given(sparse_stacks())
+@example((np.array([[1, 2, 0], [2, 4, 0]]), np.array([[0, 1, 1]]), 5))  # U deficient
+@example((np.array([[1, 0, 1]]), np.array([[1, 1, 0], [3, 3, 0]]), 3))  # L deficient
+@example((np.array([[0, 1, 1]]), np.array([[0, 1, 1]]), 7))  # U inside the row space of L
+def test_extended_reduction_is_the_reduction_of_the_stack(stack):
+    upper, lower, p = stack
+    H = np.vstack([upper, lower])
+    whole = _rref(np.hstack([H, np.eye(len(H), dtype=np.int64)]), p)
+    fine = _rref(np.hstack([lower, np.eye(len(lower), dtype=np.int64)]), p)
+    red, pivots = _extend_rref(fine, upper, p)
+    n = H.shape[1]
+    event(f"rank {sum(c < n for c in pivots)} of {len(H)}")
+    assert pivots == whole[1]
+    assert np.array_equal(red, whole[0])
+
+
 def test_stacked_parity_check_shapes():
     p = 5
     upper = GfMatrix.zeros(2, 8, p)
@@ -130,6 +170,17 @@ def test_block_heights_refuse_a_dimension_below_one(n):
     for R in (Fraction(1, 2), None):
         with pytest.raises(ValueError, match=f"n = {n} must be at least 1"):
             block_heights(n, R, Fraction(3, 4))
+
+
+def test_block_heights_refuse_a_dimension_above_the_largest():
+    # Refused before any matrix of that size is drawn; the largest passes.
+    from lda_lab.gfmatrix import MAX_DIMENSION
+
+    assert block_heights(MAX_DIMENSION, Fraction(1, 4), Fraction(3, 4)) == (
+        MAX_DIMENSION // 2, MAX_DIMENSION // 4)
+    for n in (MAX_DIMENSION + 4, 2**31):
+        with pytest.raises(ValueError, match=f"n = {n} is above {MAX_DIMENSION}"):
+            block_heights(n, Fraction(1, 4), Fraction(3, 4))
 
 
 def test_matrices_are_immutable():

@@ -31,6 +31,7 @@ from lda_lab.lattice import (
     log_ball_volume,
     volume_ratio_check,
 )
+from oracles import sorted_columns
 
 
 def log_stirling_volume(n: int, rho: float) -> float:
@@ -498,43 +499,91 @@ def test_hermite_gain_trend_with_certified_bounds():
 
 
 def test_systematic_form_built_once_per_lattice(monkeypatch):
-    # Every method reads the one cached row reduction; none rebuilds it.
-    from lda_lab import lattice
+    # Every method reads one cached row reduction and one sorted QR.  A
+    # standalone lattice reduces [H | I] itself; a pair reduces [H_f | I]
+    # once for the fine lattice and extends that form by the ell message
+    # rows for the shaping lattice, once per draw, redraws included.
+    from lda_lab import codec, gfmatrix, lattice
+    from lda_lab.channel import wiener
 
-    builds = []
-    build = lattice._systematic_form
+    reductions, factorizations = [], []
+    rref, sorted_qr = gfmatrix._rref, lattice._sorted_qr
 
-    def counted_build(H):
-        builds.append(H)
-        return build(H)
+    def counted_rref(a, p):
+        reductions.append(a.shape)
+        return rref(a, p)
 
-    monkeypatch.setattr(lattice, "_systematic_form", counted_build)
+    def counted_sorted_qr(basis):
+        factorizations.append(basis.shape)
+        return sorted_qr(basis)
+
+    monkeypatch.setattr(gfmatrix, "_rref", counted_rref)
+    monkeypatch.setattr(lattice, "_rref", counted_rref)
+    monkeypatch.setattr(lattice, "_sorted_qr", counted_sorted_qr)
     lat = ConstructionALattice(GfMatrix.random(3, 9, 5, rng.generator(1, "shared-form")))
     y = rng.generator(2, "shared-form").uniform(-5, 5, size=9)
     syndrome = lat.H.mul_vec(np.arange(9))
     for _ in range(3):
-        assert lat.k_eff == 9 - rank(lat.H)
         assert lat.generator.rows == lat.k_eff
         assert np.array_equal(lat.H.mul_vec(lat.coset_point(syndrome)), syndrome)
         assert lat.contains(lat.quantize(y))
     assert lat.contains(lat.shortest_vector())
-    assert len(builds) == 1
+    assert (reductions, factorizations) == ([(3, 12)], [(9, 9)])
+    assert lat.k_eff == 9 - rank(lat.H)
+
+    # Seed 3 of this dense family is rank deficient on its first draw.
+    for seed, kind, n, p, R, R_f in ((3, "dense", 4, 3, "1/4", "3/4"),
+                                     (5, "lda", 12, 7, "1/4", "1/2")):
+        reductions.clear(), factorizations.clear()
+        pair = codec.build_pair(n, p, R, R_f, kind, seed=seed, delta_p=4)
+        ell, r = pair.ell, pair.stack.r
+        attempts = pair.regenerations + 1
+        assert attempts == (2 if kind == "dense" else 1)
+        assert reductions == [(r, n + r), (ell, n + ell + r)] * attempts
+        assert factorizations == []
+        message = np.arange(ell) % p
+        x = codec.encode(pair, message).point
+        P, sigma2 = 1.0, 1e-6
+        for _ in range(2):
+            decoded = codec.mmse_decode_exact(pair, x / wiener(P, sigma2), P, sigma2)
+            assert np.array_equal(decoded, message)
+        assert len(reductions) == 2 * attempts
+        assert factorizations == [(n, n), (n, n)]
+
+
+def assert_sorted_qr(lat: ConstructionALattice) -> None:
+    """The one-pass sorted QR of the lattice's basis: the oracle's column
+    order, orthonormal Q, Q R = basis and a positive diagonal of R."""
+    from lda_lab.lattice import _construction_a_basis, _sorted_qr
+
+    basis = _construction_a_basis(lat._systematic, lat.n, lat.p)
+    form = _sorted_qr(basis)
+    assert np.array_equal(form.basis, sorted_columns(basis))
+    r = np.array(form.r)
+    assert np.allclose(form.q_t @ form.q_t.T, np.eye(lat.n), atol=1e-10)
+    assert np.allclose(form.q_t.T @ r, form.basis, atol=1e-8)
+    assert (np.diag(r) > 0).all()
+    assert np.array_equal(r, np.triu(r))
 
 
 def test_sorted_qr_at_paper_regime_size():
     # At n = 96, p = 31 the residual lengths of the sorted QR cancel to
     # negative values if they are downdated instead of recomputed; this
     # seed raised a math domain error from k_eff.
-    from fractions import Fraction
-
-    from lda_lab.codec import build_fine_lattice
-
     lat, _ = build_fine_lattice(96, 31, Fraction(1, 2), 4, seed=rng.derive_key(5, 96, 0))
     assert lat.k_eff == lat.n - rank(lat.H)
-    form = lat._systematic
-    r = np.array(form.r)
-    assert np.allclose(form.q_t.T @ r, form.basis, atol=1e-8)
-    assert (np.diag(r) > 0).all()
+    assert_sorted_qr(lat)
+
+
+def test_sorted_qr_matches_the_oracle_on_the_pinned_family():
+    # The benchmark's simulate family: n = 12, p = 7, R = 1/4, R_f = 1/2,
+    # delta_p = 4; both lattices of each pair.
+    from lda_lab.codec import build_pair
+
+    for seed in range(10):
+        pair = build_pair(12, 7, "1/4", "1/2", "lda", seed=seed, delta_p=4)
+        assert_sorted_qr(pair.fine)
+        assert_sorted_qr(pair.shaping)
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf])
