@@ -104,10 +104,12 @@ def _rref(a: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
         if pr != r:
             m[[r, pr]] = m[[pr, r]]
         m[r] = (m[r] * field_inv(int(m[r, c]), p)) % p
-        other = np.nonzero(m[:, c])[0]
-        other = other[other != r]
-        if other.size:
-            m[other] = (m[other] - np.outer(m[other, c], m[r])) % p
+        # Clear column c from every other row at once; rows with a zero
+        # there are left as they were.
+        factors = m[:, c].copy()
+        factors[r] = 0
+        m -= factors[:, None] * m[r]
+        m %= p
         pivots.append(c)
         r += 1
     return m, pivots

@@ -2,15 +2,17 @@
 
 A lattice here is the preimage of a p-ary code under reduction mod p:
 x is a lattice point iff x is integral and H x^T = 0 mod p.  Each lattice
-computes one reduced row echelon form of H, once, and reads everything
-else off it: the code dimension, the generator, the particular solutions
-the encoder needs, and the triangular Construction-A basis (free columns
-e_f plus the pivot entries as residues in (-p/2, p/2), pivot columns
-p e_c).  Closest-point and shortest-vector search are exact
-Schnorr-Euchner depth-first enumerations on that basis (Agrell, Eriksson,
-Vardy and Zeger, "Closest point search in lattices", IEEE-IT 2002;
-Viterbo and Boutros, IEEE-IT 1999), bounded by a budget of visited search
-nodes.  An independent
+holds one reduced row echelon form of [H | I], its own or one handed to it
+(a nested pair extends its fine lattice's form by the message rows), and
+reads everything else off it: the code dimension, the generator, the
+particular solutions the encoder needs, and the triangular Construction-A
+basis (free columns e_f plus the pivot entries as residues in (-p/2, p/2),
+pivot columns p e_c).  One modified Gram-Schmidt pass sorts that basis by
+least residual length and factors it, on the first search.  Closest-point
+and shortest-vector search are exact Schnorr-Euchner depth-first
+enumerations on the factored basis (Agrell, Eriksson, Vardy and Zeger,
+"Closest point search in lattices", IEEE-IT 2002; Viterbo and Boutros,
+IEEE-IT 1999), bounded by a budget of visited search nodes.  An independent
 brute-force oracle enumerates integer points in a ball and filters by
 membership, so the two routes can be pitted against each other in tests.
 
@@ -254,23 +256,28 @@ def _sorted_qr(basis: np.ndarray) -> _SortedQR:
     columns, which the search fixes first, and records its unit vector as a
     row of Q^T and its projections of every residual as a row of R.  The
     residual lengths are recomputed at every step: downdating them by the
-    squared projections cancels to negative values at p = 31, n = 96."""
+    squared projections cancels to negative values at p = 31, n = 96.
+
+    A picked column's residual is set to 0, which touches no other column's
+    arithmetic, so its later projections are exact zeros and R is upper
+    triangular; its diagonal, q . a_j = |a_j|, is positive."""
     a = basis.astype(float)
     n = a.shape[1]
+    taken = np.zeros(n)  # inf on the columns already picked
     order: list[int] = []
     q_t = np.empty((n, n))
     proj = np.empty((n, n))
     for i in range(n):
-        norms = (a * a).sum(axis=0)
-        norms[order] = np.inf
-        j = int(np.argmin(norms))
+        norms = (a * a).sum(axis=0) + taken
+        j = int(norms.argmin())
         order.append(j)
-        q_t[i] = a[:, j] / math.sqrt(norms[j])
-        proj[i] = q_t[i] @ a
-        a -= np.outer(q_t[i], proj[i])
-    # A picked column's later projections are rounding residue: R keeps the
-    # upper triangle, and its diagonal, q . a_j = |a_j|, is positive.
-    return _SortedQR(basis=basis[:, order], q_t=q_t, r=np.triu(proj[:, order]).tolist())
+        taken[j] = np.inf
+        q = q_t[i]
+        q[:] = a[:, j] / math.sqrt(norms[j])
+        proj[i] = q @ a
+        a -= q[:, None] * proj[i]
+        a[:, j] = 0.0
+    return _SortedQR(basis=basis[:, order], q_t=q_t, r=proj[:, order].tolist())
 
 
 def _construction_a_basis(form: _SystematicForm, n: int, p: int) -> np.ndarray:
