@@ -534,7 +534,8 @@ def test_systematic_form_built_once_per_lattice(monkeypatch):
     # Seed 3 of this dense family is rank deficient on its first draw.
     for seed, kind, n, p, R, R_f in ((3, "dense", 4, 3, "1/4", "3/4"),
                                      (5, "lda", 12, 7, "1/4", "1/2")):
-        reductions.clear(), factorizations.clear()
+        reductions.clear()
+        factorizations.clear()
         pair = codec.build_pair(n, p, R, R_f, kind, seed=seed, delta_p=4)
         ell, r = pair.ell, pair.stack.r
         attempts = pair.regenerations + 1
