@@ -38,9 +38,10 @@ MAX_BP_BYTES = 2**30
 
 @dataclass(frozen=True)
 class LdaInfo:
-    delta_p: int
     fine_graph: TannerGraph
     upper_graph: TannerGraph
+
+    delta_p = property(lambda self: self.fine_graph.delta)
 
 
 @dataclass(frozen=True)
@@ -80,18 +81,14 @@ class NestedLatticePair:
         """M = p^(n(R_f - R)) for full-rank stacks."""
         return self.p**self.ell
 
-    def syndrome(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """(H' x, H_f x) mod p."""
-        return self.stack.upper.mul_vec(x), self.stack.lower.mul_vec(x)
 
-
-def _label_graph(graph: TannerGraph, rows: int, n: int, p: int, seed: int, tag: str, attempt: int) -> GfMatrix:
+def _label_graph(graph: TannerGraph, p: int, seed: int, tag: str, attempt: int) -> GfMatrix:
     """Put i.i.d. uniform GF(p) labels on the merged edges, in the fixed
-    lexicographic edge order."""
-    check_modulus(p, rows, n)  # before the draw, which cannot hold such labels
+    lexicographic edge order: one row per check, one column per variable."""
+    check_modulus(p, graph.n_right, graph.n_left)  # before the draw, which cannot hold such labels
     gen = rng.generator(seed, "labels", tag, attempt)
-    H = np.zeros((rows, n), dtype=np.int64)
-    H[graph.edges.array[:, 1], graph.edges.array[:, 0]] = gen.integers(
+    H = np.zeros((graph.n_right, graph.n_left), dtype=np.int64)
+    H[graph.edges[:, 1], graph.edges[:, 0]] = gen.integers(
         0, p, size=len(graph.edges), dtype=np.int64)
     return GfMatrix(H, p)
 
@@ -99,8 +96,6 @@ def _label_graph(graph: TannerGraph, rows: int, n: int, p: int, seed: int, tag: 
 def _skeleton(n: int, rows: int, delta_p: int, seed: int, tag: str) -> TannerGraph:
     """The permutation-model skeleton of an LDA block of ``rows`` checks,
     fixed by the seed: check degree delta_p, variable degree delta_p rows / n."""
-    if delta_p * rows % n:
-        raise ValueError(f"delta_p = {delta_p} gives non-integer variable degrees")
     return build_graph(n, Fraction(rows, n), delta_p, rng.derive_key(seed, f"skeleton-{tag}"))
 
 
@@ -140,8 +135,7 @@ def build_pair(
     if kind == "lda":
         if delta_p is None:
             raise ValueError("LDA pairs need delta_p")
-        lda = LdaInfo(delta_p, _skeleton(n, r, delta_p, seed, "fine"),
-                      _skeleton(n, ell, delta_p, seed, "upper"))
+        lda = LdaInfo(_skeleton(n, r, delta_p, seed, "fine"), _skeleton(n, ell, delta_p, seed, "upper"))
 
     for attempt in range(MAX_RANK_ATTEMPTS):
         if lda is None:
@@ -149,9 +143,9 @@ def build_pair(
             upper = GfMatrix.random(ell, n, p, gen)
             lower = GfMatrix.random(r, n, p, gen)
         else:
-            upper = _label_graph(lda.upper_graph, ell, n, p, seed, "upper", attempt)
-            lower = _label_graph(lda.fine_graph, r, n, p, seed, "fine", attempt)
-        pair = NestedLatticePair(StackedParityCheck(upper, lower, n, R, R_f), seed, attempt, lda)
+            upper = _label_graph(lda.upper_graph, p, seed, "upper", attempt)
+            lower = _label_graph(lda.fine_graph, p, seed, "fine", attempt)
+        pair = NestedLatticePair(StackedParityCheck(upper, lower), seed, attempt, lda)
         # The rank is read off the one row reduction the encoder needs anyway.
         if n - pair.shaping.k_eff == ell + r:
             return pair
@@ -190,8 +184,8 @@ def encode(
         point = x - pair.shaping.quantize(x.astype(float), budget=budget)
     except BudgetExceededError as exc:
         raise BudgetExceededError(f"encode: shaping {exc}") from exc
-    up, low = pair.syndrome(point)
-    if not (np.array_equal(up, message) and not low.any()):
+    if not (np.array_equal(extract_message(pair, point), message)
+            and not pair.stack.lower.mul_vec(point).any()):
         raise AssertionError("encoded point fails its own syndrome check")
     return EncodeResult(point=point)
 
@@ -410,7 +404,7 @@ def build_fine_lattice(
     the fine block of ``build_pair``'s first attempt with the same seed."""
     _ell, r = block_heights(n, None, Fraction(R_f))
     graph = _skeleton(n, r, delta_p, seed, "fine")
-    return ConstructionALattice(_label_graph(graph, r, n, p, seed, "fine", attempt=0)), graph
+    return ConstructionALattice(_label_graph(graph, p, seed, "fine", attempt=0)), graph
 
 
 # ---------------------------------------------------------------------------
@@ -438,7 +432,7 @@ def pair_to_text(pair: NestedLatticePair) -> str:
             rows, cols = np.nonzero(block.array)
             graph = TannerGraph.from_edges(block.cols, block.rows, list(zip(cols.tolist(), rows.tolist())))
         lines += [f"block {name}", export_text(graph).rstrip("\n"), "labels"]
-        lines += [f"{i} {int(block.array[r, l])}" for i, (l, r, _m) in enumerate(graph.edges)]
+        lines += [f"{i} {int(block.array[r, l])}" for i, (l, r, _m) in enumerate(graph.edges.tolist())]
     lines.append("end")
     return "\n".join(lines) + "\n"
 
@@ -446,9 +440,9 @@ def pair_to_text(pair: NestedLatticePair) -> str:
 def pair_from_text(text: str) -> NestedLatticePair:
     """Inverse of :func:`pair_to_text`.  Each block's graph is read by
     ``expander.import_text`` and must be n x (block rows).  Malformed input
-    (empty, truncated, a graph ``import_text`` refuses or of the wrong
-    shape, an edge index or a label out of range) raises ValueError naming
-    the line."""
+    (empty, truncated, a graph ``import_text`` refuses, of the wrong shape
+    or of a check degree other than the header's deltap, an edge index or
+    a label out of range) raises ValueError naming the line."""
     lines = [ln.rstrip() for ln in text.strip().splitlines()]
     i = 0
     try:
@@ -482,6 +476,8 @@ def pair_from_text(text: str) -> NestedLatticePair:
             if (graph.n_left, graph.n_right) != (n, rows):
                 raise ValueError(f"graph is {graph.n_left} x {graph.n_right}, block {name} "
                                  f"is {n} x {rows}")
+            if graph.delta != delta_p:
+                raise ValueError(f"graph check degree {graph.delta} differs from deltap = {delta_p}")
             i = labels_at + 1
             arr = np.zeros((rows, n), dtype=np.int64)
             while lines[i] != "end" and not lines[i].startswith("block "):
@@ -490,14 +486,14 @@ def pair_from_text(text: str) -> NestedLatticePair:
                     raise ValueError(f"edge index {idx} out of range for {len(graph.edges)} edges")
                 if not 0 <= lab < p:
                     raise ValueError(f"label {lab} out of range [0, {p})")
-                l, r, _m = graph.edges.array[idx]
+                l, r, _m = graph.edges[idx]
                 arr[r, l] = lab
                 i += 1
             blocks[name] = (GfMatrix(arr, p), graph)
-        stack = StackedParityCheck(upper=blocks["upper"][0], lower=blocks["fine"][0], n=n, R=R, R_f=R_f)
+        stack = StackedParityCheck(upper=blocks["upper"][0], lower=blocks["fine"][0])
     except (IndexError, KeyError, ValueError, ZeroDivisionError) as exc:
         if i >= len(lines):
             raise ValueError(f"bad pair file: truncated after line {len(lines)}") from exc
         raise ValueError(f"bad pair file at line {i + 1}: {type(exc).__name__}: {exc}") from exc
-    lda = LdaInfo(delta_p, blocks["fine"][1], blocks["upper"][1]) if kind == "lda" else None
+    lda = LdaInfo(blocks["fine"][1], blocks["upper"][1]) if kind == "lda" else None
     return NestedLatticePair(stack, seed, regen, lda)

@@ -23,54 +23,38 @@ class BudgetExceededError(RuntimeError):
     """An enumeration was refused because it exceeds the configured budget."""
 
 
-class EdgeList:
-    """Sorted (left, right, multiplicity) triples held in one read-only
-    int32 array rather than one tuple per edge: a 200-node criterion-5
-    graph takes about 12 KB instead of 68 KB.  It iterates, and compares
-    equal, like the tuple of triples it holds."""
-
-    __slots__ = ("array",)
-
-    def __init__(self, triples) -> None:
-        self.array = np.array(list(triples), dtype=np.int32).reshape(-1, 3)
-        self.array.flags.writeable = False
-
-    def __iter__(self):
-        return map(tuple, self.array.tolist())
-
-    def __len__(self) -> int:
-        return len(self.array)
-
-    def __eq__(self, other) -> bool:
-        if isinstance(other, (EdgeList, tuple)):
-            return tuple(self) == tuple(other)
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash(tuple(self))
-
-    def __repr__(self) -> str:
-        return f"EdgeList({tuple(self)!r})"
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TannerGraph:
     """Bipartite graph with left (variable) and right (check) nodes.
 
     Parallel edges are merged at build time: ``edges`` lists each distinct
     (left, right) pair once with its multiplicity in the edge multiset, so
-    each pair counts as a single edge for neighborhoods.
+    each pair counts as a single edge for neighborhoods.  It is one
+    read-only (E, 3) int32 array rather than one tuple per edge: a 200-node
+    criterion-5 graph takes about 12 KB instead of 68 KB.
     """
 
     n_left: int
     n_right: int
     delta: int
     seed: int
-    edges: EdgeList  # (left, right, multiplicity), sorted; any iterable of triples is converted
+    edges: np.ndarray  # (left, right, multiplicity) rows, sorted; any iterable of triples is converted
 
     def __post_init__(self) -> None:
-        if not isinstance(self.edges, EdgeList):
-            object.__setattr__(self, "edges", EdgeList(self.edges))
+        edges = np.array(self.edges, dtype=np.int32).reshape(-1, 3)
+        edges.flags.writeable = False
+        object.__setattr__(self, "edges", edges)
+
+    def _key(self) -> tuple:
+        return self.n_left, self.n_right, self.delta, self.seed, self.edges.tobytes()
+
+    def __eq__(self, other) -> bool:
+        if isinstance(other, TannerGraph):
+            return self._key() == other._key()
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._key())
 
     @property
     def f(self) -> Fraction:
@@ -126,7 +110,7 @@ def build_graph(n_left: int, f: Fraction, delta: int, seed: int) -> TannerGraph:
 def biadjacency(graph: TannerGraph) -> np.ndarray:
     """Boolean n_left x n_right matrix with True where an edge joins the pair."""
     B = np.zeros((graph.n_left, graph.n_right), dtype=bool)
-    B[graph.edges.array[:, 0], graph.edges.array[:, 1]] = True
+    B[graph.edges[:, 0], graph.edges[:, 1]] = True
     return B
 
 
@@ -140,7 +124,7 @@ def neighborhood(graph: TannerGraph, nodes: set[int] | frozenset[int], side: str
     for v in nodes:
         if not (0 <= v < n):
             raise ValueError(f"node {v} out of range for side {side!r}")
-    return {e[1 - own] for e in graph.edges if e[own] in nodes}
+    return {e[1 - own] for e in graph.edges.tolist() if e[own] in nodes}
 
 
 @dataclass(frozen=True)
@@ -326,7 +310,7 @@ def export_text(graph: TannerGraph) -> str:
     """Line format: header 'n_left n_right delta seed', then sorted
     'left right multiplicity' triples (bit-exact regression format)."""
     lines = [f"{graph.n_left} {graph.n_right} {graph.delta} {graph.seed}"]
-    lines += [f"{l} {r} {m}" for l, r, m in graph.edges]
+    lines += [f"{l} {r} {m}" for l, r, m in graph.edges.tolist()]
     return "\n".join(lines) + "\n"
 
 
@@ -354,4 +338,4 @@ def import_text(text: str) -> TannerGraph:
         if e[:2] <= previous:  # a repeat breaks "each pair once"; disorder moves labels
             raise ValueError(f"line {number}: edge {e[:2]} repeats or is out of sorted order")
         previous = e[:2]
-    return TannerGraph(n_left, n_right, delta, seed, [tuple(e) for _, e in edges])
+    return TannerGraph(n_left, n_right, delta, seed, [e for _, e in edges])

@@ -67,11 +67,6 @@ class GfMatrix:
         check_modulus(p, rows, cols)  # before the draw, which cannot hold such entries
         return cls(gen.integers(0, p, size=(rows, cols), dtype=np.int64), p)
 
-    def stack(self, lower: "GfMatrix") -> "GfMatrix":
-        if lower.p != self.p or lower.cols != self.cols:
-            raise ValueError("stacking requires matching modulus and width")
-        return GfMatrix(np.vstack([self.array, lower.array]), self.p)
-
     def mul_vec(self, x: np.ndarray) -> np.ndarray:
         """M x^T mod p for an integer vector x."""
         return (self.array @ (np.asarray(x, dtype=np.int64) % self.p)) % self.p
@@ -199,24 +194,25 @@ def block_heights(n: int, R: Fraction | None, R_f: Fraction) -> tuple[int, int]:
 
 @dataclass(frozen=True)
 class StackedParityCheck:
-    """H = [upper; lower] with upper an l x n block and lower an r x n block,
-    l = n(R_f - R) and r = n(1 - R_f) by the rate rule ``block_heights``."""
+    """H = [upper; lower] with upper an l x n block and lower an r x n block.
+    The rates are read off the heights: R = 1 - (l + r)/n and R_f = 1 - r/n,
+    and heights breaking 0 < R < R_f < 1 are refused."""
 
     upper: GfMatrix
     lower: GfMatrix
-    n: int
-    R: Fraction
-    R_f: Fraction
     full: GfMatrix = field(init=False)
 
+    n = property(lambda self: self.upper.cols)
+    R = property(lambda self: Fraction(self.n - self.ell - self.r, self.n))
+    R_f = property(lambda self: Fraction(self.n - self.r, self.n))
+
     def __post_init__(self) -> None:
-        if (self.upper.rows, self.lower.rows) != block_heights(self.n, self.R, self.R_f):
-            raise ValueError("block heights disagree with n(R_f - R), n(1 - R_f)")
-        if self.upper.cols != self.n or self.lower.cols != self.n:
-            raise ValueError("block widths disagree with n")
-        if self.upper.p != self.lower.p:
-            raise ValueError("blocks live over different fields")
-        object.__setattr__(self, "full", self.upper.stack(self.lower))
+        if self.upper.p != self.lower.p or self.upper.cols != self.lower.cols:
+            raise ValueError("stacking requires matching modulus and width")
+        if not (self.ell >= 1 and self.r >= 1 and self.ell + self.r < self.n):
+            raise ValueError(f"block heights {self.ell} and {self.r} at n = {self.n} break "
+                             "0 < R < R_f < 1")
+        object.__setattr__(self, "full", GfMatrix(np.vstack([self.upper.array, self.lower.array]), self.p))
 
     @property
     def p(self) -> int:

@@ -432,9 +432,6 @@ class ConstructionALattice:
         """log vol = (n - k_eff) log p."""
         return (self.n - self.k_eff) * math.log(self.p)
 
-    def volume(self) -> float:
-        return math.exp(self.log_volume)
-
     def contains(self, x: np.ndarray) -> bool:
         x = np.asarray(x)
         if x.shape != (self.n,) or not np.all(x == np.floor(x)):

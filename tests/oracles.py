@@ -10,6 +10,9 @@
 - ``sorted_columns``: the sorted-QR column order by a plain residual
   downdate, against the one-pass factorization ``lattice._sorted_qr``.
 
+Beside them, ``edited_texts`` draws the damaged inputs of the pair-file
+and graph-text fuzz tests.
+
 Import as ``from oracles import ...``: pytest puts this directory on the
 path of the test modules beside it.
 """
@@ -20,6 +23,8 @@ import math
 from itertools import combinations
 
 import numpy as np
+from hypothesis import event
+from hypothesis import strategies as st
 
 from lda_lab.codec import NestedLatticePair
 from lda_lab.expander import (
@@ -144,7 +149,7 @@ def degree_histogram(graph: TannerGraph, side: str) -> dict[int, int]:
     with its multiplicity."""
     idx = 0 if side == "left" else 1
     degs = [0] * (graph.n_left if side == "left" else graph.n_right)
-    for e in graph.edges:
+    for e in graph.edges.tolist():
         degs[e[idx]] += e[2]
     hist: dict[int, int] = {}
     for d in degs:
@@ -171,3 +176,44 @@ def sorted_columns(basis: np.ndarray) -> np.ndarray:
         q = a[:, j] / math.sqrt(norms[j])
         a -= np.outer(q, q @ a)
     return basis[:, order]
+
+
+# ---------------------------------------------------------------------------
+# Fuzz inputs
+
+
+@st.composite
+def edited_texts(draw, texts: list[str], extremes: list[int]) -> str:
+    """One of ``texts`` with one to three random edits: a line or a token
+    deleted, inserted or replaced, or a value set to one of ``extremes``."""
+    lines = draw(st.sampled_from(texts)).splitlines()
+    tokens = sorted({t for ln in lines for t in ln.split()})
+    token = st.one_of(st.sampled_from(tokens), st.sampled_from(extremes).map(str),
+                      st.integers(-20, 20).map(str), st.text(max_size=4))
+    for _ in range(draw(st.integers(1, 3))):
+        i = draw(st.integers(0, len(lines) - 1))
+        words = lines[i].split()
+        j = draw(st.integers(0, len(words)))
+        edit = draw(st.sampled_from(["delete line", "insert line", "replace line",
+                                     "delete token", "insert token", "replace token", "extreme"]))
+        event(edit)
+        if edit == "delete line":
+            del lines[i]
+        elif edit == "insert line":
+            lines.insert(i, " ".join(draw(st.lists(token, max_size=3))))
+        elif edit == "replace line":
+            lines[i] = draw(st.sampled_from(lines))
+        elif edit == "insert token":
+            words.insert(j, draw(token))
+        elif j < len(words) and edit == "delete token":
+            del words[j]
+        elif j < len(words):
+            # A key=value token keeps its key; "extreme" puts in an extreme integer.
+            key = words[j].split("=")[0] + "=" if "=" in words[j] else ""
+            value = str(draw(st.sampled_from(extremes))) if edit == "extreme" else draw(token)
+            words[j] = key + value
+        if edit.endswith("token") or edit == "extreme":
+            lines[i] = " ".join(words)
+        if not lines:
+            break
+    return "\n".join(lines) + "\n"

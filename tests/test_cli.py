@@ -375,6 +375,16 @@ def test_cli_simulate_refusal_exit_code(tmp_path):
     assert not (tmp_path / "x.csv").exists()
 
 
+def test_cli_simulate_refuses_a_non_integral_variable_degree(tmp_path, capsys):
+    # delta_p = 5 over the 6 fine checks of n = 12 gives variable degree 5/2.
+    cfgpath = write_config(tmp_path, kind='"lda"', n=12, p=7, Rf='"1/2"', delta_p=5,
+                           allow_below_threshold="true")
+    assert main(["simulate", "--config", cfgpath, "--out", str(tmp_path / "x.csv")]) == 2
+    assert capsys.readouterr().err == (
+        "refused: variable degree f*delta = 5/2 is not a positive integer\n")
+    assert not (tmp_path / "x.csv").exists()
+
+
 def test_cli_gen_encode_decode_round_trip(tmp_path):
     cfgpath = write_config(tmp_path)
     pairpath = tmp_path / "pair.txt"

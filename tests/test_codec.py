@@ -11,8 +11,9 @@ import pytest
 from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
-from lda_lab import channel, rng
+from lda_lab import channel, codec, gfmatrix, rng
 from lda_lab.codec import (
+    LdaInfo,
     NestedLatticePair,
     _check_messages,
     _edges,
@@ -28,9 +29,15 @@ from lda_lab.codec import (
     pair_to_text,
 )
 from lda_lab.expander import BudgetExceededError
-from lda_lab.gfmatrix import GfMatrix, rank
+from lda_lab.gfmatrix import GfMatrix, StackedParityCheck, rank
 from lda_lab.lattice import ConstructionALattice
-from oracles import _check_node_messages, all_messages, degree_histogram, voronoi_codebook_bruteforce
+from oracles import (
+    _check_node_messages,
+    all_messages,
+    degree_histogram,
+    edited_texts,
+    voronoi_codebook_bruteforce,
+)
 
 
 def small_pair(seed=0):
@@ -53,7 +60,7 @@ def test_build_pair_deterministic():
 
 
 def test_build_pair_rejects_bad_rates():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="non-integral block heights 7/4, 7/4 at n = 7"):
         build_pair(7, 5, Fraction(1, 2), Fraction(3, 4))
     with pytest.raises(ValueError):
         build_pair(8, 4, Fraction(1, 2), Fraction(3, 4))  # p must be odd prime
@@ -83,6 +90,18 @@ def test_lda_pair_rejects_non_integral_degrees():
         build_pair(30, 11, Fraction(1, 5), Fraction(3, 5), "lda", seed=3, delta_p=4)
 
 
+def test_build_pair_applies_the_rate_rule_once(monkeypatch):
+    # Seed 4 takes three draws; the stacks of the redraws read their rates
+    # off their blocks.
+    heights = gfmatrix.block_heights
+    calls = []
+    for module in (codec, gfmatrix):
+        monkeypatch.setattr(module, "block_heights", lambda *args: calls.append(args) or heights(*args))
+    pair = build_pair(12, 3, Fraction(1, 4), Fraction(1, 2), "lda", seed=4, delta_p=4)
+    assert pair.regenerations == 2 and (pair.R, pair.R_f) == (Fraction(1, 4), Fraction(1, 2))
+    assert calls == [(12, Fraction(1, 4), Fraction(1, 2))]
+
+
 def test_nesting_structural():
     pair = small_pair(2)
     # Shaping lattice points satisfy the fine parity check too.
@@ -100,9 +119,8 @@ def test_encode_syndrome_property_exhaustive():
     seen = set()
     for m in all_messages(pair):
         pt = encode(pair, m).point
-        up, low = pair.syndrome(pt)
-        assert np.array_equal(up, m)
-        assert not low.any()
+        assert np.array_equal(extract_message(pair, pt), m)
+        assert not pair.stack.lower.mul_vec(pt).any()
         assert pair.fine.contains(pt)
         seen.add(tuple(int(v) for v in pt))
     assert len(seen) == pair.codebook_size  # all encodings pairwise distinct
@@ -185,8 +203,6 @@ def test_bp_requires_lda():
 
 
 def test_bp_refuses_an_iteration_count_or_a_batch_past_its_limits(monkeypatch):
-    from lda_lab import codec
-
     pair = lda_pair(13)
     y = np.zeros((3, pair.n))
     for iters in (0, codec.MAX_BP_ITERATIONS + 1):
@@ -363,7 +379,7 @@ def test_serialization_round_trip_dense_and_lda():
         assert back.kind == pair.kind and back.seed == pair.seed
         assert pair_to_text(back) == text
         if pair.kind == "lda":
-            assert back.lda.fine_graph.edges == pair.lda.fine_graph.edges
+            assert back.lda == pair.lda
 
 
 def _out_of_range_edge_index(text):
@@ -395,6 +411,10 @@ def _edit_line(number, edit):
     (_edit_line(31, lambda ln, _: ["99 " + ln.split(" ", 1)[1]]),
      "at line 31: .*graph is 99 x 6, block fine is 12 x 6"),
     (_edit_line(31, lambda ln, _: ["12 6 4"]), "at line 31: .*line 31: header must be"),
+    (_edit_line(2, lambda ln, _: [ln.replace("deltap=4", "deltap=9")]),
+     "at line 4: .*graph check degree 4 differs from deltap = 9"),
+    (_edit_line(31, lambda ln, _: [ln.replace(" 4 ", " 9 ", 1)]),
+     "at line 31: .*graph check degree 9 differs from deltap = 4"),
     (_edit_line(2, lambda ln, _: [ln.replace("R=1/4", "R=1/0")]), "at line 2: ZeroDivisionError"),
     (_edit_line(2, lambda ln, _: [ln.replace("R=1/4", "R=3/4")]),
      "at line 2: .*R = 3/4, R_f = 1/2 break 0 < R < R_f < 1"),
@@ -420,45 +440,8 @@ PAIR_TEXTS = [pair_to_text(small_pair(16)), pair_to_text(lda_pair(17))]
 EXTREMES = [0, 1, -1, -5, 7, 2**31, 2**63 - 1, 2**63, 99999999999999999989, -10**20]
 
 
-@st.composite
-def edited_pair_files(draw):
-    """A valid pair file with one to three random edits: a line or a token
-    deleted, inserted or replaced, or a value set to an extreme integer."""
-    lines = draw(st.sampled_from(PAIR_TEXTS)).splitlines()
-    tokens = sorted({t for ln in lines for t in ln.split()})
-    token = st.one_of(st.sampled_from(tokens), st.sampled_from(EXTREMES).map(str),
-                      st.integers(-20, 20).map(str), st.text(max_size=4))
-    for _ in range(draw(st.integers(1, 3))):
-        i = draw(st.integers(0, len(lines) - 1))
-        words = lines[i].split()
-        j = draw(st.integers(0, len(words)))
-        edit = draw(st.sampled_from(["delete line", "insert line", "replace line",
-                                     "delete token", "insert token", "replace token", "extreme"]))
-        event(edit)
-        if edit == "delete line":
-            del lines[i]
-        elif edit == "insert line":
-            lines.insert(i, " ".join(draw(st.lists(token, max_size=3))))
-        elif edit == "replace line":
-            lines[i] = draw(st.sampled_from(lines))
-        elif edit == "insert token":
-            words.insert(j, draw(token))
-        elif j < len(words) and edit == "delete token":
-            del words[j]
-        elif j < len(words):
-            # A key=value token keeps its key; "extreme" puts in an extreme integer.
-            key = words[j].split("=")[0] + "=" if "=" in words[j] else ""
-            value = str(draw(st.sampled_from(EXTREMES))) if edit == "extreme" else draw(token)
-            words[j] = key + value
-        if edit.endswith("token") or edit == "extreme":
-            lines[i] = " ".join(words)
-        if not lines:
-            break
-    return "\n".join(lines) + "\n"
-
-
 @settings(max_examples=300, deadline=None)
-@given(text=edited_pair_files())
+@given(text=edited_texts(PAIR_TEXTS, EXTREMES))
 def test_pair_from_text_refuses_or_round_trips_edited_files(text):
     try:
         pair = pair_from_text(text)
@@ -472,6 +455,9 @@ def test_pair_from_text_refuses_or_round_trips_edited_files(text):
 def test_pair_is_read_off_its_stack():
     assert [f.name for f in dataclasses.fields(NestedLatticePair)] == [
         "stack", "seed", "regenerations", "lda"]
+    assert [f.name for f in dataclasses.fields(StackedParityCheck) if f.init] == ["upper", "lower"]
+    assert [f.name for f in dataclasses.fields(LdaInfo)] == ["fine_graph", "upper_graph"]
+    assert lda_pair(17).lda.delta_p == lda_pair(17).lda.fine_graph.delta == 4
     for pair, kind in ((small_pair(16), "dense"), (lda_pair(17), "lda")):
         stack = pair.stack
         assert (pair.n, pair.p, pair.R, pair.R_f, pair.kind) == (
@@ -488,9 +474,9 @@ def test_build_pair_redraws_until_the_stack_has_full_rank():
         pair = build_pair(4, 3, Fraction(1, 4), Fraction(3, 4), "dense", seed=seed)
         for attempt in range(pair.regenerations + 1):
             gen = rng.generator(seed, "dense-H", attempt)
-            upper, lower = GfMatrix.random(2, 4, 3, gen), GfMatrix.random(1, 4, 3, gen)
-            assert (rank(upper.stack(lower)) == 3) == (attempt == pair.regenerations)
-        assert pair.stack.full == upper.stack(lower)
+            full = StackedParityCheck(GfMatrix.random(2, 4, 3, gen), GfMatrix.random(1, 4, 3, gen)).full
+            assert (rank(full) == 3) == (attempt == pair.regenerations)
+        assert pair.stack.full == full
         deficient += pair.regenerations > 0
     assert deficient >= 3
 

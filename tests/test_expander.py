@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 from lda_lab import rng
@@ -27,7 +27,7 @@ from lda_lab.expander import (
     lda_delta_p_threshold,
     neighborhood,
 )
-from oracles import check_d_good_exhaustive, degree_histogram
+from oracles import check_d_good_exhaustive, degree_histogram, edited_texts
 
 
 def complete_bipartite(nl: int, nr: int) -> TannerGraph:
@@ -44,10 +44,11 @@ def test_build_graph_degrees_before_unification():
 def test_build_graph_deterministic():
     a = build_graph(10, Fraction(1, 2), 4, seed=3)
     b = build_graph(10, Fraction(1, 2), 4, seed=3)
-    assert a.edges == b.edges
+    assert np.array_equal(a.edges, b.edges)
     assert a == b and hash(a) == hash(b)
     c = build_graph(10, Fraction(1, 2), 4, seed=4)
-    assert a.edges != c.edges
+    assert not np.array_equal(a.edges, c.edges) and a != c
+    assert a.edges.dtype == np.int32 and not a.edges.flags.writeable
 
 
 @pytest.mark.parametrize("n_left", [0, -4])
@@ -66,7 +67,7 @@ def test_build_graph_matches_socket_wiring():
     for t in range(4):
         pair = (t // 1, int(perm[t]) // 2)
         expected[pair] = expected.get(pair, 0) + 1
-    assert g.edges == tuple(sorted((l, r, m) for (l, r), m in expected.items()))
+    assert g.edges.tolist() == sorted([l, r, m] for (l, r), m in expected.items())
 
 
 def test_degree_conservation_over_seeds():
@@ -249,7 +250,7 @@ def test_export_import_round_trip():
     g = build_graph(10, Fraction(1, 2), 4, seed=77)
     text = export_text(g)
     back = import_text(text)
-    assert back.edges == g.edges
+    assert back == g
     assert export_text(back) == text
 
 
@@ -269,6 +270,22 @@ def test_export_import_round_trip():
 def test_import_text_rejects_malformed_input(text, line):
     with pytest.raises(ValueError, match=f"line {line}:"):
         import_text(text)
+
+
+GRAPH_TEXT = export_text(build_graph(10, Fraction(1, 2), 4, seed=77))
+EXTREMES = [0, 1, -1, 4, 5, 10, 2**31 - 1, 2**31, 2**63, -10**20]
+
+
+@settings(max_examples=200, deadline=None)
+@given(text=edited_texts([GRAPH_TEXT], EXTREMES))
+def test_import_text_refuses_or_round_trips_edited_graphs(text):
+    try:
+        graph = import_text(text)
+    except ValueError:
+        event("refused")
+        return
+    event("read")
+    assert import_text(export_text(graph)) == graph
 
 
 @st.composite

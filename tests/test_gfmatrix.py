@@ -146,21 +146,22 @@ def test_stacked_parity_check_shapes():
     p = 5
     upper = GfMatrix.zeros(2, 8, p)
     lower = GfMatrix.zeros(2, 8, p)
-    stack = StackedParityCheck(upper=upper, lower=lower, n=8, R=Fraction(1, 2), R_f=Fraction(3, 4))
-    assert stack.ell == 2 and stack.r == 2
+    stack = StackedParityCheck(upper=upper, lower=lower)
+    assert stack.ell == 2 and stack.r == 2 and stack.n == 8 and stack.p == p
+    assert (stack.R, stack.R_f) == (Fraction(1, 2), Fraction(3, 4))
     assert stack.full.rows == 4
 
 
-def test_stacked_parity_check_rejects_non_integral_rates():
-    p = 5
-    with pytest.raises(ValueError):
-        StackedParityCheck(
-            upper=GfMatrix.zeros(2, 7, p),
-            lower=GfMatrix.zeros(2, 7, p),
-            n=7,
-            R=Fraction(1, 2),
-            R_f=Fraction(3, 4),
-        )
+def test_stacked_parity_check_refuses_blocks_that_break_its_rates():
+    # ell + r = n (R = 0), a zero-height block (R = R_f or R_f = 1), and
+    # blocks of different widths or moduli.
+    for ell, r, n in ((2, 2, 4), (3, 3, 4), (0, 2, 8), (2, 0, 8)):
+        with pytest.raises(ValueError, match=f"block heights {ell} and {r} at n = {n} break"):
+            StackedParityCheck(GfMatrix.zeros(ell, n, 5), GfMatrix.zeros(r, n, 5))
+    for upper, lower in ((GfMatrix.zeros(2, 8, 5), GfMatrix.zeros(2, 7, 5)),
+                         (GfMatrix.zeros(2, 8, 5), GfMatrix.zeros(2, 8, 7))):
+        with pytest.raises(ValueError, match="matching modulus and width"):
+            StackedParityCheck(upper, lower)
 
 
 @pytest.mark.parametrize("n", [0, -4])
