@@ -66,7 +66,7 @@ class NestedLatticePair:
     def shaping(self) -> ConstructionALattice:
         # The stack's row reduction extends the fine block's by the message rows.
         return ConstructionALattice(self.stack.full, _reduced=_extend_rref(
-            self.fine._systematic.reduced, self.stack.upper.array, self.p))
+            self.fine._reduced, self.stack.upper.array, self.p))
 
     @cached_property
     def fine(self) -> ConstructionALattice:
@@ -442,7 +442,8 @@ def pair_from_text(text: str) -> NestedLatticePair:
     ``expander.import_text`` and must be n x (block rows).  Malformed input
     (empty, truncated, a graph ``import_text`` refuses, of the wrong shape
     or of a check degree other than the header's deltap, an edge index or
-    a label out of range) raises ValueError naming the line."""
+    a label out of range, labels that skip, repeat or miss an edge) raises
+    ValueError naming the line.  Labels list every edge once, in order."""
     lines = [ln.rstrip() for ln in text.strip().splitlines()]
     i = 0
     try:
@@ -478,17 +479,29 @@ def pair_from_text(text: str) -> NestedLatticePair:
                                  f"is {n} x {rows}")
             if graph.delta != delta_p:
                 raise ValueError(f"graph check degree {graph.delta} differs from deltap = {delta_p}")
+            degrees = np.bincount(graph.edges[:, 1], weights=graph.edges[:, 2], minlength=rows)
+            off = np.flatnonzero(degrees != delta_p)
+            if kind == "lda" and off.size:
+                raise ValueError(f"check {off[0]} has degree {int(degrees[off[0]])}, "
+                                 f"not deltap = {delta_p}")
             i = labels_at + 1
             arr = np.zeros((rows, n), dtype=np.int64)
+            edges = graph.edges.tolist()
+            labelled = 0
             while lines[i] != "end" and not lines[i].startswith("block "):
                 idx, lab = (int(t) for t in lines[i].split())
-                if not 0 <= idx < len(graph.edges):
-                    raise ValueError(f"edge index {idx} out of range for {len(graph.edges)} edges")
+                if not 0 <= idx < len(edges):
+                    raise ValueError(f"edge index {idx} out of range for {len(edges)} edges")
+                if idx != labelled:
+                    raise ValueError(f"edge index {idx} is not the next edge, {labelled}")
                 if not 0 <= lab < p:
                     raise ValueError(f"label {lab} out of range [0, {p})")
-                l, r, _m = graph.edges[idx]
-                arr[r, l] = lab
+                l, c, _m = edges[idx]
+                arr[c, l] = lab
+                labelled += 1
                 i += 1
+            if labelled != len(edges):
+                raise ValueError(f"labels end after {labelled} of {len(edges)} edges")
             blocks[name] = (GfMatrix(arr, p), graph)
         stack = StackedParityCheck(upper=blocks["upper"][0], lower=blocks["fine"][0])
     except (IndexError, KeyError, ValueError, ZeroDivisionError) as exc:

@@ -4,17 +4,19 @@ A lattice here is the preimage of a p-ary code under reduction mod p:
 x is a lattice point iff x is integral and H x^T = 0 mod p.  Each lattice
 holds one reduced row echelon form of [H | I], its own or one handed to it
 (a nested pair extends its fine lattice's form by the message rows), and
-reads everything else off it: the code dimension, the generator, the
-particular solutions the encoder needs, and the triangular Construction-A
-basis (free columns e_f plus the pivot entries as residues in (-p/2, p/2),
-pivot columns p e_c).  One modified Gram-Schmidt pass sorts that basis by
-least residual length and factors it, on the first search.  Closest-point
-and shortest-vector search are exact Schnorr-Euchner depth-first
-enumerations on the factored basis (Agrell, Eriksson, Vardy and Zeger,
+reads everything else straight off it: the pivots, the row transform for
+the encoder, and the triangular Construction-A basis (free columns e_f plus
+the pivot entries as residues in (-p/2, p/2), pivot columns p e_c), whose
+first k_eff columns mod p are the generator.  One modified Gram-Schmidt
+pass sorts that basis by least residual length and factors it, on the
+first search.  Closest-point and shortest-vector search are exact
+Schnorr-Euchner depth-first enumerations on the factored basis (Agrell,
+Eriksson, Vardy and Zeger,
 "Closest point search in lattices", IEEE-IT 2002; Viterbo and Boutros,
-IEEE-IT 1999), bounded by a budget of visited search nodes.  An independent
-brute-force oracle enumerates integer points in a ball and filters by
-membership, so the two routes can be pitted against each other in tests.
+IEEE-IT 1999), bounded by a budget of visited search nodes.  An
+independent brute-force oracle enumerates integer points in a ball and
+filters by membership, so the two routes can be pitted against each other
+in tests.
 
 All volume formulas are evaluated in log space: p^n overflows immediately
 at realistic parameters.
@@ -205,48 +207,12 @@ class MinDistanceResult:
 
 
 @dataclass(frozen=True)
-class _SystematicForm:
-    """One reduced row echelon form of [H | I] and what is read off it."""
-
-    reduced: tuple[np.ndarray, list[int]]  # rref([H | I]) mod p and all its pivot columns
-    pivots: list[int]  # the pivot columns of H
-    transform: np.ndarray  # T with T H = rref(H) mod p; rows past the rank annihilate H
-    generator: GfMatrix
-
-
-@dataclass(frozen=True)
 class _SortedQR:
     """The Construction-A basis in search order and its QR factors."""
 
     basis: np.ndarray  # int64, one basis vector per column, in search order
     q_t: np.ndarray  # Q^T of basis = Q R
     r: list[list[float]]  # R, upper triangular with a positive diagonal
-
-
-def _null_rows(red: np.ndarray, pivots: list[int], p: int) -> np.ndarray:
-    """The systematic null-space basis read off a reduced row echelon form:
-    one row per free column f, e_f plus -red[:, f] on the pivot columns."""
-    n = red.shape[1]
-    free = [c for c in range(n) if c not in pivots]
-    g = np.zeros((len(free), n), dtype=np.int64)
-    g[np.arange(len(free)), free] = 1
-    g[:, pivots] = (-red[: len(pivots), free].T) % p
-    return g
-
-
-def _systematic_form(H: GfMatrix, reduced: tuple[np.ndarray, list[int]] | None) -> _SystematicForm:
-    """The form read off ``reduced``, rref([H | I]) with its pivot columns,
-    or off H's own reduction when it is None."""
-    p, rows, n = H.p, H.rows, H.cols
-    if reduced is None:
-        # Reducing [H | I] applies the same row operations to H as reducing H
-        # alone, and records them in the right-hand block.
-        reduced = _rref(np.hstack([H.array, np.eye(rows, dtype=np.int64)]), p)
-    red, all_pivots = reduced
-    pivots = [c for c in all_pivots if c < n]
-    generator = GfMatrix(_null_rows(red[:, :n], pivots, p), p)
-    return _SystematicForm(reduced=reduced, pivots=pivots, transform=red[:, n:],
-                           generator=generator)
 
 
 def _sorted_qr(basis: np.ndarray) -> _SortedQR:
@@ -280,18 +246,6 @@ def _sorted_qr(basis: np.ndarray) -> _SortedQR:
     return _SortedQR(basis=basis[:, order], q_t=q_t, r=proj[:, order].tolist())
 
 
-def _construction_a_basis(form: _SystematicForm, n: int, p: int) -> np.ndarray:
-    """The triangular Construction-A basis: the generator rows, then p e_c
-    for each pivot column c."""
-    k = form.generator.rows
-    basis = np.zeros((n, n), dtype=np.int64)
-    # Generator entries as residues in (-p/2, p/2): the free columns reduced
-    # by the p e_c columns, which about halves the search time.
-    basis[:, :k] = (form.generator.array.T + p // 2) % p - p // 2
-    basis[form.pivots, k + np.arange(len(form.pivots))] = p
-    return basis
-
-
 def _slack(d2: float) -> float:
     """The search radius around a best squared distance d2: wide enough that
     rounding in the search never drops a point the exact recount keeps."""
@@ -304,11 +258,14 @@ def _search(r: list[list[float]], z: list[float], start: float, budget: int,
     the radius, R upper triangular.  The last coordinate is fixed first, and
     each level zig-zags from the integer nearest its center (k, k + s, k - s,
     k + 2s, ... toward the center's side s), so distances never decrease and
-    the first integer outside the radius ends the level.  The squared radius
-    starts at ``_slack(start)`` and shrinks to ``_slack(best)`` at every
-    closer leaf; every leaf inside the final radius is returned, one row per
-    leaf.  ``nonzero`` skips u = 0.  Each integer tried is one node; more
-    than ``budget`` nodes raise BudgetExceededError.
+    the first integer outside the radius ends the level.  A center within
+    2.5e-10 / R[l][l] above a half-integer tries the lower integer first, so
+    float noise moves no node count; that misorder is under half the slack,
+    so no leaf as close as the best is missed.  The squared radius starts at
+    ``_slack(start)`` and shrinks to ``_slack(best)`` at every closer leaf;
+    the leaves inside the final radius are returned, one row per leaf.
+    ``nonzero`` skips u = 0.  Each integer tried is one node; more than
+    ``budget`` nodes raise BudgetExceededError.
     """
     n = len(z)
     u = [0] * n
@@ -316,6 +273,7 @@ def _search(r: list[list[float]], z: list[float], start: float, budget: int,
     best = start
     bound = _slack(start)
     nodes = 0
+    half = [0.5 - 2.5e-10 / row[i] for i, row in enumerate(r)]  # the tie rule
 
     def descend(level: int, partial: float) -> None:
         nonlocal best, bound, nodes
@@ -325,7 +283,7 @@ def _search(r: list[list[float]], z: list[float], start: float, budget: int,
             c -= row[j] * u[j]
         diag = row[level]
         c /= diag
-        k = round(c)
+        k = math.floor(c + half[level])
         step = 1 if c >= k else -1
         while True:
             nodes += 1
@@ -407,25 +365,48 @@ class ConstructionALattice:
         self.H = H
         self.p = H.p
         self.n = H.cols
-        self._reduced = _reduced
+        if _reduced is not None:
+            self._reduced = _reduced
 
     @cached_property
-    def _systematic(self) -> _SystematicForm:
-        """The row-reduced form of H, built on first use."""
-        return _systematic_form(self.H, self._reduced)
+    def _reduced(self) -> tuple[np.ndarray, list[int]]:
+        """rref([H | I]) mod p and its pivot columns; the right-hand block is
+        T with T H = rref(H), whose rows past the rank annihilate H."""
+        eye = np.eye(self.H.rows, dtype=np.int64)
+        return _rref(np.hstack([self.H.array, eye]), self.p)
+
+    @cached_property
+    def _pivots(self) -> list[int]:
+        """The pivot columns of H."""
+        return [c for c in self._reduced[1] if c < self.n]
+
+    @cached_property
+    def _basis(self) -> np.ndarray:
+        """The Construction-A basis as columns: e_f plus -rref(H)[:, f] as
+        residues in (-p/2, p/2), which about halves the search time, for
+        each free column f, then p e_c for each pivot column c."""
+        n, p, pivots = self.n, self.p, self._pivots
+        free = [c for c in range(n) if c not in pivots]
+        k = len(free)
+        basis = np.zeros((n, n), dtype=np.int64)
+        basis[free, np.arange(k)] = 1
+        basis[pivots, :k] = (p // 2 - self._reduced[0][: len(pivots), free]) % p - p // 2
+        basis[pivots, k + np.arange(len(pivots))] = p
+        return basis
 
     @cached_property
     def _sorted(self) -> _SortedQR:
         """The search basis and its QR factors, built on first search."""
-        return _sorted_qr(_construction_a_basis(self._systematic, self.n, self.p))
+        return _sorted_qr(self._basis)
 
     @property
     def k_eff(self) -> int:
-        return self.n - len(self._systematic.pivots)
+        return self.n - len(self._pivots)
 
     @property
     def generator(self) -> GfMatrix:
-        return self._systematic.generator
+        """The systematic generator: the first k_eff basis vectors mod p."""
+        return GfMatrix(self._basis[:, : self.k_eff].T, self.p)
 
     @property
     def log_volume(self) -> float:
@@ -446,13 +427,12 @@ class ConstructionALattice:
         s = np.asarray(syndrome, dtype=np.int64) % self.p
         if s.shape != (self.H.rows,):
             raise ValueError(f"syndrome length {s.shape} does not match {self.H.rows} rows")
-        form = self._systematic
-        t = (form.transform @ s) % self.p
-        rank_h = len(form.pivots)
+        t = (self._reduced[0][:, self.n:] @ s) % self.p
+        rank_h = len(self._pivots)
         if t[rank_h:].any():
             raise NoSolutionError("inconsistent linear system over GF(p)")
         x = np.zeros(self.n, dtype=np.int64)
-        x[form.pivots] = t[:rank_h]
+        x[self._pivots] = t[:rank_h]
         return x
 
     def codewords(self, budget: int = DEFAULT_QUANTIZER_BUDGET) -> np.ndarray:

@@ -397,8 +397,17 @@ def _edit_line(number, edit):
     return damage
 
 
+def _chain(*damages):
+    def damage(text):
+        for d in damages:
+            text = d(text)
+        return text
+    return damage
+
+
 # lda_pair(17)'s upper block graph starts at line 4 (header '12 3 4 ...'),
-# its first edge line is line 5, and the fine block graph starts at line 31.
+# its first edge line is line 5, its labels are lines 18-29, one per edge,
+# and the fine block graph starts at line 31.
 @pytest.mark.parametrize("damage, message", [
     (lambda text: "", "truncated after line 0"),
     (lambda text: "\n".join(text.splitlines()[:-6]) + "\n", "truncated after line 75"),
@@ -415,6 +424,13 @@ def _edit_line(number, edit):
      "at line 4: .*graph check degree 4 differs from deltap = 9"),
     (_edit_line(31, lambda ln, _: [ln.replace(" 4 ", " 9 ", 1)]),
      "at line 31: .*graph check degree 9 differs from deltap = 4"),
+    (_chain(_edit_line(2, lambda ln, _: [ln.replace("deltap=4", "deltap=9")]),
+            *(_edit_line(k, lambda ln, _: [ln.replace(" 4 ", " 9 ", 1)]) for k in (4, 31))),
+     "at line 4: .*check 0 has degree 4, not deltap = 9"),
+    (_edit_line(19, lambda ln, _: []), "at line 19: .*edge index 2 is not the next edge, 1"),
+    (_edit_line(19, lambda ln, _: ["0 " + ln.split()[1]]),
+     "at line 19: .*edge index 0 is not the next edge, 1"),
+    (_edit_line(29, lambda ln, _: []), "at line 29: .*labels end after 11 of 12 edges"),
     (_edit_line(2, lambda ln, _: [ln.replace("R=1/4", "R=1/0")]), "at line 2: ZeroDivisionError"),
     (_edit_line(2, lambda ln, _: [ln.replace("R=1/4", "R=3/4")]),
      "at line 2: .*R = 3/4, R_f = 1/2 break 0 < R < R_f < 1"),

@@ -1,7 +1,8 @@
 """GF(p) linear algebra: rank, solving, null spaces, stacked checks.
 
 The null-space generator is the one each Construction-A lattice reads off
-its systematic form."""
+its reduced form of [H | I]: the first k_eff columns of its triangular
+basis, mod p."""
 
 from __future__ import annotations
 

@@ -553,11 +553,15 @@ def test_systematic_form_built_once_per_lattice(monkeypatch):
 
 
 def assert_sorted_qr(lat: ConstructionALattice) -> None:
-    """The one-pass sorted QR of the lattice's basis: the oracle's column
+    """The lattice's basis spans a sublattice of volume p^(n - k_eff), so
+    the lattice itself; and its one-pass sorted QR gives the oracle's column
     order, orthonormal Q, Q R = basis and a positive diagonal of R."""
-    from lda_lab.lattice import _construction_a_basis, _sorted_qr
+    from lda_lab.lattice import _sorted_qr
 
-    basis = _construction_a_basis(lat._systematic, lat.n, lat.p)
+    basis = lat._basis
+    assert all(lat.contains(column) for column in basis.T)
+    sign, logdet = np.linalg.slogdet(basis.astype(float))
+    assert sign != 0 and math.isclose(logdet, (lat.n - lat.k_eff) * math.log(lat.p))
     form = _sorted_qr(basis)
     assert np.array_equal(form.basis, sorted_columns(basis))
     r = np.array(form.r)
@@ -585,6 +589,17 @@ def test_sorted_qr_matches_the_oracle_on_the_pinned_family():
         pair = build_pair(12, 7, "1/4", "1/2", "lda", seed=seed, delta_p=4)
         assert_sorted_qr(pair.fine)
         assert_sorted_qr(pair.shaping)
+
+
+def test_search_breaks_half_integer_ties_to_the_lower_neighbour():
+    # A center one ulp past 0.5 is float noise on a tie, not a side: both
+    # centers try 0 first, so node counts do not hang on the last bit.
+    from lda_lab.lattice import _search
+
+    for z in (0.5, 0.5 + 2.0**-52, 0.5 - 2.0**-52):
+        assert _search([[1.0]], [z], 0.25, 100, "t").ravel().tolist() == [0, 1]
+    assert _search([[1.0]], [-0.5], 0.25, 100, "t").ravel().tolist() == [-1, 0]
+    assert _search([[1.0]], [0.5 + 1e-6], 0.25, 100, "t").ravel().tolist() == [1]
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf])
