@@ -441,9 +441,11 @@ def pair_from_text(text: str) -> NestedLatticePair:
     """Inverse of :func:`pair_to_text`.  Each block's graph is read by
     ``expander.import_text`` and must be n x (block rows).  Malformed input
     (empty, truncated, a graph ``import_text`` refuses, of the wrong shape
-    or of a check degree other than the header's deltap, an edge index or
-    a label out of range, labels that skip, repeat or miss an edge) raises
-    ValueError naming the line.  Labels list every edge once, in order."""
+    or of a check degree other than the header's deltap, an LDA graph whose
+    seed is not the one ``build_pair`` derives from the header's seed, an
+    edge index or a label out of range, labels that skip, repeat or miss an
+    edge) raises ValueError naming the line.  Labels list every edge once,
+    in order; ``regen`` is taken as recorded."""
     lines = [ln.rstrip() for ln in text.strip().splitlines()]
     i = 0
     try:
@@ -484,6 +486,9 @@ def pair_from_text(text: str) -> NestedLatticePair:
             if kind == "lda" and off.size:
                 raise ValueError(f"check {off[0]} has degree {int(degrees[off[0]])}, "
                                  f"not deltap = {delta_p}")
+            if kind == "lda" and graph.seed != rng.derive_key(seed, f"skeleton-{name}"):
+                raise ValueError(f"graph seed {graph.seed} is not the skeleton-{name} key "
+                                 f"of seed = {seed}")
             i = labels_at + 1
             arr = np.zeros((rows, n), dtype=np.int64)
             edges = graph.edges.tolist()

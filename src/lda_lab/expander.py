@@ -4,8 +4,14 @@ Graphs come from the permutation model: left sockets are wired to right
 sockets through one seeded permutation, so the edge multiset is a pure
 function of (n_left, f, delta, seed).  Expansion ("D-goodness") is
 checked by a randomized greedy falsifier that hunts for small subsets
-with compressed neighborhoods; the exhaustive subset search that checks
-it in turn lives with the other test oracles in ``tests/oracles.py``.
+with compressed neighborhoods.  It draws its chains in blocks of
+CHAINS_PER_BLOCK and grows consecutive whole blocks side by side, as many
+as fit in GROUP_BYTES, scoring every candidate of the group in one float32
+product; float32 counts neighbours exactly only below 2^24, so a side of
+EXACT_SIDE nodes or more is refused.  Two test oracles in
+``tests/oracles.py`` check it in turn: the exhaustive subset search, and
+the same falsifier run one block after another, which must give the same
+verdict bit for bit.
 """
 
 from __future__ import annotations
@@ -154,60 +160,134 @@ def _direction_params(graph: TannerGraph, D: float, direction: str):
     raise ValueError(f"unknown direction {direction!r}")
 
 
-# Greedy chains grown side by side in one block; 64 keeps a block's score
-# matrix small (64 x nodes floats) while one product serves many chains.
+# Greedy chains drawn together in one block: each block's random orders,
+# then its start vertices.  The blocks fix which subsets are tried, so
+# their size stays whatever the number grown side by side.
 CHAINS_PER_BLOCK = 64
 # The most bytes a direction of ``check_d_good`` may hold in its dense
 # n_left x n_right biadjacency (one byte an entry) and that matrix's
 # float64 copy (eight): 9 * n_left * n_right.
 MAX_CHECK_BYTES = 2**30
+# The most bytes of chain state one group of blocks in ``_check_randomized``
+# may hold.  Checking a 200 x 50 criterion-5 graph then peaks at about
+# 616 KiB of traced allocations; 2^20 takes it past 1 MiB.
+GROUP_BYTES = 2**19
+# The falsifier counts a chain's uncovered neighbours in float32, which
+# holds every integer below 2^24 exactly: each side must be smaller.
+EXACT_SIDE = 2**24
 
 
 def refuse_oversized_check(n_left: int, n_right: int) -> None:
     """Refuse a D-goodness check whose dense matrices would pass
-    MAX_CHECK_BYTES, before any is allocated."""
+    MAX_CHECK_BYTES, or with a side of EXACT_SIDE nodes or more, before any
+    matrix is allocated."""
     need = 9 * n_left * n_right
     if need > MAX_CHECK_BYTES:
         raise BudgetExceededError(
             f"expansion check refused: a dense {n_left} x {n_right} biadjacency and its "
             f"float64 copy need {need} bytes, over the allowed {MAX_CHECK_BYTES} bytes")
+    side = max(n_left, n_right)
+    if side >= EXACT_SIDE:
+        raise BudgetExceededError(
+            f"expansion check refused: a side of {side} nodes is not below 2^24, past which "
+            f"float32 neighbour counts are not exact")
+
+
+def _block_sizes(budget: int, steps: int) -> list[int]:
+    """Chains in each block, in draw order: full blocks of CHAINS_PER_BLOCK
+    while the budget lasts, then one partial block of what is left."""
+    sizes = []
+    while budget >= steps >= 1:
+        sizes.append(min(CHAINS_PER_BLOCK, budget // steps))
+        budget -= sizes[-1] * steps
+    return sizes
 
 
 def _check_randomized(graph: TannerGraph, D: float, direction: str, budget: int, seed: int):
     """Greedy falsifier: each chain starts at a random vertex and grows S by
     the vertex with the smallest marginal growth |N(S + v)| - |N(S)|, ties
     going to the vertex first in the chain's random order; every prefix is
-    a candidate counterexample.  One matrix product scores every candidate
-    of every chain in a block."""
+    a candidate counterexample.
+
+    Chains are drawn in blocks of CHAINS_PER_BLOCK, and consecutive whole
+    blocks, as many as fit in GROUP_BYTES, grow side by side: one float32
+    product scores every candidate of every chain in the group.  The
+    verdict is the one the blocks would give run one after another: the
+    first block in draw order with a violation decides it, at its first
+    violating step and on its first bad chain; the blocks after it do not
+    count."""
     B, max_size, factor, side = _direction_params(graph, D, direction)
-    n = B.shape[0]
+    n, m = B.shape
     if max_size < 1 or n == 0:
         return None, None, 0, math.inf  # vacuously good: no subsets to check
-    counts = B.T.astype(np.float64)
+    # Each product entry counts uncovered neighbours, an integer of at most
+    # m < EXACT_SIDE, so float32 holds it exactly, and adding the float64
+    # order gives the same float64 as an integer count would.
+    counts = np.ascontiguousarray(B.T, dtype=np.float32)
+    free = np.ascontiguousarray(~B)
+    degree = B.sum(axis=1).astype(np.float64)
     gen = rng.generator(seed, "dgood", direction, D)
     steps = min(max_size, budget)
+    # Bytes a chain holds: order, gain (float64) and the product (float32)
+    # per candidate, the uncovered row (float32) and its gathered mask per
+    # covered-side node, and its pick history.
+    fit = GROUP_BYTES // (20 * n + 5 * m + 8 * steps)
+    groups = [[]]  # consecutive whole blocks, as many as fit, at least one
+    for chains in _block_sizes(budget, steps):
+        if groups[-1] and sum(groups[-1]) + chains > fit:
+            groups.append([])
+        groups[-1].append(chains)
+    width = max(map(sum, groups))
+    lanes = np.arange(width)
+    order = np.empty((width, n))
+    gain = np.empty((width, n))
+    new = np.empty((width, n), dtype=np.float32)
+    uncovered = np.empty((width, m), dtype=np.float32)
+    history = np.empty((steps, width), dtype=np.int64)
     checked = 0
     min_ratio = math.inf
-    while budget - checked >= steps:
-        chains = min(CHAINS_PER_BLOCK, (budget - checked) // steps)
-        rows = np.arange(chains)
-        order = 0.5 * gen.random((chains, n))  # below the unit step between gains
-        members = np.zeros((chains, n), dtype=bool)
-        covered = np.zeros((chains, B.shape[1]), dtype=bool)
-        pick = gen.integers(0, n, size=chains)
+    for group in groups:
+        starts = np.cumsum([0] + group)
+        chains = int(starts[-1])
+        pick = np.empty(chains, dtype=np.int64)
+        for s, e in zip(starts[:-1], starts[1:]):
+            gen.random(out=order[s:e])
+            pick[s:e] = gen.integers(0, n, size=e - s)
+        order[:chains] *= 0.5  # below the unit step between gains
+        block_min = np.full(len(group), math.inf)
+        live = len(group)  # the blocks still growing: a prefix of the group
+        witness = None
         for size in range(1, steps + 1):
-            members[rows, pick] = True
-            covered |= B[pick]
-            checked += chains
-            reached = covered.sum(axis=1)
-            min_ratio = min(min_ratio, float(reached.min()) / (factor * size))
-            bad = np.flatnonzero(reached < factor * size)
+            rows = lanes[:chains]
+            history[size - 1, :chains] = pick
+            order[rows, pick] = np.inf
+            if size == 1:
+                reached = degree[pick]
+                uncovered[:chains] = free[pick]
+            else:
+                reached += new[rows, pick]
+                np.multiply(uncovered[:chains], free[pick], out=uncovered[:chains])
+            need = factor * size
+            np.minimum(block_min[:live], np.minimum.reduceat(reached, starts[:live]) / need,
+                       out=block_min[:live])
+            bad = np.flatnonzero(reached < need)
             if bad.size:
-                witness = tuple(np.flatnonzero(members[bad[0]]).tolist())
-                return witness, side, checked, min_ratio
-            gain = (~covered) @ counts + order
-            gain[members] = np.inf
-            pick = gain.argmin(axis=1)
+                # Blocks from the first bad one on stop; the earlier ones go on.
+                live = int(np.searchsorted(starts, bad[0], side="right")) - 1
+                witness = tuple(np.sort(history[:size, bad[0]]).tolist())
+                found_at = checked + int(starts[live]) * steps + group[live] * size
+                chains = int(starts[live])
+                reached = reached[:chains]
+                if not chains:
+                    break
+            if size < steps:
+                np.matmul(uncovered[:chains], counts, out=new[:chains])
+                np.add(new[:chains], order[:chains], out=gain[:chains])
+                pick = gain[:chains].argmin(axis=1)
+        if witness is not None:
+            return witness, side, found_at, min(min_ratio, float(block_min[:live + 1].min()))
+        checked += chains * steps
+        min_ratio = min(min_ratio, float(block_min.min()))
     return None, None, checked, min_ratio
 
 
@@ -223,12 +303,13 @@ def check_d_good(
     Spends at most ``budget`` candidate subsets, split evenly over the
     directions, on a greedy falsifier and reports either a verified
     violation witness or "no violation found".  A budget that leaves a
-    direction no subset is refused, so a clean verdict always means
-    something was checked.  A graph whose dense matrices would pass
-    MAX_CHECK_BYTES is refused before any is built.
+    direction no subset is refused.  A clean verdict with no subset
+    checked means that n/(D+1) < 1 on every side checked: no subset is
+    small enough to need expanding.  A D that is not a finite number >= 1,
+    and a graph whose dense matrices would pass MAX_CHECK_BYTES or whose
+    side reaches EXACT_SIDE nodes, are refused before any matrix is built.
     """
-    if D < 1:
-        raise ValueError("D must be >= 1")
+    _check_D(D)
     refuse_oversized_check(graph.n_left, graph.n_right)
     directions = ["left_to_right", "right_to_left"] if direction == "both" else [direction]
     share = budget // len(directions)
@@ -245,6 +326,11 @@ def check_d_good(
             _assert_violation(graph, witness, side, D)
             return GoodnessVerdict(D, direction, tuple(witness), side, total_checked, min_ratio)
     return GoodnessVerdict(D, direction, None, None, total_checked, min_ratio)
+
+
+def _check_D(D: float) -> None:
+    if not (math.isfinite(D) and D >= 1):
+        raise ValueError(f"D = {D} must be a finite number >= 1")
 
 
 def _assert_violation(graph: TannerGraph, subset: tuple[int, ...], side: str, D: float) -> None:
@@ -274,8 +360,7 @@ def _expansion_correction(D: float) -> float:
     """1 - D h(1/D) / ((D+1) h(1/(D+1))); equals 1 at D = 1 since h(1) = 0.
     It falls toward 0 as D grows; a D at which it rounds to 0, or is not a
     number, is refused, since the thresholds divide by it."""
-    if D < 1:
-        raise ValueError("D must be >= 1")
+    _check_D(D)
     num = D * binary_entropy(1.0 / D)
     den = (D + 1.0) * binary_entropy(1.0 / (D + 1.0))
     correction = 1.0 - num / den

@@ -6,6 +6,9 @@
   ``gfmatrix.solve`` and the enumeration CVP oracle, against the encoder.
 - ``check_d_good_exhaustive``: every subset up to the size bound, against
   the greedy falsifier ``expander.check_d_good``.
+- ``check_randomized_by_block``: the greedy falsifier run one 64-chain
+  block after another, against ``expander._check_randomized``, which
+  grows groups of blocks side by side.
 - ``degree_histogram``: socket degrees read off a graph's edge list.
 - ``sorted_columns``: the sorted-QR column order by a plain residual
   downdate, against the one-pass factorization ``lattice._sorted_qr``.
@@ -26,8 +29,10 @@ import numpy as np
 from hypothesis import event
 from hypothesis import strategies as st
 
+from lda_lab import rng
 from lda_lab.codec import NestedLatticePair
 from lda_lab.expander import (
+    CHAINS_PER_BLOCK,
     BudgetExceededError,
     GoodnessVerdict,
     TannerGraph,
@@ -142,6 +147,45 @@ def check_d_good_exhaustive(graph: TannerGraph, D: float, direction: str) -> Goo
                     _assert_violation(graph, subset, side, D)
                     return GoodnessVerdict(D, direction, subset, side, total_checked, min_ratio)
     return GoodnessVerdict(D, direction, None, None, total_checked, min_ratio)
+
+
+def check_randomized_by_block(graph: TannerGraph, D: float, direction: str, budget: int, seed: int):
+    """``expander._check_randomized`` one block at a time: each chain starts
+    at a random vertex and grows S by the vertex with the smallest marginal
+    growth |N(S + v)| - |N(S)|, ties going to the vertex first in the
+    chain's random order; every prefix is a candidate counterexample.  One
+    float64 matrix product scores every candidate of every chain in a
+    block, and the first violation ends the search."""
+    B, max_size, factor, side = _direction_params(graph, D, direction)
+    n = B.shape[0]
+    if max_size < 1 or n == 0:
+        return None, None, 0, math.inf  # vacuously good: no subsets to check
+    counts = B.T.astype(np.float64)
+    gen = rng.generator(seed, "dgood", direction, D)
+    steps = min(max_size, budget)
+    checked = 0
+    min_ratio = math.inf
+    while budget - checked >= steps:
+        chains = min(CHAINS_PER_BLOCK, (budget - checked) // steps)
+        rows = np.arange(chains)
+        order = 0.5 * gen.random((chains, n))  # below the unit step between gains
+        members = np.zeros((chains, n), dtype=bool)
+        covered = np.zeros((chains, B.shape[1]), dtype=bool)
+        pick = gen.integers(0, n, size=chains)
+        for size in range(1, steps + 1):
+            members[rows, pick] = True
+            covered |= B[pick]
+            checked += chains
+            reached = covered.sum(axis=1)
+            min_ratio = min(min_ratio, float(reached.min()) / (factor * size))
+            bad = np.flatnonzero(reached < factor * size)
+            if bad.size:
+                witness = tuple(np.flatnonzero(members[bad[0]]).tolist())
+                return witness, side, checked, min_ratio
+            gain = (~covered) @ counts + order
+            gain[members] = np.inf
+            pick = gain.argmin(axis=1)
+    return None, None, checked, min_ratio
 
 
 def degree_histogram(graph: TannerGraph, side: str) -> dict[int, int]:

@@ -505,7 +505,8 @@ def test_cli_verify_mindist_refuses_a_vacuous_search(capsys, argv, named):
 
 
 # Each of these printed a [PASS] that checked nothing, a FAIL for a bad
-# argument, or a traceback; every one is refused (exit 2) before any work.
+# argument, a traceback, or a refusal that did not name the argument; every
+# one is refused (exit 2), by name, before any work.
 @pytest.mark.parametrize("argv, reason", [
     (["verify-noise", "--trials", "0"], "trials = 0 must be at least 1"),
     (["verify-noise", "--n", "0", "--trials", "20"], "n = 0 must be at least 1"),
@@ -524,6 +525,9 @@ def test_cli_verify_mindist_refuses_a_vacuous_search(capsys, argv, named):
     (["verify-noise", "--eps", "5", "--n", "100", "--trials", "20"], "eps = 5.0 must be inside (0, 1)"),
     (["verify-noise", "--eps=-0.1", "--n", "100", "--trials", "20"],
      "eps = -0.1 must be inside (0, 1)"),
+    (["verify-expansion", "--D", "inf", "--delta", "20"], "D = inf must be a finite number >= 1"),
+    (["verify-expansion", "--D", "nan", "--delta", "20"], "D = nan must be a finite number >= 1"),
+    (["verify-expansion", "--D", "nan"], "D = nan must be a finite number >= 1"),
 ])
 def test_cli_refuses_an_empty_or_degenerate_verifier_run(capsys, argv, reason):
     assert main(argv) == 2

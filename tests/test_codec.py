@@ -427,6 +427,10 @@ def _chain(*damages):
     (_chain(_edit_line(2, lambda ln, _: [ln.replace("deltap=4", "deltap=9")]),
             *(_edit_line(k, lambda ln, _: [ln.replace(" 4 ", " 9 ", 1)]) for k in (4, 31))),
      "at line 4: .*check 0 has degree 4, not deltap = 9"),
+    (_edit_line(2, lambda ln, _: [ln.replace("seed=17", "seed=5")]),
+     "at line 4: .*graph seed [0-9]+ is not the skeleton-upper key of seed = 5"),
+    (_edit_line(31, lambda ln, _: [ln.rsplit(" ", 1)[0] + " 5"]),
+     "at line 31: .*graph seed 5 is not the skeleton-fine key of seed = 17"),
     (_edit_line(19, lambda ln, _: []), "at line 19: .*edge index 2 is not the next edge, 1"),
     (_edit_line(19, lambda ln, _: ["0 " + ln.split()[1]]),
      "at line 19: .*edge index 0 is not the next edge, 1"),

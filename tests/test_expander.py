@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -11,11 +12,14 @@ from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 from lda_lab import rng
+from lda_lab.cli import planted_counterexample
 from lda_lab.expander import (
+    CHAINS_PER_BLOCK,
     MAX_CHECK_BYTES,
     MAX_SOCKETS,
     BudgetExceededError,
     TannerGraph,
+    _check_randomized,
     biadjacency,
     binary_entropy,
     build_graph,
@@ -26,8 +30,9 @@ from lda_lab.expander import (
     import_text,
     lda_delta_p_threshold,
     neighborhood,
+    refuse_oversized_check,
 )
-from oracles import check_d_good_exhaustive, degree_histogram, edited_texts
+from oracles import check_d_good_exhaustive, check_randomized_by_block, degree_histogram, edited_texts
 
 
 def complete_bipartite(nl: int, nr: int) -> TannerGraph:
@@ -165,6 +170,23 @@ def test_check_d_good_refuses_a_graph_too_large_for_its_dense_matrices():
             f"expansion check refused: a dense {10**12} x {10**11} biadjacency and its float64 "
             f"copy need {need} bytes, over the allowed {MAX_CHECK_BYTES} bytes")):
         check_d_good(g, 2.0)
+    # 2^24 x 4 passes the byte rule (about 600 MB) but not the float32
+    # neighbour counts, which are exact only below 2^24.
+    with pytest.raises(BudgetExceededError, match=(
+            f"expansion check refused: a side of {2**24} nodes is not below 2\\^24")):
+        refuse_oversized_check(2**24, 4)
+    refuse_oversized_check(2**24 - 1, 4)
+
+
+@pytest.mark.parametrize("D", [math.inf, -math.inf, math.nan, 0.5])
+def test_check_d_good_and_the_thresholds_refuse_a_D_that_is_not_a_finite_number_of_at_least_1(D):
+    # An infinite D once gave a clean verdict with 0 subsets checked, and a
+    # NaN one an integer-conversion error that did not name D.
+    g = build_graph(20, Fraction(1, 2), 12, seed=5)
+    for call in (lambda: check_d_good(g, D), lambda: delta_threshold(D, 0.5),
+                 lambda: lda_delta_p_threshold(D, 0.5)):
+        with pytest.raises(ValueError, match=f"D = {D} must be a finite number >= 1"):
+            call()
 
 
 def test_randomized_checker_agrees_with_exhaustive_on_good_graph():
@@ -173,6 +195,65 @@ def test_randomized_checker_agrees_with_exhaustive_on_good_graph():
     assert not verdict.found_violation
     exhaustive = check_d_good_exhaustive(g, 2.0, "left_to_right")
     assert not exhaustive.found_violation
+
+
+def test_check_d_good_peaks_below_a_mebibyte_on_a_criterion_5_graph():
+    # The grouped falsifier holds at most GROUP_BYTES of chains at a time;
+    # a bound of 2^20 there peaks at about 1.02 MiB and fails this test.
+    g = build_graph(200, Fraction(1, 4), 20, seed=rng.derive_key(505, "expansion", 0))
+    tracemalloc.start()
+    try:
+        check_d_good(g, 2.0, "both", budget=100_000, seed=1)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+
+
+@st.composite
+def falsifier_cases(draw):
+    """(graph, D, direction, budget, seed): permutation-model graphs of 8 to
+    300 left nodes and check degree from 3 to past the two-sided threshold,
+    or the planted violation; budgets below one block, ending in a partial
+    block, or 50,000.  The simplest draws (largest D, lowest degree, most
+    nodes) violate."""
+    D = draw(st.sampled_from([3.0, 2.0, 1.5, 1.0]))
+    direction = draw(st.sampled_from(["right_to_left", "left_to_right"]))
+    if draw(st.integers(0, 9)) == 9:
+        graph = planted_counterexample()
+    else:
+        f = draw(st.sampled_from([Fraction(1, 4), Fraction(1, 3), Fraction(1, 2), Fraction(1)]))
+        k = f.denominator
+        low = -(-3 // k)
+        top = math.ceil(delta_threshold_two_sided(D, float(f)) / k) + 1
+        # Two graphs in three have the lowest degree, where most violate.
+        degree = low if draw(st.integers(0, 2)) else draw(st.integers(low, top))
+        n_left = draw(st.sampled_from(range(300 - 300 % k, 7, -k)))
+        graph = build_graph(n_left, f, k * degree, seed=draw(st.integers(0, 2**32)))
+    side = graph.n_left if direction == "left_to_right" else graph.n_right
+    steps = max(1, int(side / (D + 1)))
+    block = CHAINS_PER_BLOCK * steps
+    budget = draw(st.one_of(st.builds(lambda whole, rest: whole * block + rest,
+                                      st.integers(1, 3), st.integers(steps, block - 1)),
+                            st.integers(1, block - 1), st.just(50_000)))
+    return graph, D, direction, budget, draw(st.integers(0, 2**32))
+
+
+def test_grouped_falsifier_gives_the_block_loop_verdicts():
+    # Same draws, same (witness, side, checked, min_ratio) bit for bit, on a
+    # fixed sample at least a third of which violates.
+    violated = []
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(case=falsifier_cases())
+    def agree(case):
+        graph, D, direction, budget, seed = case
+        verdict = _check_randomized(graph, D, direction, budget, seed)
+        assert verdict == check_randomized_by_block(graph, D, direction, budget, seed)
+        violated.append(verdict[0] is not None)
+
+    agree()
+    assert 3 * sum(violated) >= len(violated)
 
 
 # Threshold values frozen from an independent evaluation of the closed
@@ -200,7 +281,7 @@ def test_thresholds_refuse_a_D_whose_correction_rounds_to_zero():
     # The correction falls toward 0 as D grows; past about 1e15 it rounds
     # to 0, and the thresholds would divide by it.
     assert 0 < lda_delta_p_threshold(1e15, 0.5) < math.inf
-    for D in (2.0**63, 1e308, math.inf):
+    for D in (2.0**63, 1e308):
         for threshold in (delta_threshold, lda_delta_p_threshold):
             with pytest.raises(ValueError, match="too large: its expansion correction is"):
                 threshold(D, 0.5)
