@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import itertools
 import math
 import os
 import sys
@@ -37,6 +38,12 @@ from .lattice import (
 )
 
 CSV_HEADER = "snr_db,n,p,R,Rf,kind,decoder,trials,symbol_errors,word_errors,ser,wer,wilson_lo,wilson_hi,seed"
+# The noise verifiers draw n Gaussian samples at a time by Box-Muller, which
+# holds about NOISE_BYTES_PER_SAMPLE bytes of arrays per sample (40 measured
+# in verify_noise, 48 in verify_ortho, which also holds x); a draw past
+# MAX_NOISE_BYTES is refused before any sample is drawn.
+NOISE_BYTES_PER_SAMPLE = 48
+MAX_NOISE_BYTES = 2**30
 
 
 # ---------------------------------------------------------------------------
@@ -303,28 +310,36 @@ def _decode_trials(cfg: ExperimentConfig, pair: codec.NestedLatticePair, P: floa
 def run_monte_carlo(config: ExperimentConfig) -> list[SnrResult]:
     """One SnrResult per grid point; deterministic in (config, master_seed).
 
-    Each trial draws its pair (or takes the fixed one) and its message and
-    encodes once: the sent point does not depend on the SNR.  A pair's
-    points are decoded together when its last trial is sent: after every
-    trial with resampled pairs, after the last trial with one fixed pair.
-    Each point decodes as it would alone, so this schedule changes no
-    result.  A budget refusal comes from the first quantizer search that
-    visits more than ``quantizer_budget`` nodes; no file is written.
+    Each trial takes its pair (its own draw, or the fixed one) and draws its
+    message and encodes once: the sent point does not depend on the SNR.
+    Resampled pairs come from ``codec.build_pairs``, which sets up the
+    first draws of a chunk of trials (as many as SETUP_BYTES of stacked
+    arrays hold) together and hands each pair over when its trial is
+    reached, so a refusal still comes from the first trial that meets it.
+    A pair's points are decoded together when its last trial is sent: after
+    every trial with resampled pairs, after the last trial with one fixed
+    pair.  Each pair and each point come out as they would alone, so
+    neither schedule changes a result.  A budget refusal comes from the
+    first quantizer search that visits more than ``quantizer_budget``
+    nodes; no file is written.
     """
     cfg = config.resolve()
     P = channel.default_power(cfg.p, cfg.R)
     sigma2s = [channel.noise_variance(P, snr_db) for snr_db in cfg.snr_db_grid]
-    fixed_pair = None if cfg.resample_lattice else _pair_for_trial(cfg, 0)
+    if cfg.resample_lattice:
+        seeds = (rng.derive_key(cfg.master_seed, "ensemble", t) for t in range(cfg.trials))
+        pairs = codec.build_pairs(cfg.n, cfg.p, cfg.R, cfg.R_f, cfg.kind, seeds, cfg.delta_p)
+    else:
+        pairs = itertools.repeat(_pair_for_trial(cfg, 0))
     records: list[TrialRecord] = []
     powers, sent = [], []
-    for t in range(cfg.trials):
-        pair = fixed_pair if fixed_pair is not None else _pair_for_trial(cfg, t)
+    for t, pair in zip(range(cfg.trials), pairs):
         message = rng.generator(cfg.master_seed, "message", t).integers(
             0, cfg.p, size=pair.ell, dtype=np.int64)
         x = codec.encode(pair, message, budget=cfg.quantizer_budget).point
         powers.append(float(x @ x) / pair.n)
         sent.append((t, message, x))
-        if fixed_pair is None or t == cfg.trials - 1:
+        if cfg.resample_lattice or t == cfg.trials - 1:
             records += _decode_trials(cfg, pair, P, sigma2s, sent)
             sent = []
     mean_power = sum(powers) / len(powers)
@@ -383,6 +398,13 @@ class VerifyReport:
         return f"[{status}] {self.name}: measured {self.measured:.6g} vs bound {self.bound:.6g} ({self.detail})"
 
 
+def _refuse_oversized_noise(n: int) -> None:
+    need = NOISE_BYTES_PER_SAMPLE * n
+    if need > MAX_NOISE_BYTES:
+        raise ValueError(f"n = {n} noise samples need about {need} bytes of arrays per draw, "
+                         f"over the allowed {MAX_NOISE_BYTES} bytes")
+
+
 def verify_noise(n: int = 10_000, sigma: float = 1.0, eps: float = 0.05,
                  trials: int = 10_000, master_seed: int = 0,
                  pass_freq: float = 0.999) -> VerifyReport:
@@ -391,6 +413,7 @@ def verify_noise(n: int = 10_000, sigma: float = 1.0, eps: float = 0.05,
     _require(0, strict=True, sigma=sigma)
     if not 0 < eps < 1:  # at eps >= 1 the window checks nothing; at eps <= 0 it is empty
         raise ValueError(f"eps = {eps} must be inside (0, 1)")
+    _refuse_oversized_noise(n)
     lo = sigma * math.sqrt(n) * (1 - eps)
     hi = sigma * math.sqrt(n) * (1 + eps)
     inside = 0
@@ -415,6 +438,7 @@ def verify_ortho(n: int = 10_000, sigma: float = 1.0, trials: int = 10_000,
     _require(2, n=n)
     _require(1, trials=trials)
     _require(0, strict=True, sigma=sigma)
+    _refuse_oversized_noise(n)
     f = math.log(n)
     x = rng.gaussian(master_seed, "verify-ortho-x", size=n)
     xnorm = math.sqrt(float(x @ x))

@@ -11,9 +11,10 @@ lattice and reads the message back through H'.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import itertools
+from collections.abc import Iterable, Iterator
+from dataclasses import InitVar, dataclass
 from fractions import Fraction
-from functools import cached_property
 
 import numpy as np
 
@@ -23,9 +24,21 @@ from .expander import BudgetExceededError, TannerGraph, build_graph, export_text
 from .fieldcore import is_prime
 from .gfmatrix import GfMatrix, StackedParityCheck, _extend_rref, block_heights, check_modulus
 from .gfmatrix import rank, solve  # noqa: F401  (re-exported: the benchmark traces ``codec.rank``, ``codec.solve``)
-from .lattice import DEFAULT_QUANTIZER_BUDGET, ConstructionALattice, checked_point
+from .lattice import (
+    DEFAULT_QUANTIZER_BUDGET,
+    ConstructionALattice,
+    checked_point,
+    construction_a,
+    reduce_check,
+)
 
 MAX_RANK_ATTEMPTS = 64
+# Pair set-up runs on stacks of pairs.  A pair's set-up holds about
+# SETUP_BYTES_PER_ENTRY bytes per entry of its two n x n lattice matrices
+# (the bases, the QR working copies and their temporaries), and one stack
+# holds at most SETUP_BYTES of them: 56 pairs at n = 12, one past n = 90.
+SETUP_BYTES_PER_ENTRY = 160
+SETUP_BYTES = 2**20
 # Sum-product limits.  Flooding BP settles in tens of iterations; more than
 # MAX_BP_ITERATIONS is refused.  A batch holds its channel priors and
 # messages as float arrays of about BP_BYTES_PER_SYMBOL bytes per point,
@@ -49,28 +62,24 @@ class NestedLatticePair:
     """A nested pair read off its stacked parity check: the shaping lattice
     is the kernel of the full stack, the fine lattice that of its lower
     block, and the ensemble kind is "lda" exactly when the pair carries its
-    LDA graphs."""
+    LDA graphs.  The two lattices, ``fine`` and ``shaping``, are handed over
+    by :func:`_set_up`, which computes them from the stack."""
 
     stack: StackedParityCheck
     seed: int
     regenerations: int
-    lda: LdaInfo | None = None
+    lda: LdaInfo | None
+    lattices: InitVar[tuple[ConstructionALattice, ConstructionALattice]]
+
+    def __post_init__(self, lattices: tuple[ConstructionALattice, ConstructionALattice]) -> None:
+        object.__setattr__(self, "fine", lattices[0])
+        object.__setattr__(self, "shaping", lattices[1])
 
     n = property(lambda self: self.stack.n)
     p = property(lambda self: self.stack.p)
     R = property(lambda self: self.stack.R)
     R_f = property(lambda self: self.stack.R_f)
     kind = property(lambda self: "dense" if self.lda is None else "lda")
-
-    @cached_property
-    def shaping(self) -> ConstructionALattice:
-        # The stack's row reduction extends the fine block's by the message rows.
-        return ConstructionALattice(self.stack.full, _reduced=_extend_rref(
-            self.fine._reduced, self.stack.upper.array, self.p))
-
-    @cached_property
-    def fine(self) -> ConstructionALattice:
-        return ConstructionALattice(self.stack.lower)
 
     @property
     def ell(self) -> int:
@@ -80,6 +89,19 @@ class NestedLatticePair:
     def codebook_size(self) -> int:
         """M = p^(n(R_f - R)) for full-rank stacks."""
         return self.p**self.ell
+
+
+def _set_up(drawn: list[tuple[StackedParityCheck, int, int, LdaInfo | None]]) -> list[NestedLatticePair]:
+    """The pairs of drawn stacks, given as (stack, seed, attempt, graphs).
+    Each fine block's [H_f | I] is reduced once and that form extended by
+    the message rows for the shaping lattice; then the bases and sorted QR
+    factors of every fine and shaping lattice are computed as stacks."""
+    stacks = [stack for stack, *_ in drawn]
+    fine = [reduce_check(stack.lower) for stack in stacks]
+    full = [_extend_rref(form, stack.upper.array, stack.p) for form, stack in zip(fine, stacks)]
+    lattices = construction_a([s.lower for s in stacks] + [s.full for s in stacks], fine + full)
+    return [NestedLatticePair(*draw, lattices)
+            for draw, lattices in zip(drawn, zip(lattices, lattices[len(drawn):]))]
 
 
 def _label_graph(graph: TannerGraph, p: int, seed: int, tag: str, attempt: int) -> GfMatrix:
@@ -107,6 +129,69 @@ def _check_ensemble(p: int, kind: str) -> None:
         raise ValueError(f"unknown ensemble kind {kind!r}")
 
 
+def _draw(n: int, p: int, ell: int, r: int, seed: int, lda: LdaInfo | None,
+          attempt: int) -> StackedParityCheck:
+    """Attempt ``attempt`` of a pair's stack: dense entries, or labels on
+    the pair's LDA graphs."""
+    if lda is None:
+        gen = rng.generator(seed, "dense-H", attempt)
+        return StackedParityCheck(GfMatrix.random(ell, n, p, gen), GfMatrix.random(r, n, p, gen))
+    return StackedParityCheck(_label_graph(lda.upper_graph, p, seed, "upper", attempt),
+                              _label_graph(lda.fine_graph, p, seed, "fine", attempt))
+
+
+def build_pairs(
+    n: int,
+    p: int,
+    R: Fraction | str,
+    R_f: Fraction | str,
+    kind: str,
+    seeds: Iterable[int],
+    delta_p: int | None = None,
+) -> Iterator[NestedLatticePair]:
+    """Yield the nested pair of each seed, in order, drawn from the dense or
+    LDA ensemble.
+
+    Dense: every entry of the (ell + r) x n stack is uniform over GF(p).
+    LDA: two permutation-model skeleton graphs (fixed by the seed) carry
+    uniform labels; the fine block has check degree delta_p and variable
+    degree delta_p(1 - R_f), the message block check degree delta_p and
+    variable degree delta_p(R_f - R).
+
+    The seeds are taken in chunks of at most SETUP_BYTES of set-up arrays
+    (about SETUP_BYTES_PER_ENTRY bytes per entry of a pair's two n x n
+    lattice matrices), and a chunk's first draws are set up together
+    (:func:`_set_up`).  A rank-deficient draw is repaired when its pair is
+    reached, by redrawing entries/labels with the next attempt number, one
+    draw at a time; the number of redraws is recorded on the pair.  So a
+    pair, and a refusal after MAX_RANK_ATTEMPTS draws, come out as they
+    would for the seed alone, and in seed order.
+    """
+    R = Fraction(R)
+    R_f = Fraction(R_f)
+    _check_ensemble(p, kind)
+    ell, r = block_heights(n, R, R_f)
+    if kind == "lda" and delta_p is None:
+        raise ValueError("LDA pairs need delta_p")
+    chunk = max(1, SETUP_BYTES // (SETUP_BYTES_PER_ENTRY * n * n))
+    seeds = iter(seeds)
+    while part := list(itertools.islice(seeds, chunk)):
+        graphs = [None if kind == "dense" else
+                  LdaInfo(_skeleton(n, r, delta_p, seed, "fine"), _skeleton(n, ell, delta_p, seed, "upper"))
+                  for seed in part]
+        first = _set_up([(_draw(n, p, ell, r, seed, lda, 0), seed, 0, lda)
+                         for seed, lda in zip(part, graphs)])
+        for seed, lda, pair in zip(part, graphs, first):
+            # The rank is read off the one row reduction the encoder needs anyway.
+            while n - pair.shaping.k_eff != ell + r:
+                attempt = pair.regenerations + 1
+                if attempt == MAX_RANK_ATTEMPTS:
+                    raise RuntimeError(f"no full-rank draw after {MAX_RANK_ATTEMPTS} attempts "
+                                       f"(seed {seed})")
+                pair, = _set_up([(_draw(n, p, ell, r, seed, lda, attempt), seed, attempt, lda)])
+            yield pair
+
+
 def build_pair(
     n: int,
     p: int,
@@ -116,40 +201,8 @@ def build_pair(
     seed: int = 0,
     delta_p: int | None = None,
 ) -> NestedLatticePair:
-    """Draw one nested pair from the dense or LDA ensemble.
-
-    Dense: every entry of the (ell + r) x n stack is uniform over GF(p).
-    LDA: two permutation-model skeleton graphs (fixed by the seed) carry
-    uniform labels; the fine block has check degree delta_p and variable
-    degree delta_p(1 - R_f), the message block check degree delta_p and
-    variable degree delta_p(R_f - R).
-
-    Rank deficiency is repaired by redrawing entries/labels with a new
-    seed offset; the number of redraws is recorded on the pair.
-    """
-    R = Fraction(R)
-    R_f = Fraction(R_f)
-    _check_ensemble(p, kind)
-    ell, r = block_heights(n, R, R_f)
-    lda = None
-    if kind == "lda":
-        if delta_p is None:
-            raise ValueError("LDA pairs need delta_p")
-        lda = LdaInfo(_skeleton(n, r, delta_p, seed, "fine"), _skeleton(n, ell, delta_p, seed, "upper"))
-
-    for attempt in range(MAX_RANK_ATTEMPTS):
-        if lda is None:
-            gen = rng.generator(seed, "dense-H", attempt)
-            upper = GfMatrix.random(ell, n, p, gen)
-            lower = GfMatrix.random(r, n, p, gen)
-        else:
-            upper = _label_graph(lda.upper_graph, p, seed, "upper", attempt)
-            lower = _label_graph(lda.fine_graph, p, seed, "fine", attempt)
-        pair = NestedLatticePair(StackedParityCheck(upper, lower), seed, attempt, lda)
-        # The rank is read off the one row reduction the encoder needs anyway.
-        if n - pair.shaping.k_eff == ell + r:
-            return pair
-    raise RuntimeError(f"no full-rank draw after {MAX_RANK_ATTEMPTS} attempts (seed {seed})")
+    """The pair :func:`build_pairs` draws from one seed."""
+    return next(build_pairs(n, p, R, R_f, kind, [seed], delta_p))
 
 
 # ---------------------------------------------------------------------------
@@ -514,4 +567,4 @@ def pair_from_text(text: str) -> NestedLatticePair:
             raise ValueError(f"bad pair file: truncated after line {len(lines)}") from exc
         raise ValueError(f"bad pair file at line {i + 1}: {type(exc).__name__}: {exc}") from exc
     lda = LdaInfo(blocks["fine"][1], blocks["upper"][1]) if kind == "lda" else None
-    return NestedLatticePair(stack, seed, regen, lda)
+    return _set_up([(stack, seed, regen, lda)])[0]

@@ -215,35 +215,73 @@ class _SortedQR:
     r: list[list[float]]  # R, upper triangular with a positive diagonal
 
 
-def _sorted_qr(basis: np.ndarray) -> _SortedQR:
-    """Sorted QR (Wuebben et al., Electronics Letters 2001) in one modified
-    Gram-Schmidt pass: each step takes the remaining column of least
-    residual length, so the Gram-Schmidt lengths grow toward the last
-    columns, which the search fixes first, and records its unit vector as a
-    row of Q^T and its projections of every residual as a row of R.  The
-    residual lengths are recomputed at every step: downdating them by the
-    squared projections cancels to negative values at p = 31, n = 96.
+def _bases(reduced: np.ndarray, pivots: list[list[int]], p: int) -> np.ndarray:
+    """The Construction-A bases of a stack of lattices of one length n, as
+    a (B, n, n) stack of columns, from their reduced forms rref([H | I])
+    (a (B, rows, n + rows) stack) and pivot columns.  Each basis is e_f plus
+    -rref(H)[:, f] as residues in (-p/2, p/2), which about halves the search
+    time, for each free column f, then p e_c for each pivot column c.  The
+    ranks may differ across the stack."""
+    B, rows, _cols = reduced.shape
+    n = _cols - rows
+    batch = np.arange(B)[:, None]
+    lead = np.full((B, rows), n)  # each row's pivot column, n past the rank
+    for b, cols in enumerate(pivots):
+        cols = [c for c in cols if c < n]
+        lead[b, :len(cols)] = cols
+    is_pivot = np.zeros((B, n + 1), dtype=bool)
+    is_pivot[batch, lead] = True
+    is_pivot = is_pivot[:, :n]
+    free = ~is_pivot
+    k = free.sum(axis=1, keepdims=True)
+    # Each column's basis vector: the free columns first, then the pivots.
+    position = np.where(free, free.cumsum(axis=1) - 1, k + is_pivot.cumsum(axis=1) - 1)
+    basis = np.zeros((B, n, n), dtype=np.int64)
+    basis[batch, np.arange(n), position] = np.where(free, 1, p)
+    b, i, f = np.nonzero((lead < n)[:, :, None] & free[:, None, :])
+    basis[b, lead[b, i], position[b, f]] = (p // 2 - reduced[b, i, f]) % p - p // 2
+    return basis
+
+
+def _sorted_qr(bases: np.ndarray) -> list[_SortedQR]:
+    """Sorted QR (Wuebben et al., Electronics Letters 2001) of each basis of
+    a (B, n, n) stack, in one modified Gram-Schmidt pass over the stack:
+    each step takes every basis's remaining column of least residual length,
+    so the Gram-Schmidt lengths grow toward the last columns, which the
+    search fixes first, and records its unit vector as a row of Q^T and its
+    projections of every residual as a row of R.  The residual lengths are
+    recomputed at every step: downdating them by the squared projections
+    cancels to negative values at p = 31, n = 96.
 
     A picked column's residual is set to 0, which touches no other column's
     arithmetic, so its later projections are exact zeros and R is upper
-    triangular; its diagonal, q . a_j = |a_j|, is positive."""
-    a = basis.astype(float)
-    n = a.shape[1]
-    taken = np.zeros(n)  # inf on the columns already picked
-    order: list[int] = []
-    q_t = np.empty((n, n))
-    proj = np.empty((n, n))
+    triangular; its diagonal, q . a_j = |a_j|, is positive.  Lengths are
+    summed down the rows and projections taken by ``np.matmul``, one BLAS
+    product per basis, so each basis gets the floats it would get alone
+    (``tests/oracles.py`` holds the one-basis loop)."""
+    a = bases.astype(float)
+    B, n, _n = a.shape
+    flat = a.reshape(-1)
+    taken = np.zeros((B, n))  # inf on the columns already picked
+    order = np.empty((n, B), dtype=np.intp)
+    q_t = np.empty((B, n, n))
+    proj = np.empty((B, n, n))
+    starts = np.arange(0, B * n, n)  # each basis's first entry in ``taken``
+    column = (n * starts)[:, None] + np.arange(0, n * n, n)  # column 0's entries in ``flat``
     for i in range(n):
-        norms = (a * a).sum(axis=0) + taken
-        j = int(norms.argmin())
-        order.append(j)
-        taken[j] = np.inf
-        q = q_t[i]
-        q[:] = a[:, j] / math.sqrt(norms[j])
-        proj[i] = q @ a
-        a -= q[:, None] * proj[i]
-        a[:, j] = 0.0
-    return _SortedQR(basis=basis[:, order], q_t=q_t, r=proj[:, order].tolist())
+        norms = (a * a).sum(axis=1)
+        norms += taken
+        j = norms.argmin(axis=1)
+        order[i] = j
+        taken.reshape(-1)[starts + j] = np.inf
+        picked = column + j[:, None]
+        q = q_t[:, i]
+        np.divide(flat.take(picked), np.sqrt(norms.take(starts + j))[:, None], out=q)
+        proj[:, i] = np.matmul(q[:, None, :], a)[:, 0]
+        a -= q[:, :, None] * proj[:, i, None, :]
+        flat[picked] = 0.0
+    return [_SortedQR(basis=bases[b][:, o], q_t=q_t[b], r=proj[b][:, o].tolist())
+            for b, o in enumerate(order.T)]
 
 
 def _slack(d2: float) -> float:
@@ -356,24 +394,27 @@ def _covered_twice(masks: np.ndarray, supports: np.ndarray) -> np.ndarray:
 class ConstructionALattice:
     """Lattice of integer vectors x with H x^T = 0 mod p."""
 
-    def __init__(self, H: GfMatrix, _reduced: tuple[np.ndarray, list[int]] | None = None):
-        """``_reduced`` is rref([H | I]) mod p with its pivot columns, for a
-        caller that already has it; without it the lattice reduces H itself
-        on first use."""
+    def __init__(self, H: GfMatrix, _reduced: tuple[np.ndarray, list[int]] | None = None,
+                 _basis: np.ndarray | None = None, _sorted: _SortedQR | None = None):
+        """``_reduced`` is rref([H | I]) mod p with its pivot columns,
+        ``_basis`` the Construction-A basis read off it and ``_sorted`` that
+        basis's sorted QR, for a caller that already has them
+        (:func:`construction_a` computes them as stacks); the lattice
+        computes each one it lacks itself, as a stack of one, on first use."""
         if not is_prime(H.p) or H.p == 2:
             raise ValueError("lattice constructions require an odd prime")
         self.H = H
         self.p = H.p
         self.n = H.cols
-        if _reduced is not None:
-            self._reduced = _reduced
+        for name, value in (("_reduced", _reduced), ("_basis", _basis), ("_sorted", _sorted)):
+            if value is not None:
+                setattr(self, name, value)
 
     @cached_property
     def _reduced(self) -> tuple[np.ndarray, list[int]]:
         """rref([H | I]) mod p and its pivot columns; the right-hand block is
         T with T H = rref(H), whose rows past the rank annihilate H."""
-        eye = np.eye(self.H.rows, dtype=np.int64)
-        return _rref(np.hstack([self.H.array, eye]), self.p)
+        return reduce_check(self.H)
 
     @cached_property
     def _pivots(self) -> list[int]:
@@ -382,22 +423,14 @@ class ConstructionALattice:
 
     @cached_property
     def _basis(self) -> np.ndarray:
-        """The Construction-A basis as columns: e_f plus -rref(H)[:, f] as
-        residues in (-p/2, p/2), which about halves the search time, for
-        each free column f, then p e_c for each pivot column c."""
-        n, p, pivots = self.n, self.p, self._pivots
-        free = [c for c in range(n) if c not in pivots]
-        k = len(free)
-        basis = np.zeros((n, n), dtype=np.int64)
-        basis[free, np.arange(k)] = 1
-        basis[pivots, :k] = (p // 2 - self._reduced[0][: len(pivots), free]) % p - p // 2
-        basis[pivots, k + np.arange(len(pivots))] = p
-        return basis
+        """The Construction-A basis as columns (see :func:`_bases`)."""
+        reduced, pivots = self._reduced
+        return _bases(reduced[None], [pivots], self.p)[0]
 
     @cached_property
     def _sorted(self) -> _SortedQR:
         """The search basis and its QR factors, built on first search."""
-        return _sorted_qr(self._basis)
+        return _sorted_qr(self._basis[None])[0]
 
     @property
     def k_eff(self) -> int:
@@ -585,3 +618,27 @@ class ConstructionALattice:
             math.pi
         )
         return math.exp(log_rho)
+
+
+def reduce_check(H: GfMatrix) -> tuple[np.ndarray, list[int]]:
+    """rref([H | I]) mod p and its pivot columns."""
+    return _rref(np.hstack([H.array, np.eye(H.rows, dtype=np.int64)]), H.p)
+
+
+def construction_a(checks: list[GfMatrix],
+                   reduced: list[tuple[np.ndarray, list[int]]]) -> list[ConstructionALattice]:
+    """The lattices of parity checks of one length n and one modulus, each
+    given with its reduced form rref([H | I]) and pivot columns, with their
+    bases and sorted QR factors computed as stacks: one basis stack per
+    shape of reduced form, then one (B, n, n) QR stack for all of them."""
+    bases: list[np.ndarray] = [np.empty(0)] * len(checks)
+    shapes: dict[tuple[int, ...], list[int]] = {}
+    for i, (red, _pivots) in enumerate(reduced):
+        shapes.setdefault(red.shape, []).append(i)
+    for members in shapes.values():
+        stack = _bases(np.stack([reduced[i][0] for i in members]),
+                       [reduced[i][1] for i in members], checks[0].p)
+        for i, basis in zip(members, stack):
+            bases[i] = basis
+    return [ConstructionALattice(H, _reduced=red, _basis=basis, _sorted=form)
+            for H, red, basis, form in zip(checks, reduced, bases, _sorted_qr(np.stack(bases)))]

@@ -9,6 +9,7 @@ import io
 import math
 import os
 import tempfile
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -17,6 +18,7 @@ from hypothesis import HealthCheck, event, example, given, settings
 from hypothesis import strategies as st
 
 from lda_lab import channel, cli, codec, rng
+from lda_lab.expander import BudgetExceededError
 from lda_lab.cli import (
     CSV_HEADER,
     ExperimentConfig,
@@ -255,8 +257,9 @@ def test_runner_builds_and_encodes_each_trial_once(monkeypatch, resample, pairs)
     # The sent point does not depend on the SNR, so a trial's pair and
     # encoding are shared by every grid point, and a pair's points are
     # decoded in one sum-product call: per trial when each trial draws
-    # its own pair, once for a fixed pair.
-    names = ("build_pair", "encode", "bp_decode_batch", "mmse_decode_exact")
+    # its own pair, once for a fixed pair.  Every pair, resampled or
+    # fixed, comes out of build_pairs; each one it yields is counted.
+    names = ("encode", "bp_decode_batch", "mmse_decode_exact")
     calls = {}
 
     def counted(name):
@@ -267,15 +270,22 @@ def test_runner_builds_and_encodes_each_trial_once(monkeypatch, resample, pairs)
             return original(*args, **kwargs)
         monkeypatch.setattr(codec, name, wrapper)
 
+    def counted_pairs(*args, **kwargs):
+        for pair in build_pairs(*args, **kwargs):
+            calls["pairs"] += 1
+            yield pair
+
     for name in names:
         counted(name)
+    build_pairs = codec.build_pairs
+    monkeypatch.setattr(codec, "build_pairs", counted_pairs)
     for decoder, batches in (("exact", 0), ("bp", pairs)):
-        calls.update(dict.fromkeys(names, 0))
+        calls.update(dict.fromkeys(names + ("pairs",), 0))
         cfg = lda_config(snr_db_grid=[6.0, 9.0, 12.0], trials=4, master_seed=3, decoder=decoder,
                          bp_iters=10, resample_lattice=resample)
         results = run_monte_carlo(cfg)
         assert [r.trials for r in results] == [4, 4, 4]
-        assert calls == {"build_pair": pairs, "encode": 4, "bp_decode_batch": batches,
+        assert calls == {"pairs": pairs, "encode": 4, "bp_decode_batch": batches,
                          "mmse_decode_exact": 12 if decoder == "exact" else 0}
 
 
@@ -329,10 +339,68 @@ def test_budget_refusal_before_trials():
     cfg = ExperimentConfig(n=12, p=7, R=Fraction(1, 4), R_f=Fraction(2, 3),
                            snr_db_grid=[10.0], trials=5, master_seed=1,
                            quantizer_budget=10)  # the first search alone visits 12+ nodes
-    from lda_lab.expander import BudgetExceededError
-
     with pytest.raises(BudgetExceededError):
         run_monte_carlo(cfg)
+
+
+def test_a_resampled_budget_refusal_exits_2_and_writes_no_file(tmp_path, capsys):
+    # The same run through the command line: the pairs of all five trials
+    # are set up together, and trial 0's encode still refuses first.
+    out = tmp_path / "refused.csv"
+    cfg = write_config(tmp_path, n=12, p=7, Rf='"2/3"', snr_db="[10.0]", trials=5, seed=1,
+                       resample_lattice="true", quantizer_budget=10)
+    assert main(["simulate", "--config", cfg, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("refused: encode: shaping lattice closest-point search refused: ")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.toml"]
+
+
+def test_a_resampled_run_refuses_at_the_trial_that_meets_the_refusal(monkeypatch):
+    # Pairs are set up a chunk of trials ahead of their encodes, but a
+    # refusal still comes from the first trial that meets it.  At master
+    # seed 0 of this family, trial 2's first draw is rank deficient, so with
+    # one attempt allowed its pair refuses, after trials 0 and 1 have
+    # encoded; with a budget of 10 nodes, trial 0's encode refuses first.
+    monkeypatch.setattr(codec, "MAX_RANK_ATTEMPTS", 1)
+    encoded = []
+    encode = codec.encode
+
+    def recorded(pair, message, budget):
+        encoded.append(pair.seed)
+        return encode(pair, message, budget=budget)
+
+    monkeypatch.setattr(codec, "encode", recorded)
+    keys = [rng.derive_key(0, "ensemble", t) for t in range(3)]
+    cfg = ExperimentConfig(n=12, p=3, R=Fraction(1, 4), R_f=Fraction(1, 2), kind="lda", delta_p=4,
+                           allow_below_threshold=True, trials=6, master_seed=0)
+    with pytest.raises(RuntimeError, match=f"no full-rank draw after 1 attempts \\(seed {keys[2]}\\)"):
+        run_monte_carlo(cfg)
+    assert encoded == keys[:2]
+    encoded.clear()
+    with pytest.raises(BudgetExceededError, match="^encode: shaping"):
+        run_monte_carlo(dataclasses.replace(cfg, quantizer_budget=10))
+    assert encoded == keys[:1]
+
+
+@pytest.mark.parametrize("command", ["verify-noise", "verify-ortho"])
+def test_noise_verifiers_refuse_a_draw_past_their_byte_limit(command, capsys):
+    # 10^12 samples would need 48 TB of arrays: refused by the named limit,
+    # exit 2, before a single sample is drawn.
+    tracemalloc.start()
+    try:
+        assert main([command, "--n", "1000000000000", "--trials", "1"]) == 2
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+    err = capsys.readouterr().err
+    assert err == (f"refused: n = 1000000000000 noise samples need about "
+                   f"{cli.NOISE_BYTES_PER_SAMPLE * 10**12} bytes of arrays per draw, over the "
+                   f"allowed {cli.MAX_NOISE_BYTES} bytes\n")
+    n_max = cli.MAX_NOISE_BYTES // cli.NOISE_BYTES_PER_SAMPLE
+    cli._refuse_oversized_noise(n_max)  # the largest draw allowed; nothing is drawn
+    with pytest.raises(ValueError, match=f"n = {n_max + 1} noise samples"):
+        cli._refuse_oversized_noise(n_max + 1)
 
 
 def test_wer_seed_stability_wilson_overlap():

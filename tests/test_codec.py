@@ -22,6 +22,7 @@ from lda_lab.codec import (
     bp_decode_batch,
     build_fine_lattice,
     build_pair,
+    build_pairs,
     encode,
     extract_message,
     mmse_decode_exact,
@@ -29,13 +30,15 @@ from lda_lab.codec import (
     pair_to_text,
 )
 from lda_lab.expander import BudgetExceededError
-from lda_lab.gfmatrix import GfMatrix, StackedParityCheck, rank
+from lda_lab.gfmatrix import GfMatrix, StackedParityCheck, _rref, rank
 from lda_lab.lattice import ConstructionALattice
 from oracles import (
     _check_node_messages,
     all_messages,
+    construction_a_basis,
     degree_histogram,
     edited_texts,
+    sorted_qr_alone,
     voronoi_codebook_bruteforce,
 )
 
@@ -499,6 +502,32 @@ def test_build_pair_redraws_until_the_stack_has_full_rank():
         assert pair.stack.full == full
         deficient += pair.regenerations > 0
     assert deficient >= 3
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.sampled_from([1, 2, 8, 17]), st.sampled_from(["lda", "dense"]), st.data())
+def test_pairs_built_in_a_batch_are_the_pairs_built_alone(size, kind, data):
+    # Seed 4 of the LDA family and seed 3 of the dense one are rank
+    # deficient on their first draws (two and one of them), so wherever
+    # they sit in a batch their pairs are redrawn alone.  Every pair is the
+    # one built from its seed alone, and its lattices' reduced forms, bases
+    # and sorted QR factors are the one-lattice oracles'.
+    args, deficient = {"lda": ((12, 3, "1/4", "1/2", "lda"), 4),
+                       "dense": ((4, 3, "1/4", "3/4", "dense"), 3)}[kind]
+    seeds = data.draw(st.lists(st.integers(0, 2**32), min_size=size, max_size=size))
+    seeds[data.draw(st.integers(0, size - 1))] = deficient
+    for seed, pair in zip(seeds, build_pairs(*args, seeds, delta_p=4), strict=True):
+        alone = build_pair(*args, seed=seed, delta_p=4)
+        assert pair == alone and pair.regenerations == alone.regenerations
+        if seed == deficient:
+            assert pair.regenerations == (2 if kind == "lda" else 1)
+        for lat in (pair.fine, pair.shaping):
+            red, pivots = _rref(np.hstack([lat.H.array, np.eye(lat.H.rows, dtype=np.int64)]), lat.p)
+            assert np.array_equal(lat._reduced[0], red) and lat._reduced[1] == pivots
+            assert np.array_equal(lat._basis, construction_a_basis(red, pivots, lat.p))
+            form, oracle = lat._sorted, sorted_qr_alone(lat._basis)
+            assert np.array_equal(form.basis, oracle.basis) and np.array_equal(form.q_t, oracle.q_t)
+            assert form.r == oracle.r
 
 
 def test_decoders_reject_non_finite_channel_output():

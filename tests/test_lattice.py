@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 import math
 import tracemalloc
 from fractions import Fraction
@@ -9,7 +10,7 @@ from itertools import combinations, product
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 from lda_lab import rng
@@ -31,7 +32,7 @@ from lda_lab.lattice import (
     log_ball_volume,
     volume_ratio_check,
 )
-from oracles import sorted_columns
+from oracles import construction_a_basis, sorted_columns, sorted_qr_alone
 
 
 def log_stirling_volume(n: int, rho: float) -> float:
@@ -500,22 +501,26 @@ def test_hermite_gain_trend_with_certified_bounds():
 
 def test_systematic_form_built_once_per_lattice(monkeypatch):
     # Every method reads one cached row reduction and one sorted QR.  A
-    # standalone lattice reduces [H | I] itself; a pair reduces [H_f | I]
-    # once for the fine lattice and extends that form by the ell message
-    # rows for the shaping lattice, once per draw, redraws included.
+    # standalone lattice reduces [H | I] and factors its basis itself, as a
+    # stack of one, on first use.  A pair's set-up reduces [H_f | I] once
+    # for the fine lattice and extends that form by the ell message rows
+    # for the shaping lattice, then factors both bases, once per draw,
+    # redraws included: the first draws of a batch of seeds in one QR
+    # stack, each redraw in a stack of its own two.
     from lda_lab import codec, gfmatrix, lattice
     from lda_lab.channel import wiener
 
-    reductions, factorizations = [], []
+    reductions, factorizations, stacks = [], [], []
     rref, sorted_qr = gfmatrix._rref, lattice._sorted_qr
 
     def counted_rref(a, p):
         reductions.append(a.shape)
         return rref(a, p)
 
-    def counted_sorted_qr(basis):
-        factorizations.append(basis.shape)
-        return sorted_qr(basis)
+    def counted_sorted_qr(bases):
+        factorizations.extend([bases.shape[1:]] * len(bases))
+        stacks.append(len(bases))
+        return sorted_qr(bases)
 
     monkeypatch.setattr(gfmatrix, "_rref", counted_rref)
     monkeypatch.setattr(lattice, "_rref", counted_rref)
@@ -528,7 +533,7 @@ def test_systematic_form_built_once_per_lattice(monkeypatch):
         assert np.array_equal(lat.H.mul_vec(lat.coset_point(syndrome)), syndrome)
         assert lat.contains(lat.quantize(y))
     assert lat.contains(lat.shortest_vector())
-    assert (reductions, factorizations) == ([(3, 12)], [(9, 9)])
+    assert (reductions, factorizations, stacks) == ([(3, 12)], [(9, 9)], [1])
     assert lat.k_eff == 9 - rank(lat.H)
 
     # Seed 3 of this dense family is rank deficient on its first draw.
@@ -536,33 +541,46 @@ def test_systematic_form_built_once_per_lattice(monkeypatch):
                                      (5, "lda", 12, 7, "1/4", "1/2")):
         reductions.clear()
         factorizations.clear()
+        stacks.clear()
         pair = codec.build_pair(n, p, R, R_f, kind, seed=seed, delta_p=4)
         ell, r = pair.ell, pair.stack.r
         attempts = pair.regenerations + 1
         assert attempts == (2 if kind == "dense" else 1)
         assert reductions == [(r, n + r), (ell, n + ell + r)] * attempts
-        assert factorizations == []
+        assert factorizations == [(n, n), (n, n)] * attempts
+        assert stacks == [2] * attempts
         message = np.arange(ell) % p
         x = codec.encode(pair, message).point
         P, sigma2 = 1.0, 1e-6
         for _ in range(2):
             decoded = codec.mmse_decode_exact(pair, x / wiener(P, sigma2), P, sigma2)
             assert np.array_equal(decoded, message)
-        assert len(reductions) == 2 * attempts
-        assert factorizations == [(n, n), (n, n)]
+        assert len(reductions) == len(factorizations) == 2 * attempts
+
+    # A batch of seeds 0-5 of the dense family: one reduction and one
+    # factorization per lattice per draw, the first draws in one stack.
+    reductions.clear()
+    factorizations.clear()
+    stacks.clear()
+    pairs = list(codec.build_pairs(4, 3, "1/4", "3/4", "dense", range(6)))
+    redraws = sum(pair.regenerations for pair in pairs)
+    assert redraws >= 1  # seed 3's
+    assert len(reductions) == len(factorizations) == 2 * (6 + redraws)
+    assert stacks == [12] + [2] * redraws
 
 
 def assert_sorted_qr(lat: ConstructionALattice) -> None:
     """The lattice's basis spans a sublattice of volume p^(n - k_eff), so
-    the lattice itself; and its one-pass sorted QR gives the oracle's column
-    order, orthonormal Q, Q R = basis and a positive diagonal of R."""
-    from lda_lab.lattice import _sorted_qr
-
+    the lattice itself; and its sorted QR, however it was computed, is the
+    one-basis loop's to the bit, with the oracle's column order, orthonormal
+    Q, Q R = basis and a positive diagonal of R."""
     basis = lat._basis
     assert all(lat.contains(column) for column in basis.T)
     sign, logdet = np.linalg.slogdet(basis.astype(float))
     assert sign != 0 and math.isclose(logdet, (lat.n - lat.k_eff) * math.log(lat.p))
-    form = _sorted_qr(basis)
+    form, alone = lat._sorted, sorted_qr_alone(basis)
+    assert np.array_equal(form.basis, alone.basis) and np.array_equal(form.q_t, alone.q_t)
+    assert form.r == alone.r
     assert np.array_equal(form.basis, sorted_columns(basis))
     r = np.array(form.r)
     assert np.allclose(form.q_t @ form.q_t.T, np.eye(lat.n), atol=1e-10)
@@ -752,3 +770,56 @@ def test_encode_equals_solve_based_encoding(data):
     x = solve(pair.stack.full, np.concatenate([m, np.zeros(pair.stack.r, dtype=np.int64)]))
     expected = x - pair.shaping.closest_point_bruteforce(x.astype(float))
     assert np.array_equal(encode(pair, m).point, expected)
+
+
+# ---------------------------------------------------------------------------
+# Properties: the stacked set-up layers against the one-lattice oracles
+
+
+@functools.cache
+def paper_regime_checks(count: int) -> tuple[GfMatrix, ...]:
+    """The n = 96, p = 31 fine check of test_sorted_qr_at_paper_regime_size,
+    then more of its family."""
+    return tuple(build_fine_lattice(96, 31, Fraction(1, 2), 4, seed=rng.derive_key(5, 96, i))[0].H
+                 for i in range(count))
+
+
+@st.composite
+def check_batches(draw):
+    """B in {1, 2, 8, 17} parity checks of one shape: dense checks of any
+    rank or LDA fine checks at n <= 48, or the n = 96, p = 31 fine check
+    and more of its family."""
+    B = draw(st.sampled_from([1, 2, 8, 17]))
+    family = draw(st.sampled_from(["dense", "lda", "paper"]))
+    event(f"{family} B = {B}")
+    if family == "paper":
+        return list(paper_regime_checks(B))
+    p = draw(st.sampled_from([3, 5, 7, 11, 31]))
+    seed = draw(st.integers(0, 2**32 - 1))
+    if family == "dense":
+        n = draw(st.integers(1, 48))
+        rows = draw(st.integers(1, n + 2))
+        gen = rng.generator(seed, "stacked-dense")
+        return [GfMatrix(gen.integers(0, p, size=(rows, n)) * (gen.random((rows, n)) < 0.5), p)
+                for _ in range(B)]
+    n = 4 * draw(st.integers(1, 12))
+    R_f = draw(st.sampled_from([Fraction(1, 2), Fraction(3, 4)]))
+    return [build_fine_lattice(n, p, R_f, 4, seed=rng.derive_key(seed, i))[0].H for i in range(B)]
+
+
+@settings(max_examples=40, deadline=None)
+@given(check_batches())
+def test_stacked_bases_and_sorted_qr_match_the_one_lattice_oracles(checks):
+    from lda_lab.lattice import _bases, _sorted_qr, construction_a, reduce_check
+
+    forms = [reduce_check(H) for H in checks]
+    bases = _bases(np.stack([red for red, _ in forms]), [pivots for _, pivots in forms], checks[0].p)
+    lattices = construction_a(checks, forms)
+    for basis, form, lat, (red, pivots) in zip(bases, _sorted_qr(bases), lattices, forms):
+        assert np.array_equal(basis, construction_a_basis(red, pivots, checks[0].p))
+        alone = sorted_qr_alone(basis)
+        for got in (form, lat._sorted):
+            assert np.array_equal(got.basis, alone.basis)
+            assert np.array_equal(got.q_t, alone.q_t)
+            assert got.r == alone.r
+        assert np.array_equal(lat._basis, basis) and lat._reduced[0] is red
