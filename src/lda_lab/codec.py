@@ -22,14 +22,14 @@ from . import rng
 from .channel import effective_noise_variance, wiener
 from .expander import BudgetExceededError, TannerGraph, build_graph, export_text, import_text
 from .fieldcore import is_prime
-from .gfmatrix import GfMatrix, StackedParityCheck, _extend_rref, block_heights, check_modulus
+from .gfmatrix import GfMatrix, StackedParityCheck, block_heights, check_modulus
 from .gfmatrix import rank, solve  # noqa: F401  (re-exported: the benchmark traces ``codec.rank``, ``codec.solve``)
 from .lattice import (
     DEFAULT_QUANTIZER_BUDGET,
     ConstructionALattice,
     checked_point,
     construction_a,
-    reduce_check,
+    reduce_checks,
 )
 
 MAX_RANK_ATTEMPTS = 64
@@ -93,26 +93,32 @@ class NestedLatticePair:
 
 def _set_up(drawn: list[tuple[StackedParityCheck, int, int, LdaInfo | None]]) -> list[NestedLatticePair]:
     """The pairs of drawn stacks, given as (stack, seed, attempt, graphs).
-    Each fine block's [H_f | I] is reduced once and that form extended by
-    the message rows for the shaping lattice; then the bases and sorted QR
-    factors of every fine and shaping lattice are computed as stacks."""
-    stacks = [stack for stack, *_ in drawn]
-    fine = [reduce_check(stack.lower) for stack in stacks]
-    full = [_extend_rref(form, stack.upper.array, stack.p) for form, stack in zip(fine, stacks)]
-    lattices = construction_a([s.lower for s in stacks] + [s.full for s in stacks], fine + full)
-    return [NestedLatticePair(*draw, lattices)
-            for draw, lattices in zip(drawn, zip(lattices, lattices[len(drawn):]))]
+    The fine blocks' [H_f | I] are reduced as one stack and the full
+    stacks' [H | I] as another.  The fine lattices share one set-up stack
+    and the shaping lattices another, so each kind's bases and sorted QR
+    factors are computed for all the pairs at once, on the first search of
+    any of them."""
+    lower = [stack.lower for stack, *_ in drawn]
+    full = [stack.full for stack, *_ in drawn]
+    lattices = zip(construction_a(lower, reduce_checks(lower)), construction_a(full, reduce_checks(full)))
+    return [NestedLatticePair(*draw, pair) for draw, pair in zip(drawn, lattices)]
 
 
-def _label_graph(graph: TannerGraph, p: int, seed: int, tag: str, attempt: int) -> GfMatrix:
-    """Put i.i.d. uniform GF(p) labels on the merged edges, in the fixed
-    lexicographic edge order: one row per check, one column per variable."""
-    check_modulus(p, graph.n_right, graph.n_left)  # before the draw, which cannot hold such labels
-    gen = rng.generator(seed, "labels", tag, attempt)
-    H = np.zeros((graph.n_right, graph.n_left), dtype=np.int64)
-    H[graph.edges[:, 1], graph.edges[:, 0]] = gen.integers(
-        0, p, size=len(graph.edges), dtype=np.int64)
-    return GfMatrix(H, p)
+def _label_graphs(graphs: list[TannerGraph], p: int, seeds: list[int], tag: str,
+                  attempt: int) -> list[GfMatrix]:
+    """Put i.i.d. uniform GF(p) labels on the merged edges of each graph
+    (graphs of one shape), drawn from its seed's stream in the fixed
+    lexicographic edge order, and scatter them into one stack of checks:
+    one row per check, one column per variable."""
+    rows, n = graphs[0].n_right, graphs[0].n_left
+    check_modulus(p, rows, n)  # before the draw, which cannot hold such labels
+    labels = [rng.generator(seed, "labels", tag, attempt).integers(0, p, size=len(graph.edges), dtype=np.int64)
+              for graph, seed in zip(graphs, seeds)]
+    edges = np.concatenate([graph.edges for graph in graphs])
+    H = np.zeros((len(graphs), rows, n), dtype=np.int64)
+    H[np.repeat(np.arange(len(graphs)), [len(graph.edges) for graph in graphs]),
+      edges[:, 1], edges[:, 0]] = np.concatenate(labels)
+    return [GfMatrix(h, p) for h in H]
 
 
 def _skeleton(n: int, rows: int, delta_p: int, seed: int, tag: str) -> TannerGraph:
@@ -129,15 +135,20 @@ def _check_ensemble(p: int, kind: str) -> None:
         raise ValueError(f"unknown ensemble kind {kind!r}")
 
 
-def _draw(n: int, p: int, ell: int, r: int, seed: int, lda: LdaInfo | None,
-          attempt: int) -> StackedParityCheck:
-    """Attempt ``attempt`` of a pair's stack: dense entries, or labels on
-    the pair's LDA graphs."""
-    if lda is None:
-        gen = rng.generator(seed, "dense-H", attempt)
-        return StackedParityCheck(GfMatrix.random(ell, n, p, gen), GfMatrix.random(r, n, p, gen))
-    return StackedParityCheck(_label_graph(lda.upper_graph, p, seed, "upper", attempt),
-                              _label_graph(lda.fine_graph, p, seed, "fine", attempt))
+def _draws(n: int, p: int, ell: int, r: int, seeds: list[int], graphs: list[LdaInfo | None],
+           attempt: int) -> list[tuple[StackedParityCheck, int, int, LdaInfo | None]]:
+    """Attempt ``attempt`` of each seed's stack, as :func:`_set_up` takes
+    it: dense entries, or (when the seeds carry graphs) labels on each
+    seed's LDA graphs."""
+    if graphs[0] is None:
+        gens = [rng.generator(seed, "dense-H", attempt) for seed in seeds]
+        stacks = [StackedParityCheck(GfMatrix.random(ell, n, p, gen), GfMatrix.random(r, n, p, gen))
+                  for gen in gens]
+    else:
+        stacks = [StackedParityCheck(upper, lower) for upper, lower in zip(
+            _label_graphs([lda.upper_graph for lda in graphs], p, seeds, "upper", attempt),
+            _label_graphs([lda.fine_graph for lda in graphs], p, seeds, "fine", attempt))]
+    return [(stack, seed, attempt, lda) for stack, seed, lda in zip(stacks, seeds, graphs)]
 
 
 def build_pairs(
@@ -179,16 +190,14 @@ def build_pairs(
         graphs = [None if kind == "dense" else
                   LdaInfo(_skeleton(n, r, delta_p, seed, "fine"), _skeleton(n, ell, delta_p, seed, "upper"))
                   for seed in part]
-        first = _set_up([(_draw(n, p, ell, r, seed, lda, 0), seed, 0, lda)
-                         for seed, lda in zip(part, graphs)])
-        for seed, lda, pair in zip(part, graphs, first):
+        for seed, lda, pair in zip(part, graphs, _set_up(_draws(n, p, ell, r, part, graphs, 0))):
             # The rank is read off the one row reduction the encoder needs anyway.
             while n - pair.shaping.k_eff != ell + r:
                 attempt = pair.regenerations + 1
                 if attempt == MAX_RANK_ATTEMPTS:
                     raise RuntimeError(f"no full-rank draw after {MAX_RANK_ATTEMPTS} attempts "
                                        f"(seed {seed})")
-                pair, = _set_up([(_draw(n, p, ell, r, seed, lda, attempt), seed, attempt, lda)])
+                pair, = _set_up(_draws(n, p, ell, r, [seed], [lda], attempt))
             yield pair
 
 
@@ -457,7 +466,7 @@ def build_fine_lattice(
     the fine block of ``build_pair``'s first attempt with the same seed."""
     _ell, r = block_heights(n, None, Fraction(R_f))
     graph = _skeleton(n, r, delta_p, seed, "fine")
-    return ConstructionALattice(_label_graph(graph, p, seed, "fine", attempt=0)), graph
+    return ConstructionALattice(_label_graphs([graph], p, [seed], "fine", attempt=0)[0]), graph
 
 
 # ---------------------------------------------------------------------------

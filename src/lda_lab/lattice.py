@@ -32,7 +32,7 @@ import numpy as np
 
 from .expander import BudgetExceededError
 from .fieldcore import is_prime
-from .gfmatrix import GfMatrix, NoSolutionError, _rref
+from .gfmatrix import GfMatrix, NoSolutionError, _rref, _rref_stack
 from .gfmatrix import rank  # noqa: F401  (re-exported: the benchmark traces ``lattice.rank``)
 
 DEFAULT_ENUMERATION_BUDGET = 100_000_000
@@ -262,23 +262,27 @@ def _sorted_qr(bases: np.ndarray) -> list[_SortedQR]:
     a = bases.astype(float)
     B, n, _n = a.shape
     flat = a.reshape(-1)
+    squares, outer = np.empty_like(a), np.empty_like(a)
+    norms = np.empty((B, n))
     taken = np.zeros((B, n))  # inf on the columns already picked
     order = np.empty((n, B), dtype=np.intp)
     q_t = np.empty((B, n, n))
     proj = np.empty((B, n, n))
-    starts = np.arange(0, B * n, n)  # each basis's first entry in ``taken``
+    starts = np.arange(0, B * n, n)  # each basis's first entry in ``norms``
     column = (n * starts)[:, None] + np.arange(0, n * n, n)  # column 0's entries in ``flat``
     for i in range(n):
-        norms = (a * a).sum(axis=1)
+        np.add.reduce(np.multiply(a, a, out=squares), axis=1, out=norms)
         norms += taken
         j = norms.argmin(axis=1)
         order[i] = j
-        taken.reshape(-1)[starts + j] = np.inf
+        at = starts + j
+        taken.reshape(-1)[at] = np.inf
         picked = column + j[:, None]
         q = q_t[:, i]
-        np.divide(flat.take(picked), np.sqrt(norms.take(starts + j))[:, None], out=q)
-        proj[:, i] = np.matmul(q[:, None, :], a)[:, 0]
-        a -= q[:, :, None] * proj[:, i, None, :]
+        np.divide(flat[picked], np.sqrt(norms.reshape(-1)[at])[:, None], out=q)
+        projections = np.matmul(q[:, None, :], a)
+        proj[:, i] = projections[:, 0]
+        a -= np.multiply(q[:, :, None], projections, out=outer)
         flat[picked] = 0.0
     return [_SortedQR(basis=bases[b][:, o], q_t=q_t[b], r=proj[b][:, o].tolist())
             for b, o in enumerate(order.T)]
@@ -395,26 +399,27 @@ class ConstructionALattice:
     """Lattice of integer vectors x with H x^T = 0 mod p."""
 
     def __init__(self, H: GfMatrix, _reduced: tuple[np.ndarray, list[int]] | None = None,
-                 _basis: np.ndarray | None = None, _sorted: _SortedQR | None = None):
-        """``_reduced`` is rref([H | I]) mod p with its pivot columns,
-        ``_basis`` the Construction-A basis read off it and ``_sorted`` that
-        basis's sorted QR, for a caller that already has them
-        (:func:`construction_a` computes them as stacks); the lattice
-        computes each one it lacks itself, as a stack of one, on first use."""
+                 _stack: tuple[SetUpStack, int] | None = None):
+        """``_reduced`` is rref([H | I]) mod p with its pivot columns, for a
+        caller that already has it; without it the lattice reduces H itself
+        on first use.  ``_stack`` is the set-up stack that holds this
+        lattice's reduced form, and its place in it (see
+        :func:`construction_a`); without it the lattice is a stack of one."""
         if not is_prime(H.p) or H.p == 2:
             raise ValueError("lattice constructions require an odd prime")
         self.H = H
         self.p = H.p
         self.n = H.cols
-        for name, value in (("_reduced", _reduced), ("_basis", _basis), ("_sorted", _sorted)):
-            if value is not None:
-                setattr(self, name, value)
+        if _reduced is not None:
+            self._reduced = _reduced
+        if _stack is not None:
+            self._stack = _stack
 
     @cached_property
     def _reduced(self) -> tuple[np.ndarray, list[int]]:
         """rref([H | I]) mod p and its pivot columns; the right-hand block is
         T with T H = rref(H), whose rows past the rank annihilate H."""
-        return reduce_check(self.H)
+        return reduce_checks([self.H])[0]
 
     @cached_property
     def _pivots(self) -> list[int]:
@@ -422,15 +427,21 @@ class ConstructionALattice:
         return [c for c in self._reduced[1] if c < self.n]
 
     @cached_property
+    def _stack(self) -> tuple[SetUpStack, int]:
+        return SetUpStack([self._reduced], self.p), 0
+
+    @property
     def _basis(self) -> np.ndarray:
         """The Construction-A basis as columns (see :func:`_bases`)."""
-        reduced, pivots = self._reduced
-        return _bases(reduced[None], [pivots], self.p)[0]
+        stack, i = self._stack
+        return stack.bases[i]
 
-    @cached_property
+    @property
     def _sorted(self) -> _SortedQR:
-        """The search basis and its QR factors, built on first search."""
-        return _sorted_qr(self._basis[None])[0]
+        """The search basis and its QR factors, built with the lattice's
+        stack on the first search of any lattice in it."""
+        stack, i = self._stack
+        return stack.sorted[i]
 
     @property
     def k_eff(self) -> int:
@@ -620,25 +631,39 @@ class ConstructionALattice:
         return math.exp(log_rho)
 
 
-def reduce_check(H: GfMatrix) -> tuple[np.ndarray, list[int]]:
-    """rref([H | I]) mod p and its pivot columns."""
-    return _rref(np.hstack([H.array, np.eye(H.rows, dtype=np.int64)]), H.p)
+def reduce_checks(checks: list[GfMatrix]) -> list[tuple[np.ndarray, list[int]]]:
+    """rref([H | I]) mod p and its pivot columns for each parity check H of
+    one shape and modulus, reduced as one stack."""
+    rows, n = checks[0].array.shape
+    stack = np.zeros((len(checks), rows, n + rows), dtype=np.int64)
+    stack[:, :, :n] = [H.array for H in checks]
+    stack[:, :, n:] = np.eye(rows, dtype=np.int64)
+    return _rref_stack(stack, checks[0].p)
+
+
+class SetUpStack:
+    """The reduced forms of lattices of one shape of [H | I] and one
+    modulus, set up together: their Construction-A bases and then their
+    sorted QR factors are each computed for the whole stack, as (B, n, n)
+    arrays, when the first lattice of the stack needs its own."""
+
+    def __init__(self, reduced: list[tuple[np.ndarray, list[int]]], p: int):
+        self.reduced, self.p = reduced, p
+
+    @cached_property
+    def bases(self) -> np.ndarray:
+        return _bases(np.stack([red for red, _ in self.reduced]), [pv for _, pv in self.reduced], self.p)
+
+    @cached_property
+    def sorted(self) -> list[_SortedQR]:
+        return _sorted_qr(self.bases)
 
 
 def construction_a(checks: list[GfMatrix],
                    reduced: list[tuple[np.ndarray, list[int]]]) -> list[ConstructionALattice]:
-    """The lattices of parity checks of one length n and one modulus, each
-    given with its reduced form rref([H | I]) and pivot columns, with their
-    bases and sorted QR factors computed as stacks: one basis stack per
-    shape of reduced form, then one (B, n, n) QR stack for all of them."""
-    bases: list[np.ndarray] = [np.empty(0)] * len(checks)
-    shapes: dict[tuple[int, ...], list[int]] = {}
-    for i, (red, _pivots) in enumerate(reduced):
-        shapes.setdefault(red.shape, []).append(i)
-    for members in shapes.values():
-        stack = _bases(np.stack([reduced[i][0] for i in members]),
-                       [reduced[i][1] for i in members], checks[0].p)
-        for i, basis in zip(members, stack):
-            bases[i] = basis
-    return [ConstructionALattice(H, _reduced=red, _basis=basis, _sorted=form)
-            for H, red, basis, form in zip(checks, reduced, bases, _sorted_qr(np.stack(bases)))]
+    """The lattices of parity checks of one shape and modulus, each given
+    with its reduced form rref([H | I]) and pivot columns, set up together
+    in one :class:`SetUpStack`."""
+    stack = SetUpStack(reduced, checks[0].p)
+    return [ConstructionALattice(H, _reduced=red, _stack=(stack, i))
+            for i, (H, red) in enumerate(zip(checks, reduced))]

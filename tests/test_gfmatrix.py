@@ -18,8 +18,8 @@ from lda_lab.gfmatrix import (
     GfMatrix,
     NoSolutionError,
     StackedParityCheck,
-    _extend_rref,
     _rref,
+    _rref_stack,
     block_heights,
     rank,
     solve,
@@ -108,39 +108,38 @@ def test_generator_annihilated_by_parity():
 
 
 @st.composite
-def sparse_stacks(draw):
-    """(U, L, p): a message block of 1-4 rows on a fine block of 1-4 rows,
-    n = 2-10, entries zero with some drawn probability; a block may repeat a
-    multiple of its first row, which makes it rank deficient."""
-    p = draw(st.sampled_from([3, 5, 7, 11]))
-    n = draw(st.integers(2, 10))
+def matrix_stacks(draw):
+    """(stack, p): B in {1, 2, 8, 17} matrices of one shape, 1-6 rows by
+    1-12 columns, entries zero with some drawn probability; a matrix may
+    repeat a multiple of its first row, which makes it rank deficient, and
+    may carry an identity block on its right, as [H | I] does."""
+    p = draw(st.sampled_from([3, 5, 7, 11, 31]))
+    B = draw(st.sampled_from([1, 2, 8, 17]))
+    rows, cols = draw(st.integers(1, 6)), draw(st.integers(1, 12))
     gen = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    density = draw(st.sampled_from([0.2, 0.5, 1.0]))
-    blocks = []
-    for _ in range(2):
-        rows = draw(st.integers(1, 4))
-        block = gen.integers(0, p, size=(rows, n)) * (gen.random((rows, n)) < density)
-        if rows > 1 and draw(st.booleans()):
-            block[-1] = (draw(st.integers(0, p - 1)) * block[0]) % p
-        blocks.append(block)
-    return blocks[0], blocks[1], p
+    stack = gen.integers(0, p, size=(B, rows, cols)) * (gen.random((B, rows, cols)) < draw(
+        st.sampled_from([0.2, 0.5, 1.0])))
+    if rows > 1:
+        repeat = gen.random(B) < 0.5
+        stack[repeat, -1] = (gen.integers(0, p, size=(repeat.sum(), 1)) * stack[repeat, 0]) % p
+    if draw(st.booleans()):
+        stack = np.concatenate([stack, np.broadcast_to(np.eye(rows, dtype=np.int64), (B, rows, rows))], axis=2)
+    event(f"B = {B}")
+    return stack, p
 
 
-@settings(max_examples=500, deadline=None)
-@given(sparse_stacks())
-@example((np.array([[1, 2, 0], [2, 4, 0]]), np.array([[0, 1, 1]]), 5))  # U deficient
-@example((np.array([[1, 0, 1]]), np.array([[1, 1, 0], [3, 3, 0]]), 3))  # L deficient
-@example((np.array([[0, 1, 1]]), np.array([[0, 1, 1]]), 7))  # U inside the row space of L
-def test_extended_reduction_is_the_reduction_of_the_stack(stack):
-    upper, lower, p = stack
-    H = np.vstack([upper, lower])
-    whole = _rref(np.hstack([H, np.eye(len(H), dtype=np.int64)]), p)
-    fine = _rref(np.hstack([lower, np.eye(len(lower), dtype=np.int64)]), p)
-    red, pivots = _extend_rref(fine, upper, p)
-    n = H.shape[1]
-    event(f"rank {sum(c < n for c in pivots)} of {len(H)}")
-    assert pivots == whole[1]
-    assert np.array_equal(red, whole[0])
+@settings(max_examples=300, deadline=None)
+@given(matrix_stacks())
+@example((np.zeros((2, 3, 4), dtype=np.int64), 5))  # no pivot anywhere
+@example((np.array([[[1, 2, 0], [2, 4, 0]], [[0, 0, 1], [0, 3, 3]]]), 5))  # deficient, then full
+@example((np.array([[[0, 1, 1], [0, 1, 1]], [[3, 0, 0], [0, 0, 0]]]), 7))  # pivots in different columns
+def test_stacked_reduction_is_the_reduction_of_each_matrix(stack):
+    a, p = stack
+    for matrix, (red, pivots) in zip(a, _rref_stack(a, p), strict=True):
+        alone = _rref(matrix, p)
+        event(f"rank {len(pivots)} of {len(matrix)}")
+        assert pivots == alone[1]
+        assert np.array_equal(red, alone[0])
 
 
 def test_stacked_parity_check_shapes():

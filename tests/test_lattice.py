@@ -502,28 +502,30 @@ def test_hermite_gain_trend_with_certified_bounds():
 def test_systematic_form_built_once_per_lattice(monkeypatch):
     # Every method reads one cached row reduction and one sorted QR.  A
     # standalone lattice reduces [H | I] and factors its basis itself, as a
-    # stack of one, on first use.  A pair's set-up reduces [H_f | I] once
-    # for the fine lattice and extends that form by the ell message rows
-    # for the shaping lattice, then factors both bases, once per draw,
-    # redraws included: the first draws of a batch of seeds in one QR
-    # stack, each redraw in a stack of its own two.
-    from lda_lab import codec, gfmatrix, lattice
+    # stack of one, on first use.  A pair's set-up reduces [H_f | I] and
+    # [H | I] once per draw, redraws included: the first draws of a batch
+    # of seeds as two stacks, each redraw as two stacks of one.  The fine
+    # lattices of a batch share one set-up stack and the shaping lattices
+    # another.  A stack's bases are factored together on the first search
+    # of any lattice in it, so each lattice is factored once, and none
+    # before a search needs it.
+    from lda_lab import codec, lattice
     from lda_lab.channel import wiener
 
     reductions, factorizations, stacks = [], [], []
-    rref, sorted_qr = gfmatrix._rref, lattice._sorted_qr
+    rref_stack, sorted_qr = lattice._rref_stack, lattice._sorted_qr
 
-    def counted_rref(a, p):
-        reductions.append(a.shape)
-        return rref(a, p)
+    def counted_rref_stack(a, p):
+        reductions.extend([a.shape[1:]] * len(a))
+        stacks.append(("reduce", len(a)))
+        return rref_stack(a, p)
 
     def counted_sorted_qr(bases):
         factorizations.extend([bases.shape[1:]] * len(bases))
-        stacks.append(len(bases))
+        stacks.append(("factor", len(bases)))
         return sorted_qr(bases)
 
-    monkeypatch.setattr(gfmatrix, "_rref", counted_rref)
-    monkeypatch.setattr(lattice, "_rref", counted_rref)
+    monkeypatch.setattr(lattice, "_rref_stack", counted_rref_stack)
     monkeypatch.setattr(lattice, "_sorted_qr", counted_sorted_qr)
     lat = ConstructionALattice(GfMatrix.random(3, 9, 5, rng.generator(1, "shared-form")))
     y = rng.generator(2, "shared-form").uniform(-5, 5, size=9)
@@ -533,40 +535,45 @@ def test_systematic_form_built_once_per_lattice(monkeypatch):
         assert np.array_equal(lat.H.mul_vec(lat.coset_point(syndrome)), syndrome)
         assert lat.contains(lat.quantize(y))
     assert lat.contains(lat.shortest_vector())
-    assert (reductions, factorizations, stacks) == ([(3, 12)], [(9, 9)], [1])
+    assert (reductions, factorizations) == ([(3, 12)], [(9, 9)])
+    assert stacks == [("reduce", 1), ("factor", 1)]
     assert lat.k_eff == 9 - rank(lat.H)
+
+    def encode_and_decode(pair):
+        message = np.arange(pair.ell) % pair.p
+        x = codec.encode(pair, message).point
+        P, sigma2 = 1.0, 1e-6
+        for _ in range(2):
+            decoded = codec.mmse_decode_exact(pair, x / wiener(P, sigma2), P, sigma2)
+            assert np.array_equal(decoded, message)
 
     # Seed 3 of this dense family is rank deficient on its first draw.
     for seed, kind, n, p, R, R_f in ((3, "dense", 4, 3, "1/4", "3/4"),
                                      (5, "lda", 12, 7, "1/4", "1/2")):
         reductions.clear()
         factorizations.clear()
-        stacks.clear()
         pair = codec.build_pair(n, p, R, R_f, kind, seed=seed, delta_p=4)
         ell, r = pair.ell, pair.stack.r
         attempts = pair.regenerations + 1
         assert attempts == (2 if kind == "dense" else 1)
-        assert reductions == [(r, n + r), (ell, n + ell + r)] * attempts
-        assert factorizations == [(n, n), (n, n)] * attempts
-        assert stacks == [2] * attempts
-        message = np.arange(ell) % p
-        x = codec.encode(pair, message).point
-        P, sigma2 = 1.0, 1e-6
-        for _ in range(2):
-            decoded = codec.mmse_decode_exact(pair, x / wiener(P, sigma2), P, sigma2)
-            assert np.array_equal(decoded, message)
-        assert len(reductions) == len(factorizations) == 2 * attempts
+        assert reductions == [(r, n + r), (ell + r, n + ell + r)] * attempts
+        assert factorizations == []
+        encode_and_decode(pair)
+        assert len(reductions) == 2 * attempts
+        assert factorizations == [(n, n), (n, n)]
 
-    # A batch of seeds 0-5 of the dense family: one reduction and one
-    # factorization per lattice per draw, the first draws in one stack.
-    reductions.clear()
-    factorizations.clear()
+    # A batch of seeds 0-5 of the dense family: one reduction per lattice
+    # per draw, the first draws' in two stacks of six; one factorization
+    # per stack of lattices, the six first draws or a redraw alone.
     stacks.clear()
     pairs = list(codec.build_pairs(4, 3, "1/4", "3/4", "dense", range(6)))
-    redraws = sum(pair.regenerations for pair in pairs)
-    assert redraws >= 1  # seed 3's
-    assert len(reductions) == len(factorizations) == 2 * (6 + redraws)
-    assert stacks == [12] + [2] * redraws
+    redrawn = [pair.regenerations for pair in pairs if pair.regenerations]
+    assert redrawn  # seed 3's
+    assert stacks == [("reduce", 6)] * 2 + [("reduce", 1)] * 2 * sum(redrawn)
+    stacks.clear()
+    for pair in pairs:
+        encode_and_decode(pair)
+    assert sorted(stacks) == [("factor", 1)] * 2 * len(redrawn) + [("factor", 6)] * 2
 
 
 def assert_sorted_qr(lat: ConstructionALattice) -> None:
@@ -809,14 +816,17 @@ def check_batches(draw):
 
 @settings(max_examples=40, deadline=None)
 @given(check_batches())
-def test_stacked_bases_and_sorted_qr_match_the_one_lattice_oracles(checks):
-    from lda_lab.lattice import _bases, _sorted_qr, construction_a, reduce_check
+def test_stacked_set_up_matches_the_one_lattice_oracles(checks):
+    from lda_lab.lattice import _bases, _sorted_qr, construction_a, reduce_checks
 
-    forms = [reduce_check(H) for H in checks]
-    bases = _bases(np.stack([red for red, _ in forms]), [pivots for _, pivots in forms], checks[0].p)
+    p = checks[0].p
+    forms = reduce_checks(checks)
+    bases = _bases(np.stack([red for red, _ in forms]), [pivots for _, pivots in forms], p)
     lattices = construction_a(checks, forms)
-    for basis, form, lat, (red, pivots) in zip(bases, _sorted_qr(bases), lattices, forms):
-        assert np.array_equal(basis, construction_a_basis(red, pivots, checks[0].p))
+    for H, basis, form, lat, (red, pivots) in zip(checks, bases, _sorted_qr(bases), lattices, forms):
+        alone = _rref(np.hstack([H.array, np.eye(H.rows, dtype=np.int64)]), p)
+        assert np.array_equal(red, alone[0]) and pivots == alone[1]
+        assert np.array_equal(basis, construction_a_basis(red, pivots, p))
         alone = sorted_qr_alone(basis)
         for got in (form, lat._sorted):
             assert np.array_equal(got.basis, alone.basis)
