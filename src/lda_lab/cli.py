@@ -3,9 +3,10 @@
 Every trial is a pure function of (config, master_seed, trial_index):
 message, noise, and ensemble draws come from independently derived
 streams, so results are byte-identical across runs.  Trials run in order
-on one thread; a pair's points are decoded together once its last trial
-is sent.  The ``threads`` key and ``--threads`` flag are accepted and
-validated but select nothing.
+on one thread; resampled pairs are set up a chunk of trials at a time, and
+a pair's points are decoded together once its last trial is sent.  The
+``threads`` key and ``--threads`` flag are accepted and validated but
+select nothing.
 """
 
 from __future__ import annotations

@@ -29,16 +29,16 @@ from .lattice import (
     ConstructionALattice,
     checked_point,
     construction_a,
-    reduce_checks,
 )
 
 MAX_RANK_ATTEMPTS = 64
-# Pair set-up runs on stacks of pairs.  A pair's set-up holds about
-# SETUP_BYTES_PER_ENTRY bytes per entry of its two n x n lattice matrices
-# (the bases, the QR working copies and their temporaries), and one stack
-# holds at most SETUP_BYTES of them: 56 pairs at n = 12, one past n = 90.
-SETUP_BYTES_PER_ENTRY = 160
-SETUP_BYTES = 2**20
+# Pairs are set up in chunks, as stacks.  A set-up pair holds about
+# SETUP_BYTES_PER_ENTRY bytes per entry of n x n (its reduced forms, bases,
+# QR factors and their working copies, its graphs and R as Python floats:
+# 229 measured at n = 12, 151 at n = 48), and a chunk holds at most
+# SETUP_BYTES of pairs: 113 at n = 12, 7 at n = 48, one from n = 91.
+SETUP_BYTES_PER_ENTRY = 256
+SETUP_BYTES = 2**22
 # Sum-product limits.  Flooding BP settles in tens of iterations; more than
 # MAX_BP_ITERATIONS is refused.  A batch holds its channel priors and
 # messages as float arrays of about BP_BYTES_PER_SYMBOL bytes per point,
@@ -98,9 +98,8 @@ def _set_up(drawn: list[tuple[StackedParityCheck, int, int, LdaInfo | None]]) ->
     and the shaping lattices another, so each kind's bases and sorted QR
     factors are computed for all the pairs at once, on the first search of
     any of them."""
-    lower = [stack.lower for stack, *_ in drawn]
-    full = [stack.full for stack, *_ in drawn]
-    lattices = zip(construction_a(lower, reduce_checks(lower)), construction_a(full, reduce_checks(full)))
+    lattices = zip(construction_a([stack.lower for stack, *_ in drawn]),
+                   construction_a([stack.full for stack, *_ in drawn]))
     return [NestedLatticePair(*draw, pair) for draw, pair in zip(drawn, lattices)]
 
 
@@ -169,14 +168,14 @@ def build_pairs(
     degree delta_p(1 - R_f), the message block check degree delta_p and
     variable degree delta_p(R_f - R).
 
-    The seeds are taken in chunks of at most SETUP_BYTES of set-up arrays
-    (about SETUP_BYTES_PER_ENTRY bytes per entry of a pair's two n x n
-    lattice matrices), and a chunk's first draws are set up together
-    (:func:`_set_up`).  A rank-deficient draw is repaired when its pair is
-    reached, by redrawing entries/labels with the next attempt number, one
-    draw at a time; the number of redraws is recorded on the pair.  So a
-    pair, and a refusal after MAX_RANK_ATTEMPTS draws, come out as they
-    would for the seed alone, and in seed order.
+    The seeds are taken in chunks of at most SETUP_BYTES of set-up pairs
+    (about SETUP_BYTES_PER_ENTRY bytes per entry of n x n each), and the
+    first draws of a chunk are set up together (:func:`_set_up`).  A
+    rank-deficient draw is repaired when its pair is reached, by redrawing
+    entries/labels with the next attempt number, one draw at a time; the
+    number of redraws is recorded on the pair.  So a pair, and a refusal
+    after MAX_RANK_ATTEMPTS draws, come out as they would for the seed
+    alone, and in seed order.
     """
     R = Fraction(R)
     R_f = Fraction(R_f)

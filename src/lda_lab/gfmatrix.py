@@ -3,6 +3,9 @@
 Entries are numpy int64 arrays reduced mod p.  Elimination pivots on the
 first nonzero column with the smallest row index, so ranks and solutions
 are identical across platforms and row orders of equal content.
+``_rref`` reduces one matrix; ``_rref_stack`` reduces a (B, rows, cols)
+stack in one pass, for the set-up of many lattices at once, and gives each
+matrix the reduced form ``_rref`` gives it, which is unique.
 """
 
 from __future__ import annotations

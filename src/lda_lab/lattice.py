@@ -3,13 +3,17 @@
 A lattice here is the preimage of a p-ary code under reduction mod p:
 x is a lattice point iff x is integral and H x^T = 0 mod p.  Each lattice
 holds one reduced row echelon form of [H | I], its own or one handed to it
-(a nested pair extends its fine lattice's form by the message rows), and
-reads everything else straight off it: the pivots, the row transform for
-the encoder, and the triangular Construction-A basis (free columns e_f plus
+(a nested pair's set-up reduces its lattices' forms as stacks), and reads
+everything else straight off it: the pivots, the row transform for the
+encoder, and the triangular Construction-A basis (free columns e_f plus
 the pivot entries as residues in (-p/2, p/2), pivot columns p e_c), whose
 first k_eff columns mod p are the generator.  One modified Gram-Schmidt
-pass sorts that basis by least residual length and factors it, on the
-first search.  Closest-point and shortest-vector search are exact
+pass sorts that basis by least residual length and factors it.  Lattices
+set up together share a ``SetUpStack``, which builds all their bases and
+factors them in one pass over a (B, n, n) stack on the first search of
+any of them; a standalone lattice is a stack of one.  ``tests/oracles.py``
+holds the one-lattice basis and sorted QR that the stacks must match bit
+for bit.  Closest-point and shortest-vector search are exact
 Schnorr-Euchner depth-first enumerations on the factored basis (Agrell,
 Eriksson, Vardy and Zeger,
 "Closest point search in lattices", IEEE-IT 2002; Viterbo and Boutros,
@@ -398,37 +402,34 @@ def _covered_twice(masks: np.ndarray, supports: np.ndarray) -> np.ndarray:
 class ConstructionALattice:
     """Lattice of integer vectors x with H x^T = 0 mod p."""
 
-    def __init__(self, H: GfMatrix, _reduced: tuple[np.ndarray, list[int]] | None = None,
-                 _stack: tuple[SetUpStack, int] | None = None):
-        """``_reduced`` is rref([H | I]) mod p with its pivot columns, for a
-        caller that already has it; without it the lattice reduces H itself
-        on first use.  ``_stack`` is the set-up stack that holds this
-        lattice's reduced form, and its place in it (see
-        :func:`construction_a`); without it the lattice is a stack of one."""
+    def __init__(self, H: GfMatrix, _stack: tuple[SetUpStack, int] | None = None):
+        """``_stack`` is the set-up stack that holds H, and its place in it
+        (see :func:`construction_a`); without it the lattice is a stack of
+        one, set up on first use."""
         if not is_prime(H.p) or H.p == 2:
             raise ValueError("lattice constructions require an odd prime")
         self.H = H
         self.p = H.p
         self.n = H.cols
-        if _reduced is not None:
-            self._reduced = _reduced
         if _stack is not None:
             self._stack = _stack
 
     @cached_property
+    def _stack(self) -> tuple[SetUpStack, int]:
+        """A stack of this lattice alone, unless one was handed over."""
+        return SetUpStack([self.H]), 0
+
+    @property
     def _reduced(self) -> tuple[np.ndarray, list[int]]:
         """rref([H | I]) mod p and its pivot columns; the right-hand block is
         T with T H = rref(H), whose rows past the rank annihilate H."""
-        return reduce_checks([self.H])[0]
+        stack, i = self._stack
+        return stack.reduced[i]
 
     @cached_property
     def _pivots(self) -> list[int]:
         """The pivot columns of H."""
         return [c for c in self._reduced[1] if c < self.n]
-
-    @cached_property
-    def _stack(self) -> tuple[SetUpStack, int]:
-        return SetUpStack([self._reduced], self.p), 0
 
     @property
     def _basis(self) -> np.ndarray:
@@ -631,24 +632,20 @@ class ConstructionALattice:
         return math.exp(log_rho)
 
 
-def reduce_checks(checks: list[GfMatrix]) -> list[tuple[np.ndarray, list[int]]]:
-    """rref([H | I]) mod p and its pivot columns for each parity check H of
-    one shape and modulus, reduced as one stack."""
-    rows, n = checks[0].array.shape
-    stack = np.zeros((len(checks), rows, n + rows), dtype=np.int64)
-    stack[:, :, :n] = [H.array for H in checks]
-    stack[:, :, n:] = np.eye(rows, dtype=np.int64)
-    return _rref_stack(stack, checks[0].p)
-
-
 class SetUpStack:
-    """The reduced forms of lattices of one shape of [H | I] and one
-    modulus, set up together: their Construction-A bases and then their
-    sorted QR factors are each computed for the whole stack, as (B, n, n)
-    arrays, when the first lattice of the stack needs its own."""
+    """Parity checks of one shape and modulus set up together: their
+    [H | I] are reduced at once as one stack, and their Construction-A
+    bases and then their sorted QR factors are each computed for the whole
+    stack, as (B, n, n) arrays, when the first of its lattices needs its
+    own."""
 
-    def __init__(self, reduced: list[tuple[np.ndarray, list[int]]], p: int):
-        self.reduced, self.p = reduced, p
+    def __init__(self, checks: list[GfMatrix]):
+        rows, n = checks[0].array.shape
+        stack = np.zeros((len(checks), rows, n + rows), dtype=np.int64)
+        stack[:, :, :n] = [H.array for H in checks]
+        stack[:, :, n:] = np.eye(rows, dtype=np.int64)
+        self.p = checks[0].p
+        self.reduced = _rref_stack(stack, self.p)
 
     @cached_property
     def bases(self) -> np.ndarray:
@@ -659,11 +656,8 @@ class SetUpStack:
         return _sorted_qr(self.bases)
 
 
-def construction_a(checks: list[GfMatrix],
-                   reduced: list[tuple[np.ndarray, list[int]]]) -> list[ConstructionALattice]:
-    """The lattices of parity checks of one shape and modulus, each given
-    with its reduced form rref([H | I]) and pivot columns, set up together
-    in one :class:`SetUpStack`."""
-    stack = SetUpStack(reduced, checks[0].p)
-    return [ConstructionALattice(H, _reduced=red, _stack=(stack, i))
-            for i, (H, red) in enumerate(zip(checks, reduced))]
+def construction_a(checks: list[GfMatrix]) -> list[ConstructionALattice]:
+    """The lattices of parity checks of one shape and modulus, set up
+    together in one :class:`SetUpStack`."""
+    stack = SetUpStack(checks)
+    return [ConstructionALattice(H, _stack=(stack, i)) for i, H in enumerate(checks)]

@@ -343,6 +343,19 @@ def test_budget_refusal_before_trials():
         run_monte_carlo(cfg)
 
 
+def test_runner_records_do_not_depend_on_the_set_up_chunk(monkeypatch):
+    # Resampled pairs are set up in chunks bounded by SETUP_BYTES; chunks
+    # of one, of three and of every trial give the same records.  At p = 3
+    # some first draws are rank deficient and are redrawn alone.
+    cfg = ExperimentConfig(n=12, p=3, R=Fraction(1, 4), R_f=Fraction(1, 2), kind="lda", delta_p=4,
+                           allow_below_threshold=True, snr_db_grid=[4.0, 9.0], trials=10, master_seed=4)
+    results = []
+    for pairs in (1, 3, 10):
+        monkeypatch.setattr(codec, "SETUP_BYTES", codec.SETUP_BYTES_PER_ENTRY * cfg.n**2 * pairs)
+        results.append(run_monte_carlo(cfg))
+    assert results[0] == results[1] == results[2]
+
+
 def test_a_resampled_budget_refusal_exits_2_and_writes_no_file(tmp_path, capsys):
     # The same run through the command line: the pairs of all five trials
     # are set up together, and trial 0's encode still refuses first.

@@ -817,12 +817,12 @@ def check_batches(draw):
 @settings(max_examples=40, deadline=None)
 @given(check_batches())
 def test_stacked_set_up_matches_the_one_lattice_oracles(checks):
-    from lda_lab.lattice import _bases, _sorted_qr, construction_a, reduce_checks
+    from lda_lab.lattice import SetUpStack, _bases, _sorted_qr, construction_a
 
     p = checks[0].p
-    forms = reduce_checks(checks)
+    forms = SetUpStack(checks).reduced
     bases = _bases(np.stack([red for red, _ in forms]), [pivots for _, pivots in forms], p)
-    lattices = construction_a(checks, forms)
+    lattices = construction_a(checks)
     for H, basis, form, lat, (red, pivots) in zip(checks, bases, _sorted_qr(bases), lattices, forms):
         alone = _rref(np.hstack([H.array, np.eye(H.rows, dtype=np.int64)]), p)
         assert np.array_equal(red, alone[0]) and pivots == alone[1]
@@ -832,4 +832,5 @@ def test_stacked_set_up_matches_the_one_lattice_oracles(checks):
             assert np.array_equal(got.basis, alone.basis)
             assert np.array_equal(got.q_t, alone.q_t)
             assert got.r == alone.r
-        assert np.array_equal(lat._basis, basis) and lat._reduced[0] is red
+        assert np.array_equal(lat._basis, basis)
+        assert np.array_equal(lat._reduced[0], red) and lat._reduced[1] == pivots
