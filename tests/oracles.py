@@ -12,8 +12,6 @@
 - ``degree_histogram``: socket degrees read off a graph's edge list.
 - ``sorted_columns``: the sorted-QR column order by a plain residual
   downdate, against the one-pass factorization ``lattice._sorted_qr``.
-- ``sorted_qr_alone``: that factorization run on one basis at a time,
-  against ``lattice._sorted_qr``, which runs it on a stack of bases.
 - ``construction_a_basis``: one lattice's basis read off its reduced form
   by index lists, against the stacked scatter ``lattice._bases``.
 
@@ -44,7 +42,6 @@ from lda_lab.expander import (
     _direction_params,
 )
 from lda_lab.gfmatrix import solve
-from lda_lab.lattice import _SortedQR
 
 # ---------------------------------------------------------------------------
 # Sum-product check node
@@ -225,30 +222,6 @@ def sorted_columns(basis: np.ndarray) -> np.ndarray:
         q = a[:, j] / math.sqrt(norms[j])
         a -= np.outer(q, q @ a)
     return basis[:, order]
-
-
-def sorted_qr_alone(basis: np.ndarray) -> _SortedQR:
-    """The one-pass sorted QR of ``lattice._sorted_qr`` on one (n, n)
-    basis, column by column: each step takes the remaining column of least
-    residual length, records its unit vector as a row of Q^T and its
-    projections of every residual as a row of R, and zeroes its residual."""
-    a = basis.astype(float)
-    n = a.shape[1]
-    taken = np.zeros(n)  # inf on the columns already picked
-    order: list[int] = []
-    q_t = np.empty((n, n))
-    proj = np.empty((n, n))
-    for i in range(n):
-        norms = (a * a).sum(axis=0) + taken
-        j = int(norms.argmin())
-        order.append(j)
-        taken[j] = np.inf
-        q = q_t[i]
-        q[:] = a[:, j] / math.sqrt(norms[j])
-        proj[i] = q @ a
-        a -= q[:, None] * proj[i]
-        a[:, j] = 0.0
-    return _SortedQR(basis=basis[:, order], q_t=q_t, r=proj[:, order].tolist())
 
 
 def construction_a_basis(reduced: np.ndarray, pivots: list[int], p: int) -> np.ndarray:

@@ -31,14 +31,13 @@ from lda_lab.codec import (
 )
 from lda_lab.expander import BudgetExceededError
 from lda_lab.gfmatrix import GfMatrix, StackedParityCheck, _rref, rank
-from lda_lab.lattice import ConstructionALattice
+from lda_lab.lattice import ConstructionALattice, _sorted_qr_one
 from oracles import (
     _check_node_messages,
     all_messages,
     construction_a_basis,
     degree_histogram,
     edited_texts,
-    sorted_qr_alone,
     voronoi_codebook_bruteforce,
 )
 
@@ -525,7 +524,7 @@ def test_pairs_built_in_a_batch_are_the_pairs_built_alone(size, kind, data):
             red, pivots = _rref(np.hstack([lat.H.array, np.eye(lat.H.rows, dtype=np.int64)]), lat.p)
             assert np.array_equal(lat._reduced[0], red) and lat._reduced[1] == pivots
             assert np.array_equal(lat._basis, construction_a_basis(red, pivots, lat.p))
-            form, oracle = lat._sorted, sorted_qr_alone(lat._basis)
+            form, oracle = lat._sorted, _sorted_qr_one(lat._basis)
             assert np.array_equal(form.basis, oracle.basis) and np.array_equal(form.q_t, oracle.q_t)
             assert form.r == oracle.r
 

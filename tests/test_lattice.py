@@ -23,6 +23,7 @@ from lda_lab.lattice import (
     _column_masks,
     _covered_twice,
     _grow_supports,
+    _sorted_qr_one,
     ball_volume,
     count_congruent_in_ball,
     count_integer_points,
@@ -32,7 +33,7 @@ from lda_lab.lattice import (
     log_ball_volume,
     volume_ratio_check,
 )
-from oracles import construction_a_basis, sorted_columns, sorted_qr_alone
+from oracles import construction_a_basis, sorted_columns
 
 
 def log_stirling_volume(n: int, rho: float) -> float:
@@ -585,7 +586,7 @@ def assert_sorted_qr(lat: ConstructionALattice) -> None:
     assert all(lat.contains(column) for column in basis.T)
     sign, logdet = np.linalg.slogdet(basis.astype(float))
     assert sign != 0 and math.isclose(logdet, (lat.n - lat.k_eff) * math.log(lat.p))
-    form, alone = lat._sorted, sorted_qr_alone(basis)
+    form, alone = lat._sorted, _sorted_qr_one(basis)
     assert np.array_equal(form.basis, alone.basis) and np.array_equal(form.q_t, alone.q_t)
     assert form.r == alone.r
     assert np.array_equal(form.basis, sorted_columns(basis))
@@ -827,7 +828,7 @@ def test_stacked_set_up_matches_the_one_lattice_oracles(checks):
         alone = _rref(np.hstack([H.array, np.eye(H.rows, dtype=np.int64)]), p)
         assert np.array_equal(red, alone[0]) and pivots == alone[1]
         assert np.array_equal(basis, construction_a_basis(red, pivots, p))
-        alone = sorted_qr_alone(basis)
+        alone = _sorted_qr_one(basis)
         for got in (form, lat._sorted):
             assert np.array_equal(got.basis, alone.basis)
             assert np.array_equal(got.q_t, alone.q_t)
