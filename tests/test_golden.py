@@ -16,8 +16,6 @@ import contextlib
 import hashlib
 import io
 
-import pytest
-
 from lda_lab.cli import main
 
 ENVIRONMENT = "Python 3.11.7, numpy 2.4.6"
