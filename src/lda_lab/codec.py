@@ -93,11 +93,11 @@ class NestedLatticePair:
 
 def _set_up(drawn: list[tuple[StackedParityCheck, int, int, LdaInfo | None]]) -> list[NestedLatticePair]:
     """The pairs of drawn stacks, given as (stack, seed, attempt, graphs).
-    The fine blocks' [H_f | I] are reduced as one stack and the full
-    stacks' [H | I] as another.  The fine lattices share one set-up stack
-    and the shaping lattices another, so each kind's bases and sorted QR
-    factors are computed for all the pairs at once, on the first search of
-    any of them."""
+    The fine lattices share one set-up stack and the shaping lattices
+    another, so each kind's reduced forms, bases and sorted QR factors are
+    computed for all the pairs at once, each when the first lattice of the
+    kind needs it: the shaping forms at the rank test, the fine ones at the
+    first exact decode."""
     lattices = zip(construction_a([stack.lower for stack, *_ in drawn]),
                    construction_a([stack.full for stack, *_ in drawn]))
     return [NestedLatticePair(*draw, pair) for draw, pair in zip(drawn, lattices)]

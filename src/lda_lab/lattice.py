@@ -9,9 +9,9 @@ encoder, and the triangular Construction-A basis (free columns e_f plus
 the pivot entries as residues in (-p/2, p/2), pivot columns p e_c), whose
 first k_eff columns mod p are the generator.  One modified Gram-Schmidt
 pass sorts that basis by least residual length and factors it.  Lattices
-set up together share a ``SetUpStack``, which builds all their bases and
-factors them in one pass over a (B, n, n) stack on the first search of
-any of them; a standalone lattice is a stack of one.  The stacked QR must
+set up together share a ``SetUpStack``, which reduces, builds the bases of
+and factors all of them at once, each step when the first of them needs
+it; a standalone lattice is a stack of one.  The stacked QR must
 match the one-basis pass bit for bit, and the stacked basis the
 one-lattice basis in ``tests/oracles.py``.  Closest-point and shortest-vector search are exact
 Schnorr-Euchner depth-first enumerations on the factored basis (Agrell,
@@ -660,18 +660,20 @@ class ConstructionALattice:
 
 class SetUpStack:
     """Parity checks of one shape and modulus set up together: their
-    [H | I] are reduced at once as one stack, and their Construction-A
-    bases and then their sorted QR factors are each computed for the whole
-    stack, as (B, n, n) arrays, when the first of its lattices needs its
-    own."""
+    reduced forms rref([H | I]), then their Construction-A bases, then
+    their sorted QR factors are each computed for the whole stack, as
+    (B, ...) arrays, when the first of its lattices needs its own."""
 
     def __init__(self, checks: list[GfMatrix]):
-        rows, n = checks[0].array.shape
-        stack = np.zeros((len(checks), rows, n + rows), dtype=np.int64)
-        stack[:, :, :n] = [H.array for H in checks]
+        self.checks, self.p = checks, checks[0].p
+
+    @cached_property
+    def reduced(self) -> list[tuple[np.ndarray, list[int]]]:
+        rows, n = self.checks[0].array.shape
+        stack = np.zeros((len(self.checks), rows, n + rows), dtype=np.int64)
+        stack[:, :, :n] = [H.array for H in self.checks]
         stack[:, :, n:] = np.eye(rows, dtype=np.int64)
-        self.p = checks[0].p
-        self.reduced = _rref_stack(stack, self.p)
+        return _rref_stack(stack, self.p)
 
     @cached_property
     def bases(self) -> np.ndarray:

@@ -503,13 +503,15 @@ def test_hermite_gain_trend_with_certified_bounds():
 def test_systematic_form_built_once_per_lattice(monkeypatch):
     # Every method reads one cached row reduction and one sorted QR.  A
     # standalone lattice reduces [H | I] and factors its basis itself, as a
-    # stack of one, on first use.  A pair's set-up reduces [H_f | I] and
-    # [H | I] once per draw, redraws included: the first draws of a batch
-    # of seeds as two stacks, each redraw as two stacks of one.  The fine
-    # lattices of a batch share one set-up stack and the shaping lattices
-    # another.  A stack's bases are factored together on the first search
-    # of any lattice in it, so each lattice is factored once, and none
-    # before a search needs it.
+    # stack of one, on first use.  The fine lattices of a batch of pairs
+    # share one set-up stack and the shaping lattices another; each
+    # redraw's lattices are stacks of one.  A stack reduces all its
+    # [H | I] together when the first of its lattices needs a reduced form
+    # (the shaping stack at the rank test, so once per draw, redraws
+    # included; the fine stack at the first exact decode), and factors all
+    # its bases together on the first search of any of its lattices.  So
+    # each lattice is reduced and factored at most once, and none before it
+    # or a lattice of its stack needs it.
     from lda_lab import codec, lattice
     from lda_lab.channel import wiener
 
@@ -557,24 +559,25 @@ def test_systematic_form_built_once_per_lattice(monkeypatch):
         ell, r = pair.ell, pair.stack.r
         attempts = pair.regenerations + 1
         assert attempts == (2 if kind == "dense" else 1)
-        assert reductions == [(r, n + r), (ell + r, n + ell + r)] * attempts
+        assert reductions == [(ell + r, n + ell + r)] * attempts
         assert factorizations == []
         encode_and_decode(pair)
-        assert len(reductions) == 2 * attempts
+        assert reductions == [(ell + r, n + ell + r)] * attempts + [(r, n + r)]
         assert factorizations == [(n, n), (n, n)]
 
-    # A batch of seeds 0-5 of the dense family: one reduction per lattice
-    # per draw, the first draws' in two stacks of six; one factorization
-    # per stack of lattices, the six first draws or a redraw alone.
+    # A batch of seeds 0-5 of the dense family: the first draws' shaping
+    # stack of six is reduced at once, and each redraw's alone; the fine
+    # stacks and every factorization wait for the searches.
     stacks.clear()
     pairs = list(codec.build_pairs(4, 3, "1/4", "3/4", "dense", range(6)))
     redrawn = [pair.regenerations for pair in pairs if pair.regenerations]
     assert redrawn  # seed 3's
-    assert stacks == [("reduce", 6)] * 2 + [("reduce", 1)] * 2 * sum(redrawn)
+    assert stacks == [("reduce", 6)] + [("reduce", 1)] * sum(redrawn)
     stacks.clear()
     for pair in pairs:
         encode_and_decode(pair)
-    assert sorted(stacks) == [("factor", 1)] * 2 * len(redrawn) + [("factor", 6)] * 2
+    assert sorted(stacks) == sorted([("reduce", 6)] + [("reduce", 1)] * len(redrawn)
+                                    + [("factor", 6)] * 2 + [("factor", 1)] * 2 * len(redrawn))
 
 
 def assert_sorted_qr(lat: ConstructionALattice) -> None:
