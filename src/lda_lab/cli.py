@@ -314,9 +314,9 @@ def run_monte_carlo(config: ExperimentConfig) -> list[SnrResult]:
     Each trial takes its pair (its own draw, or the fixed one) and draws its
     message and encodes once: the sent point does not depend on the SNR.
     Resampled pairs come from ``codec.build_pairs``, which sets up the
-    first draws of a chunk of trials (as many as SETUP_BYTES of stacked
-    arrays hold) together and hands each pair over when its trial is
-    reached, so a refusal still comes from the first trial that meets it.
+    first draws of a chunk of trials (as many as ``codec.SETUP_BYTES``
+    holds) as stacks and hands each pair over when its trial is reached, so
+    a refusal still comes from the first trial that meets it.
     A pair's points are decoded together when its last trial is sent: after
     every trial with resampled pairs, after the last trial with one fixed
     pair.  Each pair and each point come out as they would alone, so

@@ -111,8 +111,8 @@ def _label_graphs(graphs: list[TannerGraph], p: int, seeds: list[int], tag: str,
     one row per check, one column per variable."""
     rows, n = graphs[0].n_right, graphs[0].n_left
     check_modulus(p, rows, n)  # before the draw, which cannot hold such labels
-    labels = [rng.generator(seed, "labels", tag, attempt).integers(0, p, size=len(graph.edges), dtype=np.int64)
-              for graph, seed in zip(graphs, seeds)]
+    labels = [rng.generator(seed, "labels", tag, attempt).integers(
+        0, p, size=len(graph.edges), dtype=np.int64) for graph, seed in zip(graphs, seeds)]
     edges = np.concatenate([graph.edges for graph in graphs])
     H = np.zeros((len(graphs), rows, n), dtype=np.int64)
     H[np.repeat(np.arange(len(graphs)), [len(graph.edges) for graph in graphs]),

@@ -123,7 +123,8 @@ def matrix_stacks(draw):
         repeat = gen.random(B) < 0.5
         stack[repeat, -1] = (gen.integers(0, p, size=(repeat.sum(), 1)) * stack[repeat, 0]) % p
     if draw(st.booleans()):
-        stack = np.concatenate([stack, np.broadcast_to(np.eye(rows, dtype=np.int64), (B, rows, rows))], axis=2)
+        eye = np.broadcast_to(np.eye(rows, dtype=np.int64), (B, rows, rows))
+        stack = np.concatenate([stack, eye], axis=2)
     event(f"B = {B}")
     return stack, p
 
