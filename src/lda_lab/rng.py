@@ -11,6 +11,7 @@ from __future__ import annotations
 import hashlib
 
 import numpy as np
+from numpy.random.bit_generator import ISeedSequence
 
 
 def derive_key(master_seed: int, *parts: object) -> int:
@@ -20,8 +21,24 @@ def derive_key(master_seed: int, *parts: object) -> int:
     return int.from_bytes(digest, "little")
 
 
+class _KeySequence(ISeedSequence):
+    """A seed sequence that hands over a fixed key as its state words, low
+    word first.  Philox seeds its 128-bit key from ``generate_state(2,
+    np.uint64)``, so ``Philox(_KeySequence(k))`` has the state of
+    ``Philox(key=k)``, without the OS-entropy ``SeedSequence`` that
+    ``Philox(key=k)`` draws and then discards."""
+
+    def __init__(self, key: int):
+        self.key = key
+
+    def generate_state(self, n_words: int, dtype=np.uint32) -> np.ndarray:
+        bits = 8 * np.dtype(dtype).itemsize
+        mask = (1 << bits) - 1
+        return np.array([(self.key >> (bits * i)) & mask for i in range(n_words)], dtype=dtype)
+
+
 def generator(master_seed: int, *parts: object) -> np.random.Generator:
-    return np.random.Generator(np.random.Philox(key=derive_key(master_seed, *parts)))
+    return np.random.Generator(np.random.Philox(_KeySequence(derive_key(master_seed, *parts))))
 
 
 def gaussian(master_seed: int, *parts: object, size: int, sigma: float = 1.0) -> np.ndarray:
