@@ -2,16 +2,17 @@
 
 Graphs come from the permutation model: left sockets are wired to right
 sockets through one seeded permutation, so the edge multiset is a pure
-function of (n_left, f, delta, seed).  Expansion ("D-goodness") is
-checked by a randomized greedy falsifier that hunts for small subsets
-with compressed neighborhoods.  It draws its chains in blocks of
-CHAINS_PER_BLOCK and grows consecutive whole blocks side by side, as many
-as fit in GROUP_BYTES, scoring every candidate of the group in one float32
-product; float32 counts neighbours exactly only below 2^24, so a side of
-EXACT_SIDE nodes or more is refused.  Two test oracles in
-``tests/oracles.py`` check it in turn: the exhaustive subset search, and
-the same falsifier run one block after another, which must give the same
-verdict bit for bit.
+function of (n_left, f, delta, seed).  The build sorts the sockets' edge
+keys once with ``np.unique``; the socket-by-socket wiring is its oracle in
+``tests/oracles.py``.  Expansion ("D-goodness") is checked by a randomized
+greedy falsifier that hunts for small subsets with compressed
+neighborhoods.  It draws its chains in blocks of CHAINS_PER_BLOCK and
+grows consecutive whole blocks side by side, as many as fit in
+GROUP_BYTES, scoring every candidate of the group in one float32 product;
+float32 counts neighbours exactly only below 2^24, so a side of EXACT_SIDE
+nodes or more is refused.  Two test oracles in ``tests/oracles.py`` check
+it in turn: the exhaustive subset search, and the same falsifier run one
+block after another, which must give the same verdict bit for bit.
 """
 
 from __future__ import annotations
@@ -80,9 +81,10 @@ class TannerGraph:
         return cls(n_left, n_right, delta, seed, edges)
 
 
-# The most sockets one permutation-model graph may wire: each is a drawn
-# int64 and a Python pair of ints, about 360 bytes at the peak, so 2^21
-# of them take about 750 MB.
+# The most sockets one permutation-model graph may wire.  The build holds
+# 64 bytes a socket at its peak by tracemalloc (the drawn int64
+# permutation, the int64 edge keys, and np.unique's sorted copy, flags and
+# counts), so 2^21 of them take about 134 MB.
 MAX_SOCKETS = 2**21
 
 
@@ -91,7 +93,10 @@ def build_graph(n_left: int, f: Fraction, delta: int, seed: int) -> TannerGraph:
 
     Both n_right = f*n_left and the variable degree f*delta must be
     integers for the graph to be biregular, and a graph of more than
-    MAX_SOCKETS sockets is refused before it is drawn.
+    MAX_SOCKETS sockets is refused before it is drawn.  The edges are the
+    distinct keys left * n_right + right of the sockets, counted by one
+    ``np.unique`` in O(sockets) memory; ``build_graph_by_sockets`` in
+    ``tests/oracles.py`` wires them one socket at a time.
     """
     if n_left < 1:
         raise ValueError(f"n_left = {n_left} must be at least 1")
@@ -109,8 +114,12 @@ def build_graph(n_left: int, f: Fraction, delta: int, seed: int) -> TannerGraph:
         raise BudgetExceededError(f"graph build refused: n_right * delta = {sockets} sockets, "
                                   f"over the allowed {MAX_SOCKETS}")
     perm = rng.generator(seed, "tanner-perm", n_left, n_right, delta).permutation(sockets)
-    pairs = [(t // dv, int(perm[t]) // delta) for t in range(sockets)]
-    return TannerGraph.from_edges(n_left, n_right, pairs, delta, seed)
+    # Left socket t is wired to right socket perm[t]; each (left, right)
+    # pair is one key, and the sorted distinct keys are the sorted edges.
+    keys = np.arange(sockets) // dv * n_right + perm // delta
+    keys, multiplicity = np.unique(keys, return_counts=True)
+    edges = np.stack([keys // n_right, keys % n_right, multiplicity], axis=1)
+    return TannerGraph(n_left, n_right, delta, seed, edges)
 
 
 def biadjacency(graph: TannerGraph) -> np.ndarray:

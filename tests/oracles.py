@@ -10,6 +10,9 @@
   block after another, against ``expander._check_randomized``, which
   grows groups of blocks side by side.
 - ``degree_histogram``: socket degrees read off a graph's edge list.
+- ``build_graph_by_sockets``: the permutation-model graph wired one socket
+  at a time through ``TannerGraph.from_edges``, against the one-sort build
+  ``expander.build_graph``.
 - ``sorted_columns``: the sorted-QR column order by a plain residual
   downdate, against the one-pass factorization ``lattice._sorted_qr``.
 - ``construction_a_basis``: one lattice's basis read off its reduced form
@@ -201,6 +204,18 @@ def degree_histogram(graph: TannerGraph, side: str) -> dict[int, int]:
     for d in degs:
         hist[d] = hist.get(d, 0) + 1
     return hist
+
+
+def build_graph_by_sockets(n_left: int, f, delta: int, seed: int) -> TannerGraph:
+    """The graph of ``expander.build_graph`` for valid arguments, wired one
+    socket at a time: left socket t belongs to variable t // dv and right
+    socket s to check s // delta, and parallel edges are counted in a
+    dict."""
+    n_right, dv = int(f * n_left), int(f * delta)
+    sockets = n_right * delta
+    perm = rng.generator(seed, "tanner-perm", n_left, n_right, delta).permutation(sockets)
+    pairs = [(t // dv, int(perm[t]) // delta) for t in range(sockets)]
+    return TannerGraph.from_edges(n_left, n_right, pairs, delta, seed)
 
 
 # ---------------------------------------------------------------------------

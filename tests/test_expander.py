@@ -8,7 +8,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import event, given, settings
+from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
 from lda_lab import rng
@@ -32,7 +32,13 @@ from lda_lab.expander import (
     neighborhood,
     refuse_oversized_check,
 )
-from oracles import check_d_good_exhaustive, check_randomized_by_block, degree_histogram, edited_texts
+from oracles import (
+    build_graph_by_sockets,
+    check_d_good_exhaustive,
+    check_randomized_by_block,
+    degree_histogram,
+    edited_texts,
+)
 
 
 def complete_bipartite(nl: int, nr: int) -> TannerGraph:
@@ -62,17 +68,25 @@ def test_build_graph_refuses_fewer_than_one_left_node(n_left):
         build_graph(n_left, Fraction(1, 2), 4, seed=1)
 
 
-def test_build_graph_matches_socket_wiring():
-    # Independent reconstruction of the socket convention: left socket t
-    # belongs to variable t // dv, right socket s to check s // delta.
-    n_left, f, delta, seed = 4, Fraction(1, 2), 2, 21
-    g = build_graph(n_left, f, delta, seed)
-    perm = rng.generator(seed, "tanner-perm", 4, 2, 2).permutation(4)
-    expected: dict[tuple[int, int], int] = {}
-    for t in range(4):
-        pair = (t // 1, int(perm[t]) // 2)
-        expected[pair] = expected.get(pair, 0) + 1
-    assert g.edges.tolist() == sorted([l, r, m] for (l, r), m in expected.items())
+@st.composite
+def graph_arguments(draw):
+    """Valid build_graph arguments up to n_left = 300, some of them with a
+    variable degree near the check count, so that parallel edges occur."""
+    f = draw(st.sampled_from([Fraction(1, 4), Fraction(1, 3), Fraction(1, 2), Fraction(1)]))
+    n_left = f.denominator * draw(st.integers(1, 300 // f.denominator))
+    n_right = int(f * n_left)
+    dv = draw(st.one_of(st.integers(1, 6), st.integers(max(1, n_right - 1), n_right + 2)))
+    return n_left, f, int(dv / f), draw(st.integers(0, 2**64))
+
+
+@settings(max_examples=40, deadline=None)
+@given(graph_arguments())
+@example((200, Fraction(1, 4), 20, rng.derive_key(505, "expansion", 0)))  # criterion 5
+@example((4, Fraction(1, 2), 2, 21))
+def test_build_graph_matches_socket_wiring(args):
+    g, oracle = build_graph(*args), build_graph_by_sockets(*args)
+    assert g == oracle and g.edges.tolist() == oracle.edges.tolist()
+    event("parallel edges" if (g.edges[:, 2] > 1).any() else "simple")
 
 
 def test_degree_conservation_over_seeds():
