@@ -132,6 +132,8 @@ def _rref_stack(a: np.ndarray, p: int) -> list[tuple[np.ndarray, list[int]]]:
     free = np.ones((B, rows), dtype=bool)  # the rows not yet pivot rows
     lead = np.full((B, rows), cols)  # each row's pivot column, cols for none
     for c in range(cols):
+        if not free.any():
+            break
         candidates = np.logical_and(m[:, :, c], free)
         row = candidates.argmax(axis=1)
         has = candidates[batch, row]
@@ -147,8 +149,6 @@ def _rref_stack(a: np.ndarray, p: int) -> list[tuple[np.ndarray, list[int]]]:
         tail %= p
         free[batch[has], row[has]] = False
         lead[batch[has], row[has]] = c
-        if not free.any():
-            break
     order = lead.argsort(axis=1, kind="stable")
     m = np.take_along_axis(m, order[:, :, None], axis=1)
     lead = np.take_along_axis(lead, order, axis=1)

@@ -30,19 +30,21 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
 from .expander import BudgetExceededError
 from .fieldcore import is_prime
-from .gfmatrix import GfMatrix, NoSolutionError, _rref, _rref_stack
+from .gfmatrix import GfMatrix, NoSolutionError, _rref_stack
 from .gfmatrix import rank  # noqa: F401  (re-exported: the benchmark traces ``lattice.rank``)
 
 DEFAULT_ENUMERATION_BUDGET = 100_000_000
 DEFAULT_QUANTIZER_BUDGET = 250_000
 DEFAULT_SUPPORT_BUDGET = 2_000_000
 SUPPORT_CHUNK = 4096  # supports pruned per pass; bounds the pass's temporaries
+# The most bytes of survivor submatrices row-reduced in one stack.
+RANK_STACK_BYTES = 2**20
 
 
 # ---------------------------------------------------------------------------
@@ -384,45 +386,61 @@ def _search(r: list[list[float]], z: list[float], start: float, budget: int,
 def _column_masks(H: np.ndarray) -> np.ndarray:
     """Each column's row support as bits of uint64 words: shape (words, n),
     one word per 64 rows (row r is bit r % 64 of word r // 64)."""
-    packed = np.packbits(H != 0, axis=0, bitorder="little")
-    packed = np.pad(packed, ((0, -len(packed) % 8), (0, 0)))
-    return np.ascontiguousarray(packed.T).view(np.uint64).T
+    rows, n = H.shape
+    packed = np.zeros((n, 8 * -(-rows // 64)), dtype=np.uint8)
+    packed[:, : -(-rows // 8)] = np.packbits(H != 0, axis=0, bitorder="little").T
+    return packed.view(np.uint64).T
 
 
-def _grow_supports(prev: np.ndarray, n: int) -> np.ndarray:
-    """The size-(w + 1) subsets of range(n) in lex order, one per column,
-    from the size-w ones in lex order: each a in range(n), followed by every
-    size-w subset whose least element exceeds a, a suffix of ``prev``."""
-    count = prev.shape[1]
-    starts = np.cumsum(np.bincount(prev[0], minlength=n)).tolist()
-    out = np.empty((len(prev) + 1, sum(count - s for s in starts)), dtype=prev.dtype)
-    end = 0
-    for a, s in enumerate(starts):
-        lo, end = end, end + count - s
-        out[0, lo:end] = a
-        out[1:, lo:end] = prev[:, s:]
-    return out
+@lru_cache(maxsize=1)
+def _support_tree(n: int, w_top: int) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+    """The subsets of range(n) of sizes 1 to w_top as a tree, one level per
+    size w, each level's subsets in lex order.  Level w holds, for each of
+    its subsets, its least element a and the index of the rest (its
+    parent) in level w - 1; the parent of every size-1 subset is the one
+    empty subset of a level 0.  The children of a are each size-(w - 1)
+    subset whose least element exceeds a, a suffix of level w - 1.
+
+    The tree depends on (n, w_top) alone, so the last one is cached; its
+    arrays are read-only and of the smallest unsigned dtypes that hold
+    them."""
+    columns = np.arange(n, dtype=np.min_scalar_type(n))
+    levels = [(columns, np.zeros(n, dtype=np.uint8))]
+    for _ in range(1, w_top):
+        below = len(levels[-1][0])
+        starts = np.cumsum(np.bincount(levels[-1][0], minlength=n))  # below, least element <= a
+        counts = below - starts
+        begins = np.cumsum(counts) - counts  # where the children of a begin
+        first = np.repeat(columns, counts)
+        parent = np.arange(len(first)) + np.repeat(starts - begins, counts)
+        levels.append((first, parent.astype(np.min_scalar_type(below))))
+    for level in levels:
+        for array in level:
+            array.flags.writeable = False
+    return tuple(levels)
 
 
-def _covered_twice(masks: np.ndarray, supports: np.ndarray) -> np.ndarray:
-    """For each support (a column of ``supports``), whether every row its
-    columns touch is touched by at least two of them.
+def _grow_masks(masks: np.ndarray, once: np.ndarray, twice: np.ndarray, first: np.ndarray,
+                parent: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The row masks of supports each made of column ``first`` and the
+    support at ``parent``, from that support's masks: (once, twice), the
+    rows touched at least once and at least twice, one gather each, and
+    whether each support has no private row (a row touched once only)."""
+    m, o = masks.take(first, axis=1), once.take(parent, axis=1)
+    t = twice.take(parent, axis=1) | (o & m)
+    o |= m
+    return o, t, (o == t).all(axis=0)
 
-    A dependency with all coefficients nonzero forces each column's rows to
-    be covered by the others', so a support with a "private" row (touched
-    once) has none; a dependency that zeroes some coefficient lives on a
-    smaller support and is caught at a lower w, keeping the weight exact.
-    """
-    keep = np.ones(supports.shape[1], dtype=bool)
-    for word in masks:
-        once = word.take(supports[0])
-        twice = np.zeros_like(once)
-        for column in supports[1:]:
-            m = word.take(column)
-            twice |= once & m
-            once |= m
-        keep &= once == twice
-    return keep
+
+def _support_columns(tree, w: int, index: np.ndarray) -> np.ndarray:
+    """The columns, in increasing order, of the size-w supports at ``index``
+    in level w of ``tree``: (len(index), w), read off the parent links."""
+    columns = np.empty((len(index), w), dtype=np.intp)
+    for j in range(w):
+        first, parent = tree[w - 1 - j]
+        columns[:, j] = first[index]
+        index = parent[index]
+    return columns
 
 
 class ConstructionALattice:
@@ -587,11 +605,18 @@ class ConstructionALattice:
         exists iff rank(H[:, J]) < |J|.  A deficiency at size w with no
         deficiency at any smaller size pins the minimum weight exactly.
 
-        The supports of one size are listed in lex order as one array of
-        small integers and pruned SUPPORT_CHUNK at a time on packed column
-        masks (``_covered_twice``); only the survivors are row-reduced.
-        More than ``budget`` supports in all are refused before any is
-        built.
+        Supports are read off the cached support tree (``_support_tree``),
+        one size at a time in lex order.  A dependency with all coefficients
+        nonzero forces each column's rows to be covered by the others', so a
+        support with a "private" row, touched by one of its columns only,
+        has none; a dependency that zeroes a coefficient lives on a smaller
+        support and is caught at a lower w, keeping the weight exact.  Each
+        support's rows touched once and twice or more are packed column
+        masks, grown from its parent's with one gather each, SUPPORT_CHUNK
+        supports per pass; only the masks of the level below are held
+        whole.  The survivors of a level, in lex order, are row-reduced as
+        stacks of at most RANK_STACK_BYTES.  More than ``budget`` supports
+        in all are refused before anything is built.
         """
         if w_max < 1:
             raise ValueError(f"w_max = {w_max} must be at least 1")
@@ -603,15 +628,28 @@ class ConstructionALattice:
                 f"support enumeration refused: {total} supports exceed budget {budget}"
             )
         masks = _column_masks(Harr)
-        supports = np.arange(n, dtype=np.min_scalar_type(n))[None]
-        for w in range(1, w_top + 1):
-            if w > 1:
-                supports = _grow_supports(supports, n)
-            for lo in range(0, supports.shape[1], SUPPORT_CHUNK):
-                chunk = supports[:, lo:lo + SUPPORT_CHUNK]
-                for s in np.flatnonzero(_covered_twice(masks, chunk)):
-                    if len(_rref(Harr[:, chunk[:, s]], self.p)[1]) < w:
-                        return w
+        tree = _support_tree(n, w_top)
+        # The masks of level 0, the empty support: no row touched.
+        once = twice = np.zeros((len(masks), 1), dtype=np.uint64)
+        for w, (first, parent) in enumerate(tree, start=1):
+            # The next level grows from this one's masks, (once, twice).
+            grown = np.empty((2, len(masks), len(first)), dtype=np.uint64) if w < w_top else None
+            survivors = []
+            for lo in range(0, len(first), SUPPORT_CHUNK):
+                hi = lo + SUPPORT_CHUNK
+                o, t, keep = _grow_masks(masks, once, twice, first[lo:hi], parent[lo:hi])
+                if grown is not None:
+                    grown[:, :, lo:hi] = o, t
+                survivors.append(lo + np.flatnonzero(keep))
+            survivors = np.concatenate(survivors)
+            per_stack = max(1, RANK_STACK_BYTES // max(1, 8 * Harr.shape[0] * w))
+            for lo in range(0, len(survivors), per_stack):
+                columns = _support_columns(tree, w, survivors[lo:lo + per_stack])
+                stack = Harr[:, columns].transpose(1, 0, 2)
+                if any(len(pivots) < w for _, pivots in _rref_stack(stack, self.p)):
+                    return w
+            if grown is not None:
+                once, twice = grown
         return None
 
     def min_euclidean_distance(

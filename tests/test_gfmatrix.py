@@ -132,6 +132,7 @@ def matrix_stacks(draw):
 @settings(max_examples=300, deadline=None)
 @given(matrix_stacks())
 @example((np.zeros((2, 3, 4), dtype=np.int64), 5))  # no pivot anywhere
+@example((np.zeros((3, 0, 2), dtype=np.int64), 7))  # no rows: the support search's empty check
 @example((np.array([[[1, 2, 0], [2, 4, 0]], [[0, 0, 1], [0, 3, 3]]]), 5))  # deficient, then full
 @example((np.array([[[0, 1, 1], [0, 1, 1]], [[3, 0, 0], [0, 0, 0]]]), 7))  # pivots in different columns
 def test_stacked_reduction_is_the_reduction_of_each_matrix(stack):

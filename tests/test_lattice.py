@@ -10,7 +10,7 @@ from itertools import combinations, product
 
 import numpy as np
 import pytest
-from hypothesis import event, given, settings
+from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
 from lda_lab import rng
@@ -21,9 +21,10 @@ from lda_lab.lattice import (
     BallSpec,
     ConstructionALattice,
     _column_masks,
-    _covered_twice,
-    _grow_supports,
+    _grow_masks,
     _sorted_qr_one,
+    _support_columns,
+    _support_tree,
     ball_volume,
     count_congruent_in_ball,
     count_integer_points,
@@ -352,26 +353,41 @@ def test_support_search_agrees_with_the_loop_and_the_code(lat):
         assert lat.min_hamming_weight(w_max) == support_loop_min_weight(lat, w_max) == expect
 
 
-@settings(max_examples=100, deadline=None)
+def grown_masks_keep_what_the_loop_keeps(H: np.ndarray, w_top: int) -> None:
+    """Grow the masks of every support of size <= w_top level by level and
+    hold each level's kept supports to ``private_row_free``."""
+    n = H.shape[1]
+    masks, loop_masks, tree = _column_masks(H), row_masks(H), _support_tree(n, w_top)
+    once = twice = np.zeros((len(masks), 1), dtype=np.uint64)
+    for w, (first, parent) in enumerate(tree, start=1):
+        once, twice, keep = _grow_masks(masks, once, twice, first, parent)
+        supports = _support_columns(tree, w, np.arange(len(first)))
+        assert keep.tolist() == [private_row_free(loop_masks, tuple(J)) for J in supports.tolist()]
+
+
+@settings(max_examples=60, deadline=None)
 @given(support_search_cases())
-def test_batched_prune_keeps_exactly_the_supports_the_loop_keeps(lat):
-    H = lat.H.array
-    masks = row_masks(H)
-    supports = np.arange(lat.n, dtype=np.uint8)[None]
-    for w in range(1, lat.n + 1):
-        if w > 1:
-            supports = _grow_supports(supports, lat.n)
-        assert _covered_twice(_column_masks(H), supports).tolist() == [
-            private_row_free(masks, tuple(J)) for J in supports.T.tolist()]
+def test_grown_masks_keep_exactly_the_supports_the_loop_keeps(lat):
+    # One mask word up to 64 rows, two from 63-70 rows.
+    grown_masks_keep_what_the_loop_keeps(lat.H.array, lat.n)
 
 
-@pytest.mark.parametrize("n, w_top", [(2, 2), (6, 6), (30, 4), (300, 2)])
-def test_grow_supports_lists_every_subset_in_lex_order(n, w_top):
-    supports = np.arange(n, dtype=np.min_scalar_type(n))[None]
-    for w in range(2, w_top + 1):
-        supports = _grow_supports(supports, n)
-        assert supports.dtype == np.min_scalar_type(n)
-        assert supports.T.tolist() == [list(J) for J in combinations(range(n), w)]
+@settings(max_examples=25, deadline=None)
+@given(st.integers(1, 14).flatmap(lambda n: st.tuples(st.just(n), st.integers(1, n))))
+@example((2, 2))
+@example((6, 6))
+@example((30, 4))
+@example((300, 2))
+def test_support_tree_lists_every_subset_in_lex_order(case):
+    n, w_top = case
+    tree = _support_tree(n, w_top)
+    assert len(tree) == w_top and _support_tree(n, w_top) is tree  # cached
+    for w, (first, parent) in enumerate(tree, start=1):
+        assert first.dtype == np.min_scalar_type(n)
+        assert parent.dtype == np.min_scalar_type(math.comb(n, w - 1))
+        assert not first.flags.writeable and not parent.flags.writeable
+        assert _support_columns(tree, w, np.arange(len(first))).tolist() == [
+            list(J) for J in combinations(range(n), w)]
 
 
 def test_min_hamming_weight_reads_every_mask_word():
@@ -386,11 +402,8 @@ def test_min_hamming_weight_reads_every_mask_word():
     H[:, j2] = 3 * H[:, j1] % 11
     planted = ConstructionALattice(GfMatrix(H, 11))
     assert planted.min_hamming_weight(3) == support_loop_min_weight(planted, 3) == 2
-    # Every pair the batched prune keeps is one the loop keeps, and back.
-    pairs = _grow_supports(np.arange(160, dtype=np.uint8)[None], 160)
-    masks = row_masks(H)
-    assert _covered_twice(_column_masks(H), pairs).tolist() == [
-        private_row_free(masks, tuple(J)) for J in pairs.T.tolist()]
+    # Every pair the grown masks keep is one the loop keeps, and back.
+    grown_masks_keep_what_the_loop_keeps(H, 2)
     assert lat.min_hamming_weight(2) is None and support_loop_min_weight(lat, 2) is None
 
 
@@ -408,6 +421,23 @@ def test_min_hamming_weight_refuses_over_budget_before_building_supports():
     finally:
         tracemalloc.stop()
     assert peak < 100_000
+
+
+def test_support_search_memory_on_the_criterion_6_supplement_profile():
+    # Ten criterion-6 supplement codes (n = 30, p = 31, R_f = 1/2, delta_p
+    # = 8, w_max = 4).  The support tree is built cold inside the measure
+    # and stays cached after it; nothing else may outlive the calls.
+    lats = [build_fine_lattice(30, 31, Fraction(1, 2), 8,
+                               seed=rng.derive_key(606, "mindist", c))[0] for c in range(10)]
+    _support_tree.cache_clear()
+    tracemalloc.start()
+    try:
+        for lat in lats:
+            lat.min_hamming_weight(4)
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20 and held < 640 * 1024, (peak, held)
 
 
 @pytest.mark.parametrize("w_max", [0, -3])
