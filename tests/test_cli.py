@@ -931,3 +931,76 @@ def test_simulate_runs_or_refuses_edited_config_files(text):
         assert os.path.exists(out) == (code == 0)
         if code == 2:
             assert err.getvalue().startswith("refused: ")
+
+
+# Valid argv of the two support and expansion verifiers, small enough to
+# run in milliseconds.
+VERIFIER_ARGV = [
+    ["verify-mindist", "--codes", "2", "--n", "12", "--p", "7", "--Rf", "1/2", "--delta-p", "4",
+     "--w-max", "3", "--seed", "5"],
+    ["verify-expansion", "--n-left", "40", "--f", "1/4", "--D", "2", "--delta", "20",
+     "--graphs", "1", "--budget", "200", "--seed", "5"],
+]
+ARGV_EXTREMES = ["0", "1", "-1", "2", "3", "7", "1/2", "2/3", str(2**31), str(2**63 - 1), str(2**63),
+                 str(-10**20), "99999999999999999989", "1e308", "-1e308", "1e-300", "inf", "-inf",
+                 "nan", "1/0", "0/1", "x", ""]
+# The flags that set how much work a run does, each with the largest value
+# the fuzz may give it, so that a run's time stays bounded without timing it.
+BOUNDED_FLAGS = {"--codes": 3, "--graphs": 2, "--budget": 2000, "--n-left": 80}
+
+
+@st.composite
+def edited_verifier_argv(draw, argv):
+    """A valid verify-mindist or verify-expansion argv with one to three
+    random edits: a flag dropped, repeated, replaced by another of its
+    command's flags or left without its value, or its value replaced by an
+    extreme.  The flags of BOUNDED_FLAGS only take values up to their
+    bound, or values that do not parse."""
+    command, pairs = argv[0], [argv[i:i + 2] for i in range(1, len(argv), 2)]
+    flags = [flag for flag, _ in pairs]
+
+    def value(flag):
+        if flag in BOUNDED_FLAGS:
+            return draw(st.one_of(st.integers(-2, BOUNDED_FLAGS[flag]).map(str),
+                                  st.sampled_from(["x", "1.5", "", "1e308"])))
+        return draw(st.sampled_from(ARGV_EXTREMES))
+
+    for _ in range(draw(st.integers(1, 3))):
+        if not pairs:
+            break
+        i = draw(st.integers(0, len(pairs) - 1))
+        edit = draw(st.sampled_from(["drop", "repeat", "replace flag", "drop value", "extreme"]))
+        event(edit)
+        if edit == "drop":
+            del pairs[i]
+        elif edit == "repeat":
+            pairs.insert(i, [pairs[i][0], value(pairs[i][0])])
+        elif edit == "replace flag":
+            flag = draw(st.sampled_from(flags))
+            pairs[i] = [flag] + (pairs[i][1:] if flag not in BOUNDED_FLAGS else [value(flag)])
+        elif edit == "drop value":
+            pairs[i] = pairs[i][:1]
+        else:
+            pairs[i] = [pairs[i][0], value(pairs[i][0])]
+    return [command] + [token for pair in pairs for token in pair]
+
+
+@pytest.mark.parametrize("valid", VERIFIER_ARGV, ids=lambda argv: argv[0])
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(data=st.data())
+def test_verifiers_run_or_refuse_edited_argv(valid, data):
+    argv = data.draw(edited_verifier_argv(valid))
+    # Exit 0 or 1 (a verifier's PASS or FAIL), or 2: a refused: line from
+    # the verifier, or argparse's usage error for a flag it cannot parse;
+    # never a traceback.
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+            assert code == 2 and "error: " in err.getvalue()
+    event(f"exit {code}")
+    assert code in (0, 1, 2) and "Traceback" not in err.getvalue()
+    if code == 2 and "error: " not in err.getvalue():
+        assert err.getvalue().startswith("refused: ")
