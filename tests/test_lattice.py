@@ -10,7 +10,7 @@ from itertools import combinations, product
 
 import numpy as np
 import pytest
-from hypothesis import event, example, given, settings
+from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 from lda_lab import rng
@@ -365,21 +365,16 @@ def grown_masks_keep_what_the_loop_keeps(H: np.ndarray, w_top: int) -> None:
         assert keep.tolist() == [private_row_free(loop_masks, tuple(J)) for J in supports.tolist()]
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=100, deadline=None)
 @given(support_search_cases())
-def test_grown_masks_keep_exactly_the_supports_the_loop_keeps(lat):
+def test_batched_prune_keeps_exactly_the_supports_the_loop_keeps(lat):
     # One mask word up to 64 rows, two from 63-70 rows.
     grown_masks_keep_what_the_loop_keeps(lat.H.array, lat.n)
 
 
-@settings(max_examples=25, deadline=None)
-@given(st.integers(1, 14).flatmap(lambda n: st.tuples(st.just(n), st.integers(1, n))))
-@example((2, 2))
-@example((6, 6))
-@example((30, 4))
-@example((300, 2))
-def test_support_tree_lists_every_subset_in_lex_order(case):
-    n, w_top = case
+@pytest.mark.parametrize("n, w_top", [(1, 1), (2, 2), (6, 6), (14, 7), (30, 4), (300, 2)])
+def test_grow_supports_lists_every_subset_in_lex_order(n, w_top):
+    # The support tree grows each level from the one below it.
     tree = _support_tree(n, w_top)
     assert len(tree) == w_top and _support_tree(n, w_top) is tree  # cached
     for w, (first, parent) in enumerate(tree, start=1):
