@@ -407,13 +407,13 @@ def _support_tree(n: int, w_top: int) -> tuple[tuple[np.ndarray, np.ndarray], ..
     columns = np.arange(n, dtype=np.min_scalar_type(n))
     levels = [(columns, np.zeros(n, dtype=np.uint8))]
     for _ in range(1, w_top):
-        below = len(levels[-1][0])
-        starts = np.cumsum(np.bincount(levels[-1][0], minlength=n))  # below, least element <= a
-        counts = below - starts
-        begins = np.cumsum(counts) - counts  # where the children of a begin
-        first = np.repeat(columns, counts)
-        parent = np.arange(len(first)) + np.repeat(starts - begins, counts)
-        levels.append((first, parent.astype(np.min_scalar_type(below))))
+        below = levels[-1][0]
+        # The supports below whose least element is at most a; the rest are a's children.
+        starts = np.cumsum(np.bincount(below, minlength=n))
+        dtype = np.min_scalar_type(len(below))
+        first = np.repeat(columns, len(below) - starts)
+        parent = np.concatenate([np.arange(s, len(below), dtype=dtype) for s in starts.tolist()])
+        levels.append((first, parent))
     for level in levels:
         for array in level:
             array.flags.writeable = False

@@ -8,10 +8,10 @@ of worker scheduling: any single trial can be regenerated in isolation.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 
 import numpy as np
-from numpy.random.bit_generator import ISeedSequence
 
 
 def derive_key(master_seed: int, *parts: object) -> int:
@@ -21,24 +21,30 @@ def derive_key(master_seed: int, *parts: object) -> int:
     return int.from_bytes(digest, "little")
 
 
-class _KeySequence(ISeedSequence):
-    """A seed sequence that hands over a fixed key as its state words, low
+@functools.cache
+def _key_sequence() -> type:
+    """The seed sequence that hands over a fixed key as its state words, low
     word first.  Philox seeds its 128-bit key from ``generate_state(2,
-    np.uint64)``, so ``Philox(_KeySequence(k))`` has the state of
+    np.uint64)``, so ``Philox(_key_sequence()(k))`` has the state of
     ``Philox(key=k)``, without the OS-entropy ``SeedSequence`` that
-    ``Philox(key=k)`` draws and then discards."""
+    ``Philox(key=k)`` draws and then discards.  The type is made on first
+    use, so importing the package does not import ``numpy.random``."""
+    from numpy.random.bit_generator import ISeedSequence
 
-    def __init__(self, key: int):
-        self.key = key
+    class KeySequence(ISeedSequence):
+        def __init__(self, key: int):
+            self.key = key
 
-    def generate_state(self, n_words: int, dtype=np.uint32) -> np.ndarray:
-        bits = 8 * np.dtype(dtype).itemsize
-        mask = (1 << bits) - 1
-        return np.array([(self.key >> (bits * i)) & mask for i in range(n_words)], dtype=dtype)
+        def generate_state(self, n_words: int, dtype=np.uint32) -> np.ndarray:
+            bits = 8 * np.dtype(dtype).itemsize
+            mask = (1 << bits) - 1
+            return np.array([(self.key >> (bits * i)) & mask for i in range(n_words)], dtype=dtype)
+
+    return KeySequence
 
 
 def generator(master_seed: int, *parts: object) -> np.random.Generator:
-    return np.random.Generator(np.random.Philox(_KeySequence(derive_key(master_seed, *parts))))
+    return np.random.Generator(np.random.Philox(_key_sequence()(derive_key(master_seed, *parts))))
 
 
 def gaussian(master_seed: int, *parts: object, size: int, sigma: float = 1.0) -> np.ndarray:

@@ -17,7 +17,7 @@ def test_generator_has_the_state_and_draws_of_philox_keyed_directly():
     keys = ([0, 1, 2**64 - 1, 2**64, 2**128 - 1] + [2**k for k in range(1, 128)]
             + [rng.derive_key(seed, "philox", seed % 7) for seed in range(300)])
     for key in keys:
-        ours = np.random.Philox(rng._KeySequence(key))
+        ours = np.random.Philox(rng._key_sequence()(key))
         oracle = np.random.Philox(key=key)
         assert philox_state(ours) == philox_state(oracle), key
         a, b = np.random.Generator(ours), np.random.Generator(oracle)
