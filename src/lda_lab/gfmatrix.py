@@ -6,6 +6,8 @@ are identical across platforms and row orders of equal content.
 ``_rref`` reduces one matrix; ``_rref_stack`` reduces a (B, rows, cols)
 stack in one pass, for the set-up of many lattices at once, and gives each
 matrix the reduced form ``_rref`` gives it, which is unique.
+``_rank_stack`` gives only the ranks of a stack, with no reduced form, and
+is the one rank routine: ``rank`` reads off it, as does the support search.
 """
 
 from __future__ import annotations
@@ -155,10 +157,39 @@ def _rref_stack(a: np.ndarray, p: int) -> list[tuple[np.ndarray, list[int]]]:
     return [(red, columns[columns < cols].tolist()) for red, columns in zip(m, lead)]
 
 
+def _rank_stack(a: np.ndarray, p: int) -> np.ndarray:
+    """The rank of each matrix of a (B, rows, cols) stack, by one
+    elimination pass over the whole stack and over the shorter side of its
+    matrices (a matrix and its transpose have one rank).  In each column
+    every matrix takes its first row v u that is nonzero there and replaces
+    each later column x by v x - x_c u, which zeroes its entry of the
+    column in every row, the pivot row included; u is then independent of
+    the rows left, so the rank is the number of columns that had a pivot.
+    No row is swapped or scaled by an inverse, and no form is kept; the
+    products stay below (p - 1)^2, which ``check_modulus`` bounds."""
+    # (cols, B, rows): each column of every matrix is one contiguous block.
+    m = np.array(a.transpose((1, 0, 2) if a.shape[1] < a.shape[2] else (2, 0, 1)),
+                 dtype=np.int64, order="C")
+    cols, B, _ = m.shape
+    batch = np.arange(B)
+    leads = np.empty((cols, B), dtype=np.int64)  # each column's pivot value, 0 for none
+    for c in range(cols):
+        column = m[c]
+        pivot = m[c:, batch, (column != 0).argmax(axis=1)]
+        leads[c] = pivot[0]
+        if c + 1 < cols:
+            tail = m[c + 1:]
+            removed = column * pivot[1:, :, None]
+            # A matrix with no pivot here is zero in the column: x stays x.
+            tail *= np.maximum(pivot[0], 1)[:, None]
+            tail -= removed
+            tail %= p
+    return np.count_nonzero(leads, axis=0)
+
+
 def rank(M: GfMatrix) -> int:
     """Row rank over GF(p)."""
-    _, pivots = _rref(M.array, M.p)
-    return len(pivots)
+    return int(_rank_stack(M.array[None], M.p)[0])
 
 
 def solve(M: GfMatrix, s: np.ndarray) -> np.ndarray:

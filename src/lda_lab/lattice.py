@@ -30,20 +30,20 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property
 
 import numpy as np
 
 from .expander import BudgetExceededError
 from .fieldcore import is_prime
-from .gfmatrix import GfMatrix, NoSolutionError, _rref_stack
+from .gfmatrix import GfMatrix, NoSolutionError, _rank_stack, _rref_stack
 from .gfmatrix import rank  # noqa: F401  (re-exported: the benchmark traces ``lattice.rank``)
 
 DEFAULT_ENUMERATION_BUDGET = 100_000_000
 DEFAULT_QUANTIZER_BUDGET = 250_000
 DEFAULT_SUPPORT_BUDGET = 2_000_000
 SUPPORT_CHUNK = 4096  # supports pruned per pass; bounds the pass's temporaries
-# The most bytes of survivor submatrices row-reduced in one stack.
+# The most bytes of survivor submatrices rank-tested in one stack.
 RANK_STACK_BYTES = 2**20
 
 
@@ -392,32 +392,17 @@ def _column_masks(H: np.ndarray) -> np.ndarray:
     return packed.view(np.uint64).T
 
 
-@lru_cache(maxsize=1)
-def _support_tree(n: int, w_top: int) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
-    """The subsets of range(n) of sizes 1 to w_top as a tree, one level per
-    size w, each level's subsets in lex order.  Level w holds, for each of
-    its subsets, its least element a and the index of the rest (its
-    parent) in level w - 1; the parent of every size-1 subset is the one
-    empty subset of a level 0.  The children of a are each size-(w - 1)
-    subset whose least element exceeds a, a suffix of level w - 1.
-
-    The tree depends on (n, w_top) alone, so the last one is cached; its
-    arrays are read-only and of the smallest unsigned dtypes that hold
-    them."""
-    columns = np.arange(n, dtype=np.min_scalar_type(n))
-    levels = [(columns, np.zeros(n, dtype=np.uint8))]
-    for _ in range(1, w_top):
-        below = levels[-1][0]
-        # The supports below whose least element is at most a; the rest are a's children.
-        starts = np.cumsum(np.bincount(below, minlength=n))
-        dtype = np.min_scalar_type(len(below))
-        first = np.repeat(columns, len(below) - starts)
-        parent = np.concatenate([np.arange(s, len(below), dtype=dtype) for s in starts.tolist()])
-        levels.append((first, parent))
-    for level in levels:
-        for array in level:
-            array.flags.writeable = False
-    return tuple(levels)
+def _children(leads: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The supports one column larger grown from a level of supports in lex
+    order, whose least columns ``leads`` therefore never decrease: column a
+    joins each support whose least column exceeds a, a suffix of the
+    level.  The children come a-major, so in lex order as well, as each
+    one's first column a and its parent's index in the level."""
+    starts = np.searchsorted(leads, np.arange(n), side="right")
+    counts = len(leads) - starts
+    offsets = np.cumsum(counts) - counts  # where each a's children begin
+    first = np.repeat(np.arange(n), counts)
+    return first, np.arange(len(first)) + np.repeat(starts - offsets, counts)
 
 
 def _grow_masks(masks: np.ndarray, once: np.ndarray, twice: np.ndarray, first: np.ndarray,
@@ -432,15 +417,70 @@ def _grow_masks(masks: np.ndarray, once: np.ndarray, twice: np.ndarray, first: n
     return o, t, (o == t).all(axis=0)
 
 
-def _support_columns(tree, w: int, index: np.ndarray) -> np.ndarray:
+def _support_columns(levels, w: int, index: np.ndarray) -> np.ndarray:
     """The columns, in increasing order, of the size-w supports at ``index``
-    in level w of ``tree``: (len(index), w), read off the parent links."""
+    in level w of ``levels``, each level a (first column, parent index)
+    pair: (len(index), w), read off the parent links."""
     columns = np.empty((len(index), w), dtype=np.intp)
     for j in range(w):
-        first, parent = tree[w - 1 - j]
+        first, parent = levels[w - 1 - j]
         columns[:, j] = first[index]
         index = parent[index]
     return columns
+
+
+def _private_row_free_supports(H: np.ndarray, w_top: int):
+    """Yield (w, supports) for each size w <= w_top, in increasing order,
+    that has any support with no private row (a row touched by one of its
+    columns only): the columns, in increasing order, of every such support
+    of size w, in lex order, as a (count, w) array.
+
+    Each level is grown from the one below it by ``_children``.  A
+    support's descendants add at most w_top - w columns of at most d_max
+    rows each (d_max: the most rows of one column), and a descendant with
+    no private row covers all the support's private rows; so a support
+    with more than (w_top - w) d_max of them is not grown, and every
+    private-row-free support of size <= w_top is still reached.  Each
+    support's rows touched once and twice or more are packed column masks,
+    grown from its parent's with one gather each, SUPPORT_CHUNK supports
+    per pass; only the masks of the level below are held whole."""
+    n = H.shape[1]
+    masks = _column_masks(H)
+    d_max = int(np.bitwise_count(masks).sum(axis=0).max(initial=0))
+    # Level 1, each column alone, grows from the empty support, which
+    # touches no row.
+    levels, first, parent = [], np.arange(n), np.zeros(n, dtype=np.intp)
+    once = twice = np.zeros((len(masks), 1), dtype=np.uint64)
+    for w in range(1, w_top + 1):
+        if w > 1:
+            first, parent = _children(levels[-1][0], n)
+            if not len(first):
+                return
+        levels.append((first, parent))
+        slack = (w_top - w) * d_max  # the private rows descendants can still cover
+        # w columns have at most w d_max private rows: below that bound a
+        # level is grown whole.
+        prune = w < w_top and w * d_max > slack
+        survivors, kept, grown = [], [], []
+        for lo in range(0, len(first), SUPPORT_CHUNK):
+            hi = lo + SUPPORT_CHUNK
+            o, t, free = _grow_masks(masks, once, twice, first[lo:hi], parent[lo:hi])
+            survivors.append(lo + np.flatnonzero(free))
+            if prune:
+                keep = np.flatnonzero(np.bitwise_count(o ^ t).sum(axis=0) <= slack)
+                kept.append(lo + keep)
+                o, t = o[:, keep], t[:, keep]
+            if w < w_top:
+                grown.append((o, t))
+        survivors = np.concatenate(survivors)
+        if len(survivors):
+            yield w, _support_columns(levels, w, survivors)
+        if prune:
+            kept = np.concatenate(kept)
+            levels[-1] = first[kept], parent[kept]
+        if w < w_top:
+            once = np.concatenate([o for o, _ in grown], axis=1)
+            twice = np.concatenate([t for _, t in grown], axis=1)
 
 
 class ConstructionALattice:
@@ -605,18 +645,17 @@ class ConstructionALattice:
         exists iff rank(H[:, J]) < |J|.  A deficiency at size w with no
         deficiency at any smaller size pins the minimum weight exactly.
 
-        Supports are read off the cached support tree (``_support_tree``),
-        one size at a time in lex order.  A dependency with all coefficients
-        nonzero forces each column's rows to be covered by the others', so a
-        support with a "private" row, touched by one of its columns only,
-        has none; a dependency that zeroes a coefficient lives on a smaller
-        support and is caught at a lower w, keeping the weight exact.  Each
-        support's rows touched once and twice or more are packed column
-        masks, grown from its parent's with one gather each, SUPPORT_CHUNK
-        supports per pass; only the masks of the level below are held
-        whole.  The survivors of a level, in lex order, are row-reduced as
-        stacks of at most RANK_STACK_BYTES.  More than ``budget`` supports
-        in all are refused before anything is built.
+        A dependency with all coefficients nonzero forces each column's rows
+        to be covered by the others', so a support with a "private" row,
+        touched by one of its columns only, has none; a dependency that
+        zeroes a coefficient lives on a smaller support and is caught at a
+        lower w, keeping the weight exact.  So only the private-row-free
+        supports of each size, grown level by level in lex order and pruned
+        per code by ``_private_row_free_supports``, are rank-tested, as
+        stacks of at most RANK_STACK_BYTES (``_rank_stack``); the first
+        deficient support is the first survivor whose rank is below w.
+        More than ``budget`` supports in all (of every size up to w_max,
+        pruned or not) are refused before anything is built.
         """
         if w_max < 1:
             raise ValueError(f"w_max = {w_max} must be at least 1")
@@ -627,29 +666,11 @@ class ConstructionALattice:
             raise BudgetExceededError(
                 f"support enumeration refused: {total} supports exceed budget {budget}"
             )
-        masks = _column_masks(Harr)
-        tree = _support_tree(n, w_top)
-        # The masks of level 0, the empty support: no row touched.
-        once = twice = np.zeros((len(masks), 1), dtype=np.uint64)
-        for w, (first, parent) in enumerate(tree, start=1):
-            # The next level grows from this one's masks, (once, twice).
-            grown = np.empty((2, len(masks), len(first)), dtype=np.uint64) if w < w_top else None
-            survivors = []
-            for lo in range(0, len(first), SUPPORT_CHUNK):
-                hi = lo + SUPPORT_CHUNK
-                o, t, keep = _grow_masks(masks, once, twice, first[lo:hi], parent[lo:hi])
-                if grown is not None:
-                    grown[:, :, lo:hi] = o, t
-                survivors.append(lo + np.flatnonzero(keep))
-            survivors = np.concatenate(survivors)
-            per_stack = max(1, RANK_STACK_BYTES // max(1, 8 * Harr.shape[0] * w))
-            for lo in range(0, len(survivors), per_stack):
-                columns = _support_columns(tree, w, survivors[lo:lo + per_stack])
-                stack = Harr[:, columns].transpose(1, 0, 2)
-                if any(len(pivots) < w for _, pivots in _rref_stack(stack, self.p)):
+        per_stack = max(1, RANK_STACK_BYTES // max(1, 8 * Harr.shape[0] * w_top))
+        for w, supports in _private_row_free_supports(Harr, w_top):
+            for lo in range(0, len(supports), per_stack):
+                if (_rank_stack(Harr.T[supports[lo:lo + per_stack]], self.p) < w).any():
                     return w
-            if grown is not None:
-                once, twice = grown
         return None
 
     def min_euclidean_distance(

@@ -416,6 +416,18 @@ def test_noise_verifiers_refuse_a_draw_past_their_byte_limit(command, capsys):
         cli._refuse_oversized_noise(n_max + 1)
 
 
+@pytest.mark.parametrize("command", ["verify-noise", "verify-ortho"])
+@pytest.mark.parametrize("sigma", ["inf", "1e308", "1e154"])
+def test_noise_verifiers_refuse_a_sigma_whose_norms_overflow(command, sigma, capsys):
+    # At these sigmas every noise norm and window is inf (1e154: its square
+    # times n = 16), so a verdict would check nothing; before the refusal
+    # both printed PASS.
+    assert main([command, "--n", "16", "--sigma", sigma, "--trials", "3"]) == 2
+    assert capsys.readouterr().err == (f"refused: sigma = {float(sigma)} at n = 16 gives noise "
+                                       "whose squared norm, about sigma^2 n, overflows float64\n")
+    assert main([command, "--n", "16", "--sigma", "1e150", "--trials", "3"]) in (0, 1)
+
+
 def test_wer_seed_stability_wilson_overlap():
     # Across 5 master seeds the WER estimates agree within overlapping
     # 95% Wilson intervals.
@@ -940,29 +952,45 @@ VERIFIER_ARGV = [
      "--w-max", "3", "--seed", "5"],
     ["verify-expansion", "--n-left", "40", "--f", "1/4", "--D", "2", "--delta", "20",
      "--graphs", "1", "--budget", "200", "--seed", "5"],
+    ["verify-counts", "--cases", "2", "--seed", "5"],
+    ["verify-norm", "--kind", "lda", "--n", "12", "--p", "7", "--R", "1/4", "--Rf", "1/2",
+     "--delta-p", "4", "--count", "2", "--seed", "5"],
+    ["verify-noise", "--n", "16", "--sigma", "1.5", "--eps", "0.1", "--trials", "3", "--seed", "5"],
+    ["verify-ortho", "--n", "16", "--sigma", "1.5", "--trials", "3", "--seed", "5"],
+    ["thresholds", "--D", "2", "--f", "1/4", "--Rf", "1/2"],
 ]
 ARGV_EXTREMES = ["0", "1", "-1", "2", "3", "7", "1/2", "2/3", str(2**31), str(2**63 - 1), str(2**63),
                  str(-10**20), "99999999999999999989", "1e308", "-1e308", "1e-300", "inf", "-inf",
                  "nan", "1/0", "0/1", "x", ""]
 # The flags that set how much work a run does, each with the largest value
 # the fuzz may give it, so that a run's time stays bounded without timing it.
-BOUNDED_FLAGS = {"--codes": 3, "--graphs": 2, "--budget": 2000, "--n-left": 80}
+BOUNDED_FLAGS = {"--codes": 3, "--graphs": 2, "--budget": 2000, "--n-left": 80, "--cases": 3,
+                 "--count": 2, "--trials": 3, "--n": 16}
+# The counts whose defaults run for seconds (10,000 trials, 100 cases, 500
+# encodes, 100 graphs of 10^5 subsets each): the fuzz edits their values
+# but never drops them.
+KEPT_FLAGS = {"--trials", "--cases", "--count", "--graphs", "--budget"}
+# Sizes that every command refuses before any work, which the size flags
+# may take beside their bounded values.
+PAST_LIMITS = {"--n": [str(2**31), str(2**63), str(-10**20), "99999999999999999989"]}
+PAST_LIMITS["--n-left"] = PAST_LIMITS["--n"]
 
 
 @st.composite
 def edited_verifier_argv(draw, argv):
-    """A valid verify-mindist or verify-expansion argv with one to three
-    random edits: a flag dropped, repeated, replaced by another of its
+    """A valid verifier or ``thresholds`` argv with one to three random
+    edits: a flag dropped, repeated, replaced by another of its
     command's flags or left without its value, or its value replaced by an
     extreme.  The flags of BOUNDED_FLAGS only take values up to their
-    bound, or values that do not parse."""
+    bound, sizes past every limit (PAST_LIMITS), or values that do not
+    parse, and the flags of KEPT_FLAGS are not dropped."""
     command, pairs = argv[0], [argv[i:i + 2] for i in range(1, len(argv), 2)]
     flags = [flag for flag, _ in pairs]
 
     def value(flag):
         if flag in BOUNDED_FLAGS:
             return draw(st.one_of(st.integers(-2, BOUNDED_FLAGS[flag]).map(str),
-                                  st.sampled_from(["x", "1.5", "", "1e308"])))
+                                  st.sampled_from(["x", "1.5", "", "1e308"] + PAST_LIMITS.get(flag, []))))
         return draw(st.sampled_from(ARGV_EXTREMES))
 
     for _ in range(draw(st.integers(1, 3))):
@@ -970,6 +998,8 @@ def edited_verifier_argv(draw, argv):
             break
         i = draw(st.integers(0, len(pairs) - 1))
         edit = draw(st.sampled_from(["drop", "repeat", "replace flag", "drop value", "extreme"]))
+        if edit in ("drop", "replace flag") and pairs[i][0] in KEPT_FLAGS:
+            edit = "extreme"
         event(edit)
         if edit == "drop":
             del pairs[i]

@@ -6,6 +6,7 @@ basis, mod p."""
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -14,13 +15,16 @@ from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
 from lda_lab import rng
+from lda_lab.fieldcore import is_prime
 from lda_lab.gfmatrix import (
     GfMatrix,
     NoSolutionError,
     StackedParityCheck,
+    _rank_stack,
     _rref,
     _rref_stack,
     block_heights,
+    check_modulus,
     rank,
     solve,
 )
@@ -142,6 +146,53 @@ def test_stacked_reduction_is_the_reduction_of_each_matrix(stack):
         event(f"rank {len(pivots)} of {len(matrix)}")
         assert pivots == alone[1]
         assert np.array_equal(red, alone[0])
+
+
+def largest_modulus(rows: int, cols: int) -> int:
+    """The largest prime that ``check_modulus`` takes for a rows x cols matrix."""
+    size = max(rows, cols, 1)
+    p = math.isqrt((2**63 - 1) // size) + 1
+    while not (is_prime(p) and (p - 1) ** 2 * size < 2**63):
+        p -= 1
+    check_modulus(p, rows, cols)
+    return p
+
+
+@st.composite
+def rank_stacks(draw):
+    """(stack, p): B in {1, 2, 8, 17} matrices of 0-70 rows by 0-8 columns
+    over p = 3, 31 or the largest prime ``check_modulus`` takes for the
+    shape; entries zero with some drawn probability, and sometimes a column
+    zero or proportional to another in every matrix."""
+    B = draw(st.sampled_from([1, 2, 8, 17]))
+    rows, cols = draw(st.integers(0, 70)), draw(st.integers(0, 8))
+    p = draw(st.sampled_from([3, 31, largest_modulus(rows, cols)]))
+    gen = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    stack = gen.integers(0, p, size=(B, rows, cols)) * (gen.random((B, rows, cols)) < draw(
+        st.sampled_from([0.1, 0.5, 1.0])))
+    if cols:
+        j = draw(st.integers(0, cols - 1))
+        edit = draw(st.sampled_from(["none", "zero column", "proportional columns"]))
+        if edit == "zero column":
+            stack[:, :, j] = 0
+        elif edit == "proportional columns" and cols > 1:
+            k = draw(st.integers(0, cols - 1).filter(lambda k: k != j))
+            stack[:, :, k] = draw(st.integers(1, p - 1)) * stack[:, :, j] % p
+    event(f"p = {'largest' if p > 31 else p}")
+    return stack, p
+
+
+@settings(max_examples=300, deadline=None)
+@given(rank_stacks())
+@example((np.zeros((2, 0, 3), dtype=np.int64), 5))  # no rows
+@example((np.zeros((3, 4, 0), dtype=np.int64), 7))  # no columns
+@example((np.array([[[1, 2, 0], [2, 4, 0]], [[0, 0, 1], [0, 3, 3]]]), 5))  # deficient, then full
+def test_rank_stack_is_the_pivot_count_of_each_reduction(stack):
+    a, p = stack
+    ranks = _rank_stack(a, p)
+    assert ranks.tolist() == [len(_rref(matrix, p)[1]) for matrix in a]
+    if len(a):
+        assert rank(GfMatrix(a[0], p)) == ranks[0]
 
 
 def test_stacked_parity_check_shapes():

@@ -21,10 +21,8 @@ from lda_lab.lattice import (
     BallSpec,
     ConstructionALattice,
     _column_masks,
-    _grow_masks,
+    _private_row_free_supports,
     _sorted_qr_one,
-    _support_columns,
-    _support_tree,
     ball_volume,
     count_congruent_in_ball,
     count_integer_points,
@@ -353,36 +351,36 @@ def test_support_search_agrees_with_the_loop_and_the_code(lat):
         assert lat.min_hamming_weight(w_max) == support_loop_min_weight(lat, w_max) == expect
 
 
-def grown_masks_keep_what_the_loop_keeps(H: np.ndarray, w_top: int) -> None:
-    """Grow the masks of every support of size <= w_top level by level and
-    hold each level's kept supports to ``private_row_free``."""
-    n = H.shape[1]
-    masks, loop_masks, tree = _column_masks(H), row_masks(H), _support_tree(n, w_top)
-    once = twice = np.zeros((len(masks), 1), dtype=np.uint64)
-    for w, (first, parent) in enumerate(tree, start=1):
-        once, twice, keep = _grow_masks(masks, once, twice, first, parent)
-        supports = _support_columns(tree, w, np.arange(len(first)))
-        assert keep.tolist() == [private_row_free(loop_masks, tuple(J)) for J in supports.tolist()]
+def survivors_are_what_the_loop_keeps(H: np.ndarray, w_top: int) -> None:
+    """Hold each level's survivors, grown and pruned by the bound, to every
+    subset of that size that ``private_row_free`` keeps, in lex order."""
+    n, loop_masks = H.shape[1], row_masks(H)
+    found = {w: supports.tolist() for w, supports in _private_row_free_supports(H, w_top)}
+    for w in range(1, w_top + 1):
+        assert found.get(w, []) == [list(J) for J in combinations(range(n), w)
+                                    if private_row_free(loop_masks, J)], w
 
 
 @settings(max_examples=100, deadline=None)
 @given(support_search_cases())
 def test_batched_prune_keeps_exactly_the_supports_the_loop_keeps(lat):
-    # One mask word up to 64 rows, two from 63-70 rows.
-    grown_masks_keep_what_the_loop_keeps(lat.H.array, lat.n)
+    # One mask word up to 64 rows, two from 63-70 rows; every w_top, so
+    # every slack of the bound.
+    for w_top in range(1, lat.n + 1):
+        survivors_are_what_the_loop_keeps(lat.H.array, w_top)
 
 
-@pytest.mark.parametrize("n, w_top", [(1, 1), (2, 2), (6, 6), (14, 7), (30, 4), (300, 2)])
+@pytest.mark.parametrize("n, w_top", [(1, 1), (2, 2), (6, 6), (8, 8), (14, 7), (30, 4), (300, 2)])
 def test_grow_supports_lists_every_subset_in_lex_order(n, w_top):
-    # The support tree grows each level from the one below it.
-    tree = _support_tree(n, w_top)
-    assert len(tree) == w_top and _support_tree(n, w_top) is tree  # cached
-    for w, (first, parent) in enumerate(tree, start=1):
-        assert first.dtype == np.min_scalar_type(n)
-        assert parent.dtype == np.min_scalar_type(math.comb(n, w - 1))
-        assert not first.flags.writeable and not parent.flags.writeable
-        assert _support_columns(tree, w, np.arange(len(first))).tolist() == [
-            list(J) for J in combinations(range(n), w)]
+    # Where no support has a private row the bound prunes nothing, so the
+    # parent links list every subset: with no row touched (d_max = 0), and
+    # with every row touched by every column, where only a single column
+    # has private rows (all of them, d_max) and is within the slack.
+    every = {w: [list(J) for J in combinations(range(n), w)] for w in range(1, w_top + 1)}
+    zero, full = np.zeros((3, n), dtype=np.int64), np.ones((3, n), dtype=np.int64)
+    assert {w: s.tolist() for w, s in _private_row_free_supports(zero, w_top)} == every
+    del every[1]
+    assert {w: s.tolist() for w, s in _private_row_free_supports(full, w_top)} == every
 
 
 def test_min_hamming_weight_reads_every_mask_word():
@@ -398,7 +396,7 @@ def test_min_hamming_weight_reads_every_mask_word():
     planted = ConstructionALattice(GfMatrix(H, 11))
     assert planted.min_hamming_weight(3) == support_loop_min_weight(planted, 3) == 2
     # Every pair the grown masks keep is one the loop keeps, and back.
-    grown_masks_keep_what_the_loop_keeps(H, 2)
+    survivors_are_what_the_loop_keeps(H, 2)
     assert lat.min_hamming_weight(2) is None and support_loop_min_weight(lat, 2) is None
 
 
@@ -420,11 +418,10 @@ def test_min_hamming_weight_refuses_over_budget_before_building_supports():
 
 def test_support_search_memory_on_the_criterion_6_supplement_profile():
     # Ten criterion-6 supplement codes (n = 30, p = 31, R_f = 1/2, delta_p
-    # = 8, w_max = 4).  The support tree is built cold inside the measure
-    # and stays cached after it; nothing else may outlive the calls.
+    # = 8, w_max = 4).  Each search grows its own pruned supports and holds
+    # nothing after it returns: about 270 KiB at the peak and 4 KiB held.
     lats = [build_fine_lattice(30, 31, Fraction(1, 2), 8,
                                seed=rng.derive_key(606, "mindist", c))[0] for c in range(10)]
-    _support_tree.cache_clear()
     tracemalloc.start()
     try:
         for lat in lats:
@@ -432,7 +429,7 @@ def test_support_search_memory_on_the_criterion_6_supplement_profile():
         held, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < 2**20 and held < 640 * 1024, (peak, held)
+    assert peak < 512 * 1024 and held < 16 * 1024, (peak, held)
 
 
 @pytest.mark.parametrize("w_max", [0, -3])
