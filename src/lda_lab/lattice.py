@@ -398,7 +398,7 @@ def _children(leads: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
     joins each support whose least column exceeds a, a suffix of the
     level.  The children come a-major, so in lex order as well, as each
     one's first column a and its parent's index in the level."""
-    starts = np.searchsorted(leads, np.arange(n), side="right")
+    starts = np.cumsum(np.bincount(leads, minlength=n))  # the leads up to each a
     counts = len(leads) - starts
     offsets = np.cumsum(counts) - counts  # where each a's children begin
     first = np.repeat(np.arange(n), counts)
