@@ -971,9 +971,8 @@ BOUNDED_FLAGS = {"--codes": 3, "--graphs": 2, "--budget": 2000, "--n-left": 80, 
 # but never drops them.
 KEPT_FLAGS = {"--trials", "--cases", "--count", "--graphs", "--budget"}
 # Sizes that every command refuses before any work, which the size flags
-# may take beside their bounded values.
-PAST_LIMITS = {"--n": [str(2**31), str(2**63), str(-10**20), "99999999999999999989"]}
-PAST_LIMITS["--n-left"] = PAST_LIMITS["--n"]
+# (--n, --n-left) may take beside their bounded values.
+PAST_LIMITS = [str(2**31), str(2**63), str(-10**20), "99999999999999999989"]
 
 
 @st.composite
@@ -990,7 +989,8 @@ def edited_verifier_argv(draw, argv):
     def value(flag):
         if flag in BOUNDED_FLAGS:
             return draw(st.one_of(st.integers(-2, BOUNDED_FLAGS[flag]).map(str),
-                                  st.sampled_from(["x", "1.5", "", "1e308"] + PAST_LIMITS.get(flag, []))))
+                                  st.sampled_from(["x", "1.5", "", "1e308"] + (
+                                      PAST_LIMITS if flag in ("--n", "--n-left") else []))))
         return draw(st.sampled_from(ARGV_EXTREMES))
 
     for _ in range(draw(st.integers(1, 3))):
