@@ -397,12 +397,12 @@ def _children(leads: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
     order, whose least columns ``leads`` therefore never decrease: column a
     joins each support whose least column exceeds a, a suffix of the
     level.  The children come a-major, so in lex order as well, as each
-    one's first column a and its parent's index in the level."""
+    one's first column a and its parent's index in the level, each in the
+    smallest unsigned dtype that holds it."""
     starts = np.cumsum(np.bincount(leads, minlength=n))  # the leads up to each a
-    counts = len(leads) - starts
-    offsets = np.cumsum(counts) - counts  # where each a's children begin
-    first = np.repeat(np.arange(n), counts)
-    return first, np.arange(len(first)) + np.repeat(starts - offsets, counts)
+    first = np.repeat(np.arange(n, dtype=np.min_scalar_type(n)), len(leads) - starts)
+    level = np.arange(len(leads), dtype=np.min_scalar_type(len(leads)))
+    return first, np.concatenate([level[s:] for s in starts.tolist()])
 
 
 def _grow_masks(masks: np.ndarray, once: np.ndarray, twice: np.ndarray, first: np.ndarray,
@@ -425,15 +425,16 @@ def _support_columns(levels, w: int, index: np.ndarray) -> np.ndarray:
     for j in range(w):
         first, parent = levels[w - 1 - j]
         columns[:, j] = first[index]
-        index = parent[index]
+        index = parent[index].astype(np.intp)  # an intp index takes numpy's fast path
     return columns
 
 
 def _private_row_free_supports(H: np.ndarray, w_top: int):
-    """Yield (w, supports) for each size w <= w_top, in increasing order,
-    that has any support with no private row (a row touched by one of its
-    columns only): the columns, in increasing order, of every such support
-    of size w, in lex order, as a (count, w) array.
+    """Yield (w, supports), w <= w_top increasing, for the supports of size
+    w with no private row (a row touched by one of its columns only): the
+    columns of each, in increasing order, as a (count, w) array, the
+    supports in lex order across the yields of one w, at most SUPPORT_CHUNK
+    a yield.
 
     Each level is grown from the one below it by ``_children``.  A
     support's descendants add at most w_top - w columns of at most d_max
@@ -449,7 +450,8 @@ def _private_row_free_supports(H: np.ndarray, w_top: int):
     d_max = int(np.bitwise_count(masks).sum(axis=0).max(initial=0))
     # Level 1, each column alone, grows from the empty support, which
     # touches no row.
-    levels, first, parent = [], np.arange(n), np.zeros(n, dtype=np.intp)
+    levels, first = [], np.arange(n, dtype=np.min_scalar_type(n))
+    parent = np.zeros(n, dtype=np.uint8)
     once = twice = np.zeros((len(masks), 1), dtype=np.uint64)
     for w in range(1, w_top + 1):
         if w > 1:
@@ -458,23 +460,21 @@ def _private_row_free_supports(H: np.ndarray, w_top: int):
                 return
         levels.append((first, parent))
         slack = (w_top - w) * d_max  # the private rows descendants can still cover
-        # w columns have at most w d_max private rows: below that bound a
-        # level is grown whole.
+        # w columns have at most w d_max private rows: at or below the slack
+        # no support of the level can be pruned, and none is counted.
         prune = w < w_top and w * d_max > slack
-        survivors, kept, grown = [], [], []
+        kept, grown = [], []
         for lo in range(0, len(first), SUPPORT_CHUNK):
             hi = lo + SUPPORT_CHUNK
             o, t, free = _grow_masks(masks, once, twice, first[lo:hi], parent[lo:hi])
-            survivors.append(lo + np.flatnonzero(free))
+            if free.any():
+                yield w, _support_columns(levels, w, lo + np.flatnonzero(free))
             if prune:
                 keep = np.flatnonzero(np.bitwise_count(o ^ t).sum(axis=0) <= slack)
                 kept.append(lo + keep)
                 o, t = o[:, keep], t[:, keep]
             if w < w_top:
                 grown.append((o, t))
-        survivors = np.concatenate(survivors)
-        if len(survivors):
-            yield w, _support_columns(levels, w, survivors)
         if prune:
             kept = np.concatenate(kept)
             levels[-1] = first[kept], parent[kept]

@@ -351,11 +351,19 @@ def test_support_search_agrees_with_the_loop_and_the_code(lat):
         assert lat.min_hamming_weight(w_max) == support_loop_min_weight(lat, w_max) == expect
 
 
+def survivors_by_size(H: np.ndarray, w_top: int) -> dict[int, list[list[int]]]:
+    """The supports ``_private_row_free_supports`` yields, joined per size."""
+    found = {}
+    for w, supports in _private_row_free_supports(H, w_top):
+        found.setdefault(w, []).extend(supports.tolist())
+    return found
+
+
 def survivors_are_what_the_loop_keeps(H: np.ndarray, w_top: int) -> None:
     """Hold each level's survivors, grown and pruned by the bound, to every
     subset of that size that ``private_row_free`` keeps, in lex order."""
     n, loop_masks = H.shape[1], row_masks(H)
-    found = {w: supports.tolist() for w, supports in _private_row_free_supports(H, w_top)}
+    found = survivors_by_size(H, w_top)
     for w in range(1, w_top + 1):
         assert found.get(w, []) == [list(J) for J in combinations(range(n), w)
                                     if private_row_free(loop_masks, J)], w
@@ -378,9 +386,9 @@ def test_grow_supports_lists_every_subset_in_lex_order(n, w_top):
     # has private rows (all of them, d_max) and is within the slack.
     every = {w: [list(J) for J in combinations(range(n), w)] for w in range(1, w_top + 1)}
     zero, full = np.zeros((3, n), dtype=np.int64), np.ones((3, n), dtype=np.int64)
-    assert {w: s.tolist() for w, s in _private_row_free_supports(zero, w_top)} == every
+    assert survivors_by_size(zero, w_top) == every
     del every[1]
-    assert {w: s.tolist() for w, s in _private_row_free_supports(full, w_top)} == every
+    assert survivors_by_size(full, w_top) == every
 
 
 def test_min_hamming_weight_reads_every_mask_word():
@@ -419,7 +427,7 @@ def test_min_hamming_weight_refuses_over_budget_before_building_supports():
 def test_support_search_memory_on_the_criterion_6_supplement_profile():
     # Ten criterion-6 supplement codes (n = 30, p = 31, R_f = 1/2, delta_p
     # = 8, w_max = 4).  Each search grows its own pruned supports and holds
-    # nothing after it returns: about 270 KiB at the peak and 4 KiB held.
+    # nothing after it returns: about 200 KiB at the peak and 4 KiB held.
     lats = [build_fine_lattice(30, 31, Fraction(1, 2), 8,
                                seed=rng.derive_key(606, "mindist", c))[0] for c in range(10)]
     tracemalloc.start()
@@ -429,7 +437,24 @@ def test_support_search_memory_on_the_criterion_6_supplement_profile():
         held, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < 512 * 1024 and held < 16 * 1024, (peak, held)
+    assert peak < 320 * 1024 and held < 16 * 1024, (peak, held)
+
+
+def test_support_search_memory_where_the_bound_prunes_nothing():
+    # Every entry of a 30 x 60 check is nonzero, so no support has a private
+    # row: all 523,685 supports of size <= 4 are built and rank-tested, and
+    # none is deficient.  With the parent links in the smallest dtypes and
+    # each pass's survivors read back alone the search peaks at about
+    # 5.7 MiB; intp links alone would take about 12 MiB.
+    gen = np.random.default_rng(7)
+    lat = ConstructionALattice(GfMatrix(gen.integers(1, 31, size=(30, 60)), 31))
+    tracemalloc.start()
+    try:
+        assert lat.min_hamming_weight(4) is None
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20, peak
 
 
 @pytest.mark.parametrize("w_max", [0, -3])
