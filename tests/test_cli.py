@@ -966,13 +966,14 @@ ARGV_EXTREMES = ["0", "1", "-1", "2", "3", "7", "1/2", "2/3", str(2**31), str(2*
 # the fuzz may give it, so that a run's time stays bounded without timing it.
 BOUNDED_FLAGS = {"--codes": 3, "--graphs": 2, "--budget": 2000, "--n-left": 80, "--cases": 3,
                  "--count": 2, "--trials": 3, "--n": 16}
-# The counts whose defaults run for seconds (10,000 trials, 100 cases, 500
-# encodes, 100 graphs of 10^5 subsets each): the fuzz edits their values
-# but never drops them.
-KEPT_FLAGS = {"--trials", "--cases", "--count", "--graphs", "--budget"}
-# Sizes that every command refuses before any work, which the size flags
-# (--n, --n-left) may take beside their bounded values.
-PAST_LIMITS = [str(2**31), str(2**63), str(-10**20), "99999999999999999989"]
+# The sizes, which take every extreme beside their bounded values: each
+# command refuses the sizes in ARGV_EXTREMES past those bounds before any
+# work.
+SIZE_FLAGS = {"--n", "--n-left"}
+# The counts of verify-counts, verify-norm, verify-noise and verify-ortho,
+# whose defaults run for seconds (100 cases, 500 encodes, 10,000 trials):
+# the fuzz edits their values but never drops them.
+KEPT_FLAGS = {"--trials", "--cases", "--count"}
 
 
 @st.composite
@@ -981,16 +982,16 @@ def edited_verifier_argv(draw, argv):
     edits: a flag dropped, repeated, replaced by another of its
     command's flags or left without its value, or its value replaced by an
     extreme.  The flags of BOUNDED_FLAGS only take values up to their
-    bound, sizes past every limit (PAST_LIMITS), or values that do not
-    parse, and the flags of KEPT_FLAGS are not dropped."""
+    bound or values that do not parse, the sizes (SIZE_FLAGS) any extreme
+    as well, and the flags of KEPT_FLAGS are not dropped."""
     command, pairs = argv[0], [argv[i:i + 2] for i in range(1, len(argv), 2)]
     flags = [flag for flag, _ in pairs]
 
     def value(flag):
         if flag in BOUNDED_FLAGS:
+            extremes = ARGV_EXTREMES if flag in SIZE_FLAGS else ["x", "1.5", "", "1e308"]
             return draw(st.one_of(st.integers(-2, BOUNDED_FLAGS[flag]).map(str),
-                                  st.sampled_from(["x", "1.5", "", "1e308"] + (
-                                      PAST_LIMITS if flag in ("--n", "--n-left") else []))))
+                                  st.sampled_from(extremes)))
         return draw(st.sampled_from(ARGV_EXTREMES))
 
     for _ in range(draw(st.integers(1, 3))):
