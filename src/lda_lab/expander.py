@@ -8,11 +8,12 @@ keys once with ``np.unique``; the socket-by-socket wiring is its oracle in
 greedy falsifier that hunts for small subsets with compressed
 neighborhoods.  It draws its chains in blocks of CHAINS_PER_BLOCK and
 grows consecutive whole blocks side by side, as many as fit in
-GROUP_BYTES, scoring every candidate of the group in one float32 product;
-float32 counts neighbours exactly only below 2^24, so a side of EXACT_SIDE
-nodes or more is refused.  Two test oracles in ``tests/oracles.py`` check
-it in turn: the exhaustive subset search, and the same falsifier run one
-block after another, which must give the same verdict bit for bit.
+GROUP_BYTES.  Neighbourhoods and each chain's uncovered nodes are packed
+as bits of uint64 words, so a chain scores every candidate by exact
+integer counts, an AND and a popcount per word.  Two test oracles in
+``tests/oracles.py`` check it in turn: the exhaustive subset search, and
+the same falsifier run one block after another with a float64 matrix
+product, which must give the same verdict bit for bit.
 """
 
 from __future__ import annotations
@@ -122,6 +123,15 @@ def build_graph(n_left: int, f: Fraction, delta: int, seed: int) -> TannerGraph:
     return TannerGraph(n_left, n_right, delta, seed, edges)
 
 
+def _column_masks(H: np.ndarray) -> np.ndarray:
+    """Each column's row support as bits of uint64 words: shape (words, n),
+    one word per 64 rows (row r is bit r % 64 of word r // 64)."""
+    rows, n = H.shape
+    packed = np.zeros((n, 8 * -(-rows // 64)), dtype=np.uint8)
+    packed[:, : -(-rows // 8)] = np.packbits(H != 0, axis=0, bitorder="little").T
+    return packed.view(np.uint64).T
+
+
 def biadjacency(graph: TannerGraph) -> np.ndarray:
     """Boolean n_left x n_right matrix with True where an edge joins the pair."""
     B = np.zeros((graph.n_left, graph.n_right), dtype=bool)
@@ -174,32 +184,25 @@ def _direction_params(graph: TannerGraph, D: float, direction: str):
 # their size stays whatever the number grown side by side.
 CHAINS_PER_BLOCK = 64
 # The most bytes a direction of ``check_d_good`` may hold in its dense
-# n_left x n_right biadjacency (one byte an entry) and that matrix's
-# float64 copy (eight): 9 * n_left * n_right.
+# n_left x n_right matrices, counted at nine bytes an entry: 9 * n_left *
+# n_right.  The boolean biadjacency, the boolean copy that is packed and
+# the packed words take about 2.4 bytes an entry; the rest is headroom.
 MAX_CHECK_BYTES = 2**30
 # The most bytes of chain state one group of blocks in ``_check_randomized``
 # may hold.  Checking a 200 x 50 criterion-5 graph then peaks at about
-# 616 KiB of traced allocations; 2^20 takes it past 1 MiB.
+# 640 KiB of traced allocations, with 2 blocks a group left to right and
+# 7 right to left.
 GROUP_BYTES = 2**19
-# The falsifier counts a chain's uncovered neighbours in float32, which
-# holds every integer below 2^24 exactly: each side must be smaller.
-EXACT_SIDE = 2**24
 
 
 def refuse_oversized_check(n_left: int, n_right: int) -> None:
     """Refuse a D-goodness check whose dense matrices would pass
-    MAX_CHECK_BYTES, or with a side of EXACT_SIDE nodes or more, before any
-    matrix is allocated."""
+    MAX_CHECK_BYTES before any matrix is allocated."""
     need = 9 * n_left * n_right
     if need > MAX_CHECK_BYTES:
         raise BudgetExceededError(
-            f"expansion check refused: a dense {n_left} x {n_right} biadjacency and its "
-            f"float64 copy need {need} bytes, over the allowed {MAX_CHECK_BYTES} bytes")
-    side = max(n_left, n_right)
-    if side >= EXACT_SIDE:
-        raise BudgetExceededError(
-            f"expansion check refused: a side of {side} nodes is not below 2^24, past which "
-            f"float32 neighbour counts are not exact")
+            f"expansion check refused: a dense {n_left} x {n_right} biadjacency, counted at "
+            f"9 bytes an entry, would need {need} bytes, over the allowed {MAX_CHECK_BYTES} bytes")
 
 
 def _block_sizes(budget: int, steps: int) -> list[int]:
@@ -219,28 +222,39 @@ def _check_randomized(graph: TannerGraph, D: float, direction: str, budget: int,
     a candidate counterexample.
 
     Chains are drawn in blocks of CHAINS_PER_BLOCK, and consecutive whole
-    blocks, as many as fit in GROUP_BYTES, grow side by side: one float32
-    product scores every candidate of every chain in the group.  The
-    verdict is the one the blocks would give run one after another: the
-    first block in draw order with a violation decides it, at its first
-    violating step and on its first bad chain; the blocks after it do not
-    count."""
+    blocks, as many as fit in GROUP_BYTES, grow side by side.  Each
+    candidate's neighbours and each chain's uncovered covered-side nodes
+    are bits of uint64 words, one word per 64 nodes, so a candidate's
+    uncovered neighbours are an exact integer count: the popcounts of the
+    words of their AND.  A chain holds about 17 bytes a candidate (its
+    random order, its gain and a count in the smallest unsigned type that
+    holds every degree) and 8 a step.  The verdict is the one the blocks
+    would give run one after another: the first block in draw order with
+    a violation decides it, at its first violating step and on its first
+    bad chain; the blocks after it do not count."""
     B, max_size, factor, side = _direction_params(graph, D, direction)
-    n, m = B.shape
+    n = B.shape[0]
     if max_size < 1 or n == 0:
         return None, None, 0, math.inf  # vacuously good: no subsets to check
-    # Each product entry counts uncovered neighbours, an integer of at most
-    # m < EXACT_SIDE, so float32 holds it exactly, and adding the float64
-    # order gives the same float64 as an integer count would.
-    counts = np.ascontiguousarray(B.T, dtype=np.float32)
-    free = np.ascontiguousarray(~B)
-    degree = B.sum(axis=1).astype(np.float64)
+    # Candidate j's neighbours are bits of column j of ``nbrs``, one
+    # contiguous row a word for scoring, and of row j of ``keep``,
+    # complemented, for clearing a pick's neighbours.  Padding bits past
+    # the last node are 0 in ``nbrs``, so they never count.
+    nbrs = _column_masks(B.T)
+    keep = np.ascontiguousarray(~nbrs.T)
+    words = len(nbrs)
+    degree = B.sum(axis=1)
+    # The smallest unsigned type that holds every candidate's count.
+    count_type = np.min_scalar_type(int(degree.max()))
+    degree = degree.astype(np.float64)
     gen = rng.generator(seed, "dgood", direction, D)
     steps = min(max_size, budget)
-    # Bytes a chain holds: order, gain (float64) and the product (float32)
-    # per candidate, the uncovered row (float32) and its gathered mask per
-    # covered-side node, and its pick history.
-    fit = GROUP_BYTES // (20 * n + 5 * m + 8 * steps)
+    # Bytes a chain holds: order and gain (float64) and the count per
+    # candidate, with one byte more for a word's popcounts past the first
+    # word; the uncovered words and a pick's gathered words; and its pick
+    # history.  The gain doubles as each word's AND, written before the
+    # gain itself.
+    fit = GROUP_BYTES // ((16 + count_type.itemsize + (words > 1)) * n + 16 * words + 8 * steps)
     groups = [[]]  # consecutive whole blocks, as many as fit, at least one
     for chains in _block_sizes(budget, steps):
         if groups[-1] and sum(groups[-1]) + chains > fit:
@@ -250,8 +264,9 @@ def _check_randomized(graph: TannerGraph, D: float, direction: str, budget: int,
     lanes = np.arange(width)
     order = np.empty((width, n))
     gain = np.empty((width, n))
-    new = np.empty((width, n), dtype=np.float32)
-    uncovered = np.empty((width, m), dtype=np.float32)
+    bits = gain.view(np.uint64)
+    count = np.zeros((width, n), dtype=count_type)  # stays 0 with no covered-side node
+    uncovered = np.empty((width, words), dtype=np.uint64)
     history = np.empty((steps, width), dtype=np.int64)
     checked = 0
     min_ratio = math.inf
@@ -272,10 +287,10 @@ def _check_randomized(graph: TannerGraph, D: float, direction: str, budget: int,
             order[rows, pick] = np.inf
             if size == 1:
                 reached = degree[pick]
-                uncovered[:chains] = free[pick]
+                uncovered[:chains] = keep[pick]
             else:
-                reached += new[rows, pick]
-                np.multiply(uncovered[:chains], free[pick], out=uncovered[:chains])
+                reached += count[rows, pick]
+                uncovered[:chains] &= keep[pick]
             need = factor * size
             np.minimum(block_min[:live], np.minimum.reduceat(reached, starts[:live]) / need,
                        out=block_min[:live])
@@ -290,8 +305,14 @@ def _check_randomized(graph: TannerGraph, D: float, direction: str, budget: int,
                 if not chains:
                     break
             if size < steps:
-                np.matmul(uncovered[:chains], counts, out=new[:chains])
-                np.add(new[:chains], order[:chains], out=gain[:chains])
+                for w in range(words):
+                    np.bitwise_and(uncovered[:chains, w, None], nbrs[w], out=bits[:chains])
+                    if w == 0:
+                        np.bitwise_count(bits[:chains], out=count[:chains])
+                    else:
+                        count[:chains] += np.bitwise_count(bits[:chains])
+                gain[:chains] = count[:chains]  # a cast copy, then a float64 add, beats a mixed add
+                gain[:chains] += order[:chains]
                 pick = gain[:chains].argmin(axis=1)
         if witness is not None:
             return witness, side, found_at, min(min_ratio, float(block_min[:live + 1].min()))
@@ -315,8 +336,10 @@ def check_d_good(
     direction no subset is refused.  A clean verdict with no subset
     checked means that n/(D+1) < 1 on every side checked: no subset is
     small enough to need expanding.  A D that is not a finite number >= 1,
-    and a graph whose dense matrices would pass MAX_CHECK_BYTES or whose
-    side reaches EXACT_SIDE nodes, are refused before any matrix is built.
+    and a graph whose dense matrices would pass MAX_CHECK_BYTES, are
+    refused before any matrix is built.  The falsifier counts neighbours
+    as integers on bit-packed neighbourhoods, so its verdict is exact at
+    any size; a chain holds about 17 bytes a candidate.
     """
     _check_D(D)
     refuse_oversized_check(graph.n_left, graph.n_right)

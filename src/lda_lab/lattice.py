@@ -34,7 +34,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .expander import BudgetExceededError
+from .expander import BudgetExceededError, _column_masks
 from .fieldcore import is_prime
 from .gfmatrix import GfMatrix, NoSolutionError, _rank_stack, _rref_stack
 from .gfmatrix import rank  # noqa: F401  (re-exported: the benchmark traces ``lattice.rank``)
@@ -381,15 +381,6 @@ def _search(r: list[list[float]], z: list[float], start: float, budget: int,
 
     descend(n - 1, 0.0)
     return np.array([leaf for d, leaf in leaves if d <= bound], dtype=np.int64).reshape(-1, n)
-
-
-def _column_masks(H: np.ndarray) -> np.ndarray:
-    """Each column's row support as bits of uint64 words: shape (words, n),
-    one word per 64 rows (row r is bit r % 64 of word r // 64)."""
-    rows, n = H.shape
-    packed = np.zeros((n, 8 * -(-rows // 64)), dtype=np.uint8)
-    packed[:, : -(-rows // 8)] = np.packbits(H != 0, axis=0, bitorder="little").T
-    return packed.view(np.uint64).T
 
 
 def _children(leads: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:

@@ -7,8 +7,9 @@
 - ``check_d_good_exhaustive``: every subset up to the size bound, against
   the greedy falsifier ``expander.check_d_good``.
 - ``check_randomized_by_block``: the greedy falsifier run one 64-chain
-  block after another, against ``expander._check_randomized``, which
-  grows groups of blocks side by side.
+  block after another and scored by a float64 matrix product, against
+  ``expander._check_randomized``, which grows groups of blocks side by
+  side and scores by popcounts of bit-packed neighbourhoods.
 - ``degree_histogram``: socket degrees read off a graph's edge list.
 - ``build_graph_by_sockets``: the permutation-model graph wired one socket
   at a time through ``TannerGraph.from_edges``, against the one-sort build

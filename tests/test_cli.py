@@ -945,8 +945,7 @@ def test_simulate_runs_or_refuses_edited_config_files(text):
             assert err.getvalue().startswith("refused: ")
 
 
-# Valid argv of the two support and expansion verifiers, small enough to
-# run in milliseconds.
+# Valid argv of every subcommand, small enough to run in milliseconds.
 VERIFIER_ARGV = [
     ["verify-mindist", "--codes", "2", "--n", "12", "--p", "7", "--Rf", "1/2", "--delta-p", "4",
      "--w-max", "3", "--seed", "5"],
@@ -958,7 +957,20 @@ VERIFIER_ARGV = [
     ["verify-noise", "--n", "16", "--sigma", "1.5", "--eps", "0.1", "--trials", "3", "--seed", "5"],
     ["verify-ortho", "--n", "16", "--sigma", "1.5", "--trials", "3", "--seed", "5"],
     ["thresholds", "--D", "2", "--f", "1/4", "--Rf", "1/2"],
+    # The run commands, on the files of the run_files fixture, named in braces.
+    ["gen", "--config", "{config}", "--out", "pair.txt", "--seed", "5"],
+    ["encode", "--pair", "{pair}", "--message", "1,2,3"],
+    ["decode", "--pair", "{pair}", "--y", "{y}", "--snr-db", "10", "--decoder", "bp"],
+    ["simulate", "--config", "{config}", "--out", "out.csv", "--trials", "2", "--snr-db", "6,10",
+     "--decoder", "bp", "--seed", "5", "--resample-lattice", "false"],
 ]
+# An LDA config of two trials at two SNR points, for gen and simulate; the
+# pair file gen writes from it, for encode and decode; and the point that
+# encodes message 1,2,3 there, for decode.  A dropped --decoder runs the
+# exact decoder.  An edited --snr-db is one extreme, so a grid never has
+# more than two points.
+RUN_CONFIG = ('n = 12\np = 7\nR = "1/4"\nRf = "1/2"\nkind = "lda"\ndelta_p = 4\n'
+              'allow_below_threshold = true\nsnr_db = [6.0, 10.0]\ntrials = 2\nbp_iters = 20\n')
 ARGV_EXTREMES = ["0", "1", "-1", "2", "3", "7", "1/2", "2/3", str(2**31), str(2**63 - 1), str(2**63),
                  str(-10**20), "99999999999999999989", "1e308", "-1e308", "1e-300", "inf", "-inf",
                  "nan", "1/0", "0/1", "x", ""]
@@ -978,12 +990,12 @@ KEPT_FLAGS = {"--trials", "--cases", "--count"}
 
 @st.composite
 def edited_verifier_argv(draw, argv):
-    """A valid verifier or ``thresholds`` argv with one to three random
-    edits: a flag dropped, repeated, replaced by another of its
-    command's flags or left without its value, or its value replaced by an
-    extreme.  The flags of BOUNDED_FLAGS only take values up to their
-    bound or values that do not parse, the sizes (SIZE_FLAGS) any extreme
-    as well, and the flags of KEPT_FLAGS are not dropped."""
+    """A valid argv of any subcommand with one to three random edits: a
+    flag dropped, repeated, replaced by another of its command's flags or
+    left without its value, or its value replaced by an extreme.  The
+    flags of BOUNDED_FLAGS only take values up to their bound or values
+    that do not parse, the sizes (SIZE_FLAGS) any extreme as well, and the
+    flags of KEPT_FLAGS are not dropped."""
     command, pairs = argv[0], [argv[i:i + 2] for i in range(1, len(argv), 2)]
     flags = [flag for flag, _ in pairs]
 
@@ -1016,22 +1028,40 @@ def edited_verifier_argv(draw, argv):
     return [command] + [token for pair in pairs for token in pair]
 
 
+@pytest.fixture(scope="module")
+def run_files(tmp_path_factory):
+    """The config, pair file and encoded point that RUN_ARGV's braces name."""
+    folder = tmp_path_factory.mktemp("run-argv")
+    config, pair = folder / "cfg.toml", folder / "pair.txt"
+    config.write_text(RUN_CONFIG)
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main(["gen", "--config", str(config), "--out", str(pair)]) == 0
+        assert main(["encode", "--pair", str(pair), "--message", "1,2,3"]) == 0
+    return {"config": str(config), "pair": str(pair), "y": out.getvalue().splitlines()[-1]}
+
+
 @pytest.mark.parametrize("valid", VERIFIER_ARGV, ids=lambda argv: argv[0])
 @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(data=st.data())
-def test_verifiers_run_or_refuse_edited_argv(valid, data):
-    argv = data.draw(edited_verifier_argv(valid))
+def test_verifiers_run_or_refuse_edited_argv(valid, data, run_files):
+    argv = data.draw(edited_verifier_argv([token.format(**run_files) for token in valid]))
     # Exit 0 or 1 (a verifier's PASS or FAIL), or 2: a refused: line from
-    # the verifier, or argparse's usage error for a flag it cannot parse;
-    # never a traceback.
+    # the command, or argparse's usage error for a flag it cannot parse;
+    # never a traceback, and no file written by a refused run.  Each run
+    # writes in a folder of its own.
     err = io.StringIO()
-    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+    with (tempfile.TemporaryDirectory() as folder, contextlib.chdir(folder),
+          contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err)):
         try:
             code = main(argv)
         except SystemExit as exc:
             code = exc.code
             assert code == 2 and "error: " in err.getvalue()
+        written = os.listdir(folder)
     event(f"exit {code}")
     assert code in (0, 1, 2) and "Traceback" not in err.getvalue()
-    if code == 2 and "error: " not in err.getvalue():
-        assert err.getvalue().startswith("refused: ")
+    if code == 2:
+        assert not written
+        if "error: " not in err.getvalue():
+            assert err.getvalue().startswith("refused: ")

@@ -176,20 +176,19 @@ def test_check_d_good_refuses_budget_below_one_subset_per_direction(direction, b
 
 
 def test_check_d_good_refuses_a_graph_too_large_for_its_dense_matrices():
-    # Three edges, but a dense 10^12 x 10^11 biadjacency and its float64
-    # copy: 9 bytes an entry, refused before either is allocated.
+    # Three edges, but a dense 10^12 x 10^11 biadjacency, counted at 9
+    # bytes an entry: refused before any matrix is allocated.
     g = TannerGraph.from_edges(10**12, 10**11, [(0, 0), (1, 1), (2, 2)])
     need = 9 * 10**23
     with pytest.raises(BudgetExceededError, match=(
-            f"expansion check refused: a dense {10**12} x {10**11} biadjacency and its float64 "
-            f"copy need {need} bytes, over the allowed {MAX_CHECK_BYTES} bytes")):
+            f"expansion check refused: a dense {10**12} x {10**11} biadjacency, counted at 9 "
+            f"bytes an entry, would need {need} bytes, over the allowed {MAX_CHECK_BYTES} bytes")):
         check_d_good(g, 2.0)
-    # 2^24 x 4 passes the byte rule (about 600 MB) but not the float32
-    # neighbour counts, which are exact only below 2^24.
-    with pytest.raises(BudgetExceededError, match=(
-            f"expansion check refused: a side of {2**24} nodes is not below 2\\^24")):
-        refuse_oversized_check(2**24, 4)
-    refuse_oversized_check(2**24 - 1, 4)
+    # The boundary is the byte rule alone: a side of 2^24 nodes or more,
+    # once refused for float32 counts, passes it.
+    refuse_oversized_check(MAX_CHECK_BYTES // 9 // 4, 4)
+    with pytest.raises(BudgetExceededError, match="would need"):
+        refuse_oversized_check(MAX_CHECK_BYTES // 9 // 4 + 1, 4)
 
 
 @pytest.mark.parametrize("D", [math.inf, -math.inf, math.nan, 0.5])
@@ -268,6 +267,34 @@ def test_grouped_falsifier_gives_the_block_loop_verdicts():
 
     agree()
     assert 3 * sum(violated) >= len(violated)
+
+
+def wide_check_graph(seed: int) -> TannerGraph:
+    """300 x 8 graph whose check 0 sees every left node, more than a uint8
+    count holds; checks 1 to 7 see 40 random left nodes each."""
+    draw = rng.generator(seed, "wide-check")
+    pairs = [(v, 0) for v in range(300)]
+    for r in range(1, 8):
+        pairs += [(int(v), r) for v in draw.choice(300, size=40, replace=False)]
+    return TannerGraph.from_edges(300, 8, pairs)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+@pytest.mark.parametrize("case", ["a check of 300 neighbours, right to left",
+                                  "190 covered nodes in 3 words, left to right"])
+def test_falsifier_counts_wide_candidates_and_every_word_exactly(case, seed):
+    # A check of 300 uncovered neighbours must not count as 44, and the
+    # third word of a 190-node covered side must count: the float64
+    # product of the block loop decides the same chains bit for bit.
+    if case.startswith("a check"):
+        graph, D, direction, budget = wide_check_graph(seed), 1.0, "right_to_left", 600
+        assert biadjacency(graph).sum(axis=0).max() > 255
+    else:
+        graph, D, direction, budget = build_graph(190, Fraction(1), 3, seed=seed), 2.0, "left_to_right", 3000
+        assert graph.n_right > 128
+    verdict = _check_randomized(graph, D, direction, budget, seed)
+    assert verdict == check_randomized_by_block(graph, D, direction, budget, seed)
+    assert verdict[2] > CHAINS_PER_BLOCK  # past the first step, where counts choose the picks
 
 
 # Threshold values frozen from an independent evaluation of the closed
