@@ -1028,9 +1028,20 @@ def edited_verifier_argv(draw, argv):
     return [command] + [token for pair in pairs for token in pair]
 
 
+@contextlib.contextmanager
+def working_directory(path):
+    """``contextlib.chdir``, which Python 3.10 lacks."""
+    home = os.getcwd()
+    os.chdir(path)
+    try:
+        yield
+    finally:
+        os.chdir(home)
+
+
 @pytest.fixture(scope="module")
 def run_files(tmp_path_factory):
-    """The config, pair file and encoded point that RUN_ARGV's braces name."""
+    """The config, pair file and encoded point that VERIFIER_ARGV's braces name."""
     folder = tmp_path_factory.mktemp("run-argv")
     config, pair = folder / "cfg.toml", folder / "pair.txt"
     config.write_text(RUN_CONFIG)
@@ -1051,7 +1062,7 @@ def test_verifiers_run_or_refuse_edited_argv(valid, data, run_files):
     # never a traceback, and no file written by a refused run.  Each run
     # writes in a folder of its own.
     err = io.StringIO()
-    with (tempfile.TemporaryDirectory() as folder, contextlib.chdir(folder),
+    with (tempfile.TemporaryDirectory() as folder, working_directory(folder),
           contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err)):
         try:
             code = main(argv)

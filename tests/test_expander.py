@@ -184,8 +184,7 @@ def test_check_d_good_refuses_a_graph_too_large_for_its_dense_matrices():
             f"expansion check refused: a dense {10**12} x {10**11} biadjacency, counted at 9 "
             f"bytes an entry, would need {need} bytes, over the allowed {MAX_CHECK_BYTES} bytes")):
         check_d_good(g, 2.0)
-    # The boundary is the byte rule alone: a side of 2^24 nodes or more,
-    # once refused for float32 counts, passes it.
+    # The boundary is the byte rule alone, so a side past 2^24 nodes passes.
     refuse_oversized_check(MAX_CHECK_BYTES // 9 // 4, 4)
     with pytest.raises(BudgetExceededError, match="would need"):
         refuse_oversized_check(MAX_CHECK_BYTES // 9 // 4 + 1, 4)
@@ -290,7 +289,8 @@ def test_falsifier_counts_wide_candidates_and_every_word_exactly(case, seed):
         graph, D, direction, budget = wide_check_graph(seed), 1.0, "right_to_left", 600
         assert biadjacency(graph).sum(axis=0).max() > 255
     else:
-        graph, D, direction, budget = build_graph(190, Fraction(1), 3, seed=seed), 2.0, "left_to_right", 3000
+        graph, D, direction, budget = (build_graph(190, Fraction(1), 3, seed=seed), 2.0,
+                                       "left_to_right", 3000)
         assert graph.n_right > 128
     verdict = _check_randomized(graph, D, direction, budget, seed)
     assert verdict == check_randomized_by_block(graph, D, direction, budget, seed)
