@@ -186,7 +186,7 @@ CHAINS_PER_BLOCK = 64
 # The most bytes a direction of ``check_d_good`` may hold in its dense
 # n_left x n_right matrices, counted at nine bytes an entry: 9 * n_left *
 # n_right.  The boolean biadjacency, the boolean copy that is packed and
-# the packed words take about 2.4 bytes an entry; the rest is headroom.
+# the packed words peak at about 2.3 bytes an entry; the rest is headroom.
 MAX_CHECK_BYTES = 2**30
 # The most bytes of chain state one group of blocks in ``_check_randomized``
 # may hold.  Checking a 200 x 50 criterion-5 graph then peaks at about
