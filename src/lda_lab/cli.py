@@ -480,10 +480,8 @@ def verify_norm(kind: str = "dense", n: int = 16, p: int = 3,
     _require(1, count=count)
     window, threshold = (0.7, 1.1), 0.9
     inside = 0
-    for t in range(count):
-        pair = codec.build_pair(n, p, R, R_f, kind,
-                                seed=rng.derive_key(master_seed, "norm-pair", t),
-                                delta_p=delta_p)
+    seeds = (rng.derive_key(master_seed, "norm-pair", t) for t in range(count))
+    for t, pair in enumerate(codec.build_pairs(n, p, R, R_f, kind, seeds, delta_p)):
         gen = rng.generator(master_seed, "norm-msg", t)
         message = gen.integers(0, p, size=pair.ell, dtype=np.int64)
         while not message.any():

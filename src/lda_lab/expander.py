@@ -336,12 +336,16 @@ def check_d_good(
     direction no subset is refused.  A clean verdict with no subset
     checked means that n/(D+1) < 1 on every side checked: no subset is
     small enough to need expanding.  A D that is not a finite number >= 1,
-    and a graph whose dense matrices would pass MAX_CHECK_BYTES, are
-    refused before any matrix is built.  The falsifier counts neighbours
-    as integers on bit-packed neighbourhoods, so its verdict is exact at
-    any size; a chain holds about 17 bytes a candidate.
+    a graph with no left or no right node, and a graph whose dense matrices
+    would pass MAX_CHECK_BYTES, are refused before any matrix is built.
+    The falsifier counts neighbours as integers on bit-packed
+    neighbourhoods, so its verdict is exact at any size; a chain holds
+    about 17 bytes a candidate.
     """
     _check_D(D)
+    if not (graph.n_left and graph.n_right):
+        raise ValueError(f"graph has no {'right' if graph.n_left else 'left'} node: expansion is "
+                         f"undefined (n_left = {graph.n_left}, n_right = {graph.n_right})")
     refuse_oversized_check(graph.n_left, graph.n_right)
     directions = ["left_to_right", "right_to_left"] if direction == "both" else [direction]
     share = budget // len(directions)

@@ -1,4 +1,4 @@
-"""Prime selection and GF(p) scalar arithmetic.
+"""Prime selection and centered representatives of GF(p).
 
 Elements of GF(p) are plain Python ints in ``{0, ..., p-1}``.  The
 centered representative convention maps a residue class to its element
@@ -81,9 +81,3 @@ def centered_rep(z: int, p: int) -> int:
         r -= p
     return r
 
-
-def field_inv(a: int, p: int) -> int:
-    a = a % p
-    if a == 0:
-        raise ZeroDivisionError("0 has no inverse in GF(p)")
-    return pow(a, p - 2, p)

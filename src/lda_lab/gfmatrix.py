@@ -3,9 +3,11 @@
 Entries are numpy int64 arrays reduced mod p.  Elimination pivots on the
 first nonzero column with the smallest row index, so ranks and solutions
 are identical across platforms and row orders of equal content.
-``_rref`` reduces one matrix; ``_rref_stack`` reduces a (B, rows, cols)
-stack in one pass, for the set-up of many lattices at once, and gives each
-matrix the reduced form ``_rref`` gives it, which is unique.
+``_rref_stack`` is the one reduction: it reduces a (B, rows, cols) stack
+in one pass, for the set-up of many lattices at once, and a single matrix
+as a stack of one.  Each matrix gets its reduced form, which is unique;
+``rref_alone`` in ``tests/oracles.py`` reduces one matrix alone as its
+oracle.
 ``_rank_stack`` gives only the ranks of a stack, with no reduced form, and
 is the one rank routine: ``rank`` reads off it, as does the support search.
 """
@@ -17,7 +19,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .fieldcore import field_inv, is_prime
+from .fieldcore import is_prime
 
 
 class NoSolutionError(ValueError):
@@ -88,46 +90,18 @@ class GfMatrix:
         return f"GfMatrix({self.rows}x{self.cols} mod {self.p})"
 
 
-def _rref(a: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
-    """Row-reduce a copy of ``a`` mod p; returns (rref, pivot columns)."""
-    m = a.copy()
-    rows, cols = m.shape
-    pivots: list[int] = []
-    r = 0
-    for c in range(cols):
-        if r == rows:
-            break
-        nz = np.nonzero(m[r:, c])[0]
-        if nz.size == 0:
-            continue
-        pr = r + int(nz[0])
-        if pr != r:
-            m[[r, pr]] = m[[pr, r]]
-        m[r] = (m[r] * field_inv(int(m[r, c]), p)) % p
-        # Clear column c from every other row at once; rows with a zero
-        # there are left as they were.
-        factors = m[:, c].copy()
-        factors[r] = 0
-        m -= factors[:, None] * m[r]
-        m %= p
-        pivots.append(c)
-        r += 1
-    return m, pivots
-
-
 def _rref_stack(a: np.ndarray, p: int) -> list[tuple[np.ndarray, list[int]]]:
-    """:func:`_rref` of each matrix of a (B, rows, cols) stack, by one
-    Gauss-Jordan pass over the whole stack.  Rows are not swapped: in each
-    column every matrix takes as pivot its first row that is not yet a
-    pivot row and is nonzero there, scales it to 1 and clears the column
-    from its other rows; at the end each matrix's pivot rows are put in the
-    order of their columns and the rest, all zero, after them.  The reduced
-    form is unique, so each matrix comes out as ``_rref`` gives it.  Rows
-    that are not yet pivot rows are zero left of the column, so only the
-    columns from it on change.  A stack of one goes to ``_rref``, which
-    takes fewer array operations per column."""
-    if len(a) == 1:
-        return [_rref(a[0], p)]
+    """The reduced row echelon form and pivot columns of each matrix of a
+    (B, rows, cols) stack, by one Gauss-Jordan pass over the whole stack.
+    Rows are not swapped: in each column every matrix takes as pivot its
+    first row that is not yet a pivot row and is nonzero there, scales it
+    to 1 and clears the column from its other rows; at the end each
+    matrix's pivot rows are put in the order of their columns and the rest,
+    all zero, after them.  The reduced form is unique, so each matrix comes
+    out as a row-swapping reduction of it alone gives it (``rref_alone`` in
+    ``tests/oracles.py``).  Rows that are not yet pivot rows are zero left
+    of the column, so only the columns from it on change.  A stack of one,
+    such as ``solve``'s system, takes the same pass."""
     m = a.copy()
     B, rows, cols = m.shape
     batch = np.arange(B)
@@ -202,7 +176,7 @@ def solve(M: GfMatrix, s: np.ndarray) -> np.ndarray:
     if s.shape != (M.rows,):
         raise ValueError(f"syndrome length {s.shape} does not match {M.rows} rows")
     aug = np.hstack([M.array, s.reshape(-1, 1)])
-    red, pivots = _rref(aug, M.p)
+    red, pivots = _rref_stack(aug[None], M.p)[0]
     if M.cols in pivots:
         raise NoSolutionError("inconsistent linear system over GF(p)")
     x = np.zeros(M.cols, dtype=np.int64)

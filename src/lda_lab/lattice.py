@@ -11,9 +11,9 @@ first k_eff columns mod p are the generator.  One modified Gram-Schmidt
 pass sorts that basis by least residual length and factors it.  Lattices
 set up together share a ``SetUpStack``, which reduces, builds the bases of
 and factors all of them at once, each step when the first of them needs
-it; a standalone lattice is a stack of one.  The stacked QR must
-match the one-basis pass bit for bit, and the stacked basis the
-one-lattice basis in ``tests/oracles.py``.  Closest-point and shortest-vector search are exact
+it; a standalone lattice is a stack of one, set up by the same kernels.
+Each stacked step must match, bit for bit, its one-lattice oracle in
+``tests/oracles.py``.  Closest-point and shortest-vector search are exact
 Schnorr-Euchner depth-first enumerations on the factored basis (Agrell,
 Eriksson, Vardy and Zeger,
 "Closest point search in lattices", IEEE-IT 2002; Viterbo and Boutros,
@@ -249,48 +249,19 @@ def _bases(reduced: np.ndarray, pivots: list[list[int]], p: int) -> np.ndarray:
     return basis
 
 
-def _sorted_qr_one(basis: np.ndarray) -> _SortedQR:
-    """Sorted QR (Wuebben et al., Electronics Letters 2001) of one (n, n)
-    basis in one modified Gram-Schmidt pass: each step takes the remaining
-    column of least residual length, so the Gram-Schmidt lengths grow toward
-    the last columns, which the search fixes first, and records its unit
-    vector as a row of Q^T and its projections of every residual as a row
-    of R.  The residual lengths are recomputed at every step: downdating
-    them by the squared projections cancels to negative values at p = 31,
-    n = 96.
-
-    A picked column's residual is set to 0, which touches no other column's
-    arithmetic, so its later projections are exact zeros and R is upper
-    triangular; its diagonal, q . a_j = |a_j|, is positive."""
-    a = basis.astype(float)
-    n = a.shape[1]
-    taken = np.zeros(n)  # inf on the columns already picked
-    order: list[int] = []
-    q_t = np.empty((n, n))
-    proj = np.empty((n, n))
-    for i in range(n):
-        norms = (a * a).sum(axis=0) + taken
-        j = int(norms.argmin())
-        order.append(j)
-        taken[j] = np.inf
-        q = q_t[i]
-        q[:] = a[:, j] / math.sqrt(norms[j])
-        proj[i] = q @ a
-        a -= q[:, None] * proj[i]
-        a[:, j] = 0.0
-    return _SortedQR(basis=basis[:, order], q_t=q_t, r=proj[:, order].tolist())
-
-
 def _sorted_qr(bases: np.ndarray) -> list[_SortedQR]:
-    """:func:`_sorted_qr_one` of each basis of a (B, n, n) stack, in one
-    pass over the stack: each step takes every basis's remaining column of
-    least residual length.  Lengths are summed down the rows and
-    projections taken by ``np.matmul``, one BLAS product per basis, so each
-    basis gets the floats it would get alone.  A stack of one goes to
-    ``_sorted_qr_one``, whose steps take fewer array operations: 120 against
-    180 us at n = 12, where the stack's pass costs 35 us a basis at B = 8."""
-    if len(bases) == 1:
-        return [_sorted_qr_one(bases[0])]
+    """Sorted QR (Wuebben et al., Electronics Letters 2001) of each basis of
+    a (B, n, n) stack, in one modified Gram-Schmidt pass over the stack:
+    each step takes every basis's remaining column of least residual length
+    (so the Gram-Schmidt lengths grow toward the last columns, which the
+    search fixes first) and records its unit vector as a row of Q^T and its
+    projections of every residual as a row of R.  The lengths are
+    recomputed at every step, since downdating them cancels to negative
+    values at p = 31, n = 96.  A picked column's residual is set to 0, so R
+    is upper triangular with a positive diagonal.  Lengths are summed down
+    the rows and projections taken by ``np.matmul``, one BLAS product per
+    basis, so each basis gets the floats of a pass over it alone
+    (``sorted_qr_alone`` in ``tests/oracles.py``), a stack of one included."""
     a = bases.astype(float)
     B, n, _n = a.shape
     flat = a.reshape(-1)

@@ -14,6 +14,10 @@
 - ``build_graph_by_sockets``: the permutation-model graph wired one socket
   at a time through ``TannerGraph.from_edges``, against the one-sort build
   ``expander.build_graph``.
+- ``rref_alone``: one matrix row-reduced alone, swapping rows, against
+  the stacked reduction ``gfmatrix._rref_stack``, stacks of one included.
+- ``sorted_qr_alone``: one basis factored alone in a modified Gram-Schmidt
+  pass, against the stacked sorted QR ``lattice._sorted_qr``, bit for bit.
 - ``sorted_columns``: the sorted-QR column order by a plain residual
   downdate, against the one-pass factorization ``lattice._sorted_qr``.
 - ``construction_a_basis``: one lattice's basis read off its reduced form
@@ -46,6 +50,7 @@ from lda_lab.expander import (
     _direction_params,
 )
 from lda_lab.gfmatrix import solve
+from lda_lab.lattice import _SortedQR
 
 # ---------------------------------------------------------------------------
 # Sum-product check node
@@ -220,7 +225,63 @@ def build_graph_by_sockets(n_left: int, f, delta: int, seed: int) -> TannerGraph
 
 
 # ---------------------------------------------------------------------------
+# Row reduction
+
+
+def rref_alone(a: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
+    """Row-reduce a copy of one matrix ``a`` mod p, swapping rows; returns
+    (rref, pivot columns)."""
+    m = a.copy()
+    rows, cols = m.shape
+    pivots: list[int] = []
+    r = 0
+    for c in range(cols):
+        if r == rows:
+            break
+        nz = np.nonzero(m[r:, c])[0]
+        if nz.size == 0:
+            continue
+        pr = r + int(nz[0])
+        if pr != r:
+            m[[r, pr]] = m[[pr, r]]
+        m[r] = (m[r] * pow(int(m[r, c]), -1, p)) % p
+        # Clear column c from every other row at once; rows with a zero
+        # there are left as they were.
+        factors = m[:, c].copy()
+        factors[r] = 0
+        m -= factors[:, None] * m[r]
+        m %= p
+        pivots.append(c)
+        r += 1
+    return m, pivots
+
+
+# ---------------------------------------------------------------------------
 # Sorted QR
+
+
+def sorted_qr_alone(basis: np.ndarray) -> _SortedQR:
+    """Sorted QR of one (n, n) basis in one modified Gram-Schmidt pass: each
+    step takes the remaining column of least residual length, records its
+    unit vector as a row of Q^T and its projections of every residual as a
+    row of R, and sets the pick's residual to 0."""
+    a = basis.astype(float)
+    n = a.shape[1]
+    taken = np.zeros(n)  # inf on the columns already picked
+    order: list[int] = []
+    q_t = np.empty((n, n))
+    proj = np.empty((n, n))
+    for i in range(n):
+        norms = (a * a).sum(axis=0) + taken
+        j = int(norms.argmin())
+        order.append(j)
+        taken[j] = np.inf
+        q = q_t[i]
+        q[:] = a[:, j] / math.sqrt(norms[j])
+        proj[i] = q @ a
+        a -= q[:, None] * proj[i]
+        a[:, j] = 0.0
+    return _SortedQR(basis=basis[:, order], q_t=q_t, r=proj[:, order].tolist())
 
 
 def sorted_columns(basis: np.ndarray) -> np.ndarray:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import ast
 import contextlib
 import dataclasses
 import inspect
@@ -11,6 +12,7 @@ import os
 import tempfile
 import tracemalloc
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -1076,3 +1078,73 @@ def test_verifiers_run_or_refuse_edited_argv(valid, data, run_files):
         assert not written
         if "error: " not in err.getvalue():
             assert err.getvalue().startswith("refused: ")
+
+
+def _budget_raise_sites() -> set[str]:
+    """module.function of every ``raise BudgetExceededError(...)`` in the
+    package, methods by their own name and nested functions by the
+    function around them."""
+    sites = set()
+    for path in Path(codec.__file__).parent.glob("*.py"):
+        tree = ast.parse(path.read_text())
+        scopes = [node for node in tree.body if isinstance(node, ast.FunctionDef)]
+        scopes += [node for cls in tree.body if isinstance(cls, ast.ClassDef)
+                   for node in cls.body if isinstance(node, ast.FunctionDef)]
+        for scope in scopes:
+            if any(isinstance(node, ast.Raise) and isinstance(node.exc, ast.Call)
+                   and getattr(node.exc.func, "id", None) == "BudgetExceededError"
+                   for node in ast.walk(scope)):
+                sites.add(f"{path.stem}.{scope.name}")
+    return sites
+
+
+def _budget_refusals(monkeypatch) -> list[tuple[str, object, str, str, str]]:
+    """(raise site, call, layer, requested size, allowed size) of one
+    refusal at each site, with the layer as the message's start."""
+    from lda_lab.expander import MAX_CHECK_BYTES, MAX_SOCKETS, TannerGraph, build_graph, check_d_good
+    from lda_lab.lattice import BallSpec, count_integer_points, lemma2_bounds
+
+    ball = BallSpec(np.zeros(4), 10.0, 4)
+    bound = lemma2_bounds(ball)[1]
+    pair = codec.build_pair(12, 7, "1/4", "1/2", "lda", seed=1, delta_p=4)
+    message = np.arange(1, pair.ell + 1)
+    y = codec.encode(pair, message).point + 0.1
+    P = channel.default_power(pair.p, pair.R)
+    table = pair.p ** pair.fine.k_eff
+    supports = sum(math.comb(pair.n, w) for w in range(1, 4))
+    huge = TannerGraph.from_edges(10**12, 10**11, [(0, 0), (1, 1), (2, 2)])
+    need = codec.BP_BYTES_PER_SYMBOL * 3 * pair.n * pair.p
+    monkeypatch.setattr(codec, "MAX_BP_BYTES", need - 1)
+    return [
+        ("lattice._ball_runs", lambda: count_integer_points(ball, budget=100),
+         "integer-point enumeration refused: ", f"upper bound {bound:.3g} points", "budget 100"),
+        ("codec.encode", lambda: codec.encode(pair, message, budget=1),
+         "encode: shaping lattice closest-point search refused: ", "2 search nodes", "budget of 1"),
+        ("codec.mmse_decode_exact", lambda: codec.mmse_decode_exact(pair, y, P, 0.1, budget=1),
+         "decode: fine lattice closest-point search refused: ", "2 search nodes", "budget of 1"),
+        ("lattice._search", lambda: pair.fine.shortest_vector(budget=1),
+         "lattice shortest-vector search refused: ", "2 search nodes", "budget of 1"),
+        ("lattice.codewords", lambda: pair.fine.codewords(budget=10),
+         "codeword enumeration refused: ", f"p^k = {table}", "budget 10"),
+        ("lattice.min_hamming_weight", lambda: pair.fine.min_hamming_weight(3, budget=100),
+         "support enumeration refused: ", f"{supports} supports", "budget 100"),
+        ("expander.build_graph", lambda: build_graph(2**20, Fraction(1, 2), 8, seed=0),
+         "graph build refused: ", f"{2**22} sockets", f"allowed {MAX_SOCKETS}"),
+        ("expander.refuse_oversized_check", lambda: check_d_good(huge, 2.0),
+         "expansion check refused: ", f"{9 * 10**23} bytes", f"allowed {MAX_CHECK_BYTES} bytes"),
+        ("codec.bp_decode_batch", lambda: codec.bp_decode_batch(pair, [y] * 3, P, [0.1] * 3),
+         "bp decoder refused: ", f"{need} bytes", f"allowed {need - 1} bytes"),
+    ]
+
+
+def test_every_budget_refusal_names_its_layer_and_both_sizes(monkeypatch):
+    # One refusal at each raise site of the package, each before any work
+    # of the size refused is done; a new site needs a case here.
+    refusals = _budget_refusals(monkeypatch)
+    assert {site for site, *_ in refusals} == _budget_raise_sites()
+    for site, call, layer, requested, allowed in refusals:
+        with pytest.raises(BudgetExceededError) as refusal:
+            call()
+        text = str(refusal.value)
+        assert text.startswith(layer), (site, text)
+        assert requested in text and allowed in text, (site, text)

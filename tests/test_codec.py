@@ -30,14 +30,16 @@ from lda_lab.codec import (
     pair_to_text,
 )
 from lda_lab.expander import BudgetExceededError
-from lda_lab.gfmatrix import GfMatrix, StackedParityCheck, _rref, rank
-from lda_lab.lattice import ConstructionALattice, _sorted_qr_one
+from lda_lab.gfmatrix import GfMatrix, StackedParityCheck, rank
+from lda_lab.lattice import ConstructionALattice
 from oracles import (
     _check_node_messages,
     all_messages,
     construction_a_basis,
     degree_histogram,
     edited_texts,
+    rref_alone,
+    sorted_qr_alone,
     voronoi_codebook_bruteforce,
 )
 
@@ -521,10 +523,10 @@ def test_pairs_built_in_a_batch_are_the_pairs_built_alone(size, kind, data):
         if seed == deficient:
             assert pair.regenerations == (2 if kind == "lda" else 1)
         for lat in (pair.fine, pair.shaping):
-            red, pivots = _rref(np.hstack([lat.H.array, np.eye(lat.H.rows, dtype=np.int64)]), lat.p)
+            red, pivots = rref_alone(np.hstack([lat.H.array, np.eye(lat.H.rows, dtype=np.int64)]), lat.p)
             assert np.array_equal(lat._reduced[0], red) and lat._reduced[1] == pivots
             assert np.array_equal(lat._basis, construction_a_basis(red, pivots, lat.p))
-            form, oracle = lat._sorted, _sorted_qr_one(lat._basis)
+            form, oracle = lat._sorted, sorted_qr_alone(lat._basis)
             assert np.array_equal(form.basis, oracle.basis) and np.array_equal(form.q_t, oracle.q_t)
             assert form.r == oracle.r
 

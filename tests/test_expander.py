@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 import tracemalloc
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -173,6 +174,20 @@ def test_check_d_good_refuses_budget_below_one_subset_per_direction(direction, b
     g = build_graph(20, Fraction(1, 2), 12, seed=5)
     with pytest.raises(ValueError, match="fewer than one subset"):
         check_d_good(g, 2.0, direction, budget=budget)
+
+
+@pytest.mark.parametrize("direction", ["left_to_right", "right_to_left", "both"])
+@pytest.mark.parametrize("text, empty", [("6 0 0 0\n", "right"), ("0 6 0 0\n", "left")])
+def test_check_d_good_refuses_a_graph_with_an_empty_side(monkeypatch, direction, text, empty):
+    # Such graphs once gave a numpy RuntimeWarning and a ZeroDivisionError
+    # (at D / f, or at Fraction(6, 0) for f).  The refusal names the empty
+    # side and comes before any matrix is built.
+    graph = import_text(text)
+    monkeypatch.setattr("lda_lab.expander.biadjacency", lambda *a: pytest.fail("matrix built"))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=f"graph has no {empty} node"):
+            check_d_good(graph, 1.0, direction, budget=500)
 
 
 def test_check_d_good_refuses_a_graph_too_large_for_its_dense_matrices():

@@ -1,17 +1,18 @@
-"""Prime selection and scalar field arithmetic."""
+"""Prime selection, centered representatives and inverses in GF(p)."""
 
 from __future__ import annotations
 
 import math
 
+import numpy as np
 import pytest
 
 from lda_lab.fieldcore import (
     centered_rep,
-    field_inv,
     is_prime,
     nearest_prime,
 )
+from lda_lab.gfmatrix import GfMatrix, NoSolutionError, _rref_stack, solve
 
 
 def sieve(limit: int) -> list[int]:
@@ -105,17 +106,25 @@ def test_centered_rep_rejects_even_modulus():
         centered_rep(1, 2)
 
 
+# Inverses in GF(p) are taken where the row reduction scales a pivot row:
+# the system a x = 1 solves to x = a^-1, and one stacked pass reduces each
+# [a 1] to [1 a^-1].
+
+
 def test_field_ops_examples():
-    assert field_inv(1, 7) == 1
-    assert field_inv(3, 7) == 5  # 3*5 = 15 = 1 mod 7
+    assert solve(GfMatrix(np.array([[1]]), 7), np.array([1])).tolist() == [1]
+    assert solve(GfMatrix(np.array([[3]]), 7), np.array([1])).tolist() == [5]  # 3*5 = 15 = 1 mod 7
 
 
 @pytest.mark.parametrize("p", [q for q in PRIMES_10K if q <= 101])
 def test_inverse_exhaustive(p):
-    for a in range(1, p):
-        assert (a * field_inv(a, p)) % p == 1
+    nonzero = np.arange(1, p)
+    stack = np.stack([nonzero, np.ones_like(nonzero)], axis=1)[:, None, :]
+    for a, (red, pivots) in zip(nonzero.tolist(), _rref_stack(stack, p), strict=True):
+        assert pivots == [0] and red[0, 0] == 1
+        assert (a * int(red[0, 1])) % p == 1
 
 
 def test_inverse_of_zero_is_domain_error():
-    with pytest.raises(ZeroDivisionError):
-        field_inv(0, 7)
+    with pytest.raises(NoSolutionError):
+        solve(GfMatrix(np.zeros((1, 1), dtype=np.int64), 7), np.array([1]))

@@ -21,7 +21,6 @@ from lda_lab.gfmatrix import (
     NoSolutionError,
     StackedParityCheck,
     _rank_stack,
-    _rref,
     _rref_stack,
     block_heights,
     check_modulus,
@@ -29,6 +28,7 @@ from lda_lab.gfmatrix import (
     solve,
 )
 from lda_lab.lattice import ConstructionALattice
+from oracles import rref_alone
 
 
 def test_rank_identity_and_zero():
@@ -142,10 +142,59 @@ def matrix_stacks(draw):
 def test_stacked_reduction_is_the_reduction_of_each_matrix(stack):
     a, p = stack
     for matrix, (red, pivots) in zip(a, _rref_stack(a, p), strict=True):
-        alone = _rref(matrix, p)
+        alone = rref_alone(matrix, p)
         event(f"rank {len(pivots)} of {len(matrix)}")
         assert pivots == alone[1]
         assert np.array_equal(red, alone[0])
+
+
+@st.composite
+def single_systems(draw):
+    """(a, s, p): one matrix of 0-6 rows by 0-12 columns over p in
+    {2, 3, 5, 7, 31}, random with some density, all zero, or rank
+    deficient (its last row a multiple of its first, or a column zero),
+    and a right-hand side, half the time in the column space."""
+    p = draw(st.sampled_from([2, 3, 5, 7, 31]))
+    rows, cols = draw(st.integers(0, 6)), draw(st.integers(0, 12))
+    gen = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    a = gen.integers(0, p, size=(rows, cols)) * (gen.random((rows, cols)) < draw(
+        st.sampled_from([0.2, 0.5, 1.0])))
+    shape = draw(st.sampled_from(["random", "all zero", "deficient"]))
+    if shape == "all zero":
+        a[:] = 0
+    elif shape == "deficient" and rows > 1:
+        a[-1] = gen.integers(0, p) * a[0] % p
+    elif shape == "deficient" and cols:
+        a[:, gen.integers(0, cols)] = 0
+    s = a @ gen.integers(0, p, size=cols) % p if draw(st.booleans()) else gen.integers(0, p, size=rows)
+    event(f"p = {p}, {shape}, {'no rows' if not rows else 'no columns' if not cols else 'both'}")
+    return a, s, p
+
+
+@settings(max_examples=300, deadline=None)
+@given(single_systems())
+@example((np.zeros((0, 4), dtype=np.int64), np.zeros(0, dtype=np.int64), 2))  # no rows
+@example((np.zeros((3, 0), dtype=np.int64), np.array([0, 1, 0]), 5))  # no columns
+@example((np.zeros((3, 4), dtype=np.int64), np.zeros(3, dtype=np.int64), 7))  # all zero
+@example((np.array([[1, 1, 0], [1, 1, 0]]), np.array([1, 0]), 2))  # deficient, inconsistent
+@example((np.array([[1, 1, 0], [0, 1, 1]]), np.array([1, 0]), 2))  # full rank at p = 2
+def test_stack_of_one_is_the_reduction_alone(system):
+    """A stack of one runs the stacked pass; its form, and ``solve``'s
+    answer read off the form of [a | s], are the one-matrix oracle's."""
+    a, s, p = system
+    (red, pivots), = _rref_stack(a[None], p)
+    alone = rref_alone(a, p)
+    assert pivots == alone[1] and np.array_equal(red, alone[0])
+    M = GfMatrix(a, p)
+    form, columns = rref_alone(np.hstack([a, s[:, None]]), p)
+    if M.cols in columns:
+        with pytest.raises(NoSolutionError):
+            solve(M, s)
+        return
+    x = solve(M, s)
+    expected = np.zeros(M.cols, dtype=np.int64)
+    expected[columns] = form[:len(columns), M.cols]
+    assert np.array_equal(x, expected) and np.array_equal(M.mul_vec(x), s)
 
 
 def largest_modulus(rows: int, cols: int) -> int:
@@ -190,7 +239,7 @@ def rank_stacks(draw):
 def test_rank_stack_is_the_pivot_count_of_each_reduction(stack):
     a, p = stack
     ranks = _rank_stack(a, p)
-    assert ranks.tolist() == [len(_rref(matrix, p)[1]) for matrix in a]
+    assert ranks.tolist() == [len(rref_alone(matrix, p)[1]) for matrix in a]
     if len(a):
         assert rank(GfMatrix(a[0], p)) == ranks[0]
 

@@ -16,13 +16,12 @@ from hypothesis import strategies as st
 from lda_lab import rng
 from lda_lab.codec import build_fine_lattice
 from lda_lab.expander import BudgetExceededError
-from lda_lab.gfmatrix import GfMatrix, NoSolutionError, _rref, rank, solve
+from lda_lab.gfmatrix import GfMatrix, NoSolutionError, rank, solve
 from lda_lab.lattice import (
     BallSpec,
     ConstructionALattice,
     _column_masks,
     _private_row_free_supports,
-    _sorted_qr_one,
     ball_volume,
     count_congruent_in_ball,
     count_integer_points,
@@ -32,7 +31,7 @@ from lda_lab.lattice import (
     log_ball_volume,
     volume_ratio_check,
 )
-from oracles import construction_a_basis, sorted_columns
+from oracles import construction_a_basis, rref_alone, sorted_columns, sorted_qr_alone
 
 
 def log_stirling_volume(n: int, rho: float) -> float:
@@ -315,7 +314,7 @@ def support_loop_min_weight(lat: ConstructionALattice, w_max: int) -> int | None
     masks = row_masks(H)
     for w in range(1, min(w_max, lat.n) + 1):
         for J in combinations(range(lat.n), w):
-            if private_row_free(masks, J) and len(_rref(H[:, J], lat.p)[1]) < w:
+            if private_row_free(masks, J) and len(rref_alone(H[:, J], lat.p)[1]) < w:
                 return w
     return None
 
@@ -636,7 +635,7 @@ def assert_sorted_qr(lat: ConstructionALattice) -> None:
     assert all(lat.contains(column) for column in basis.T)
     sign, logdet = np.linalg.slogdet(basis.astype(float))
     assert sign != 0 and math.isclose(logdet, (lat.n - lat.k_eff) * math.log(lat.p))
-    form, alone = lat._sorted, _sorted_qr_one(basis)
+    form, alone = lat._sorted, sorted_qr_alone(basis)
     assert np.array_equal(form.basis, alone.basis) and np.array_equal(form.q_t, alone.q_t)
     assert form.r == alone.r
     assert np.array_equal(form.basis, sorted_columns(basis))
@@ -843,11 +842,11 @@ def paper_regime_checks(count: int) -> tuple[GfMatrix, ...]:
 
 
 @st.composite
-def check_batches(draw):
-    """B in {1, 2, 8, 17} parity checks of one shape: dense checks of any
-    rank or LDA fine checks at n <= 48, or the n = 96, p = 31 fine check
-    and more of its family."""
-    B = draw(st.sampled_from([1, 2, 8, 17]))
+def check_batches(draw, sizes=(1, 2, 8, 17)):
+    """B in ``sizes`` parity checks of one shape: dense checks of any rank
+    or LDA fine checks at n <= 48, or the n = 96, p = 31 fine check and
+    more of its family."""
+    B = draw(st.sampled_from(sizes))
     family = draw(st.sampled_from(["dense", "lda", "paper"]))
     event(f"{family} B = {B}")
     if family == "paper":
@@ -875,13 +874,29 @@ def test_stacked_set_up_matches_the_one_lattice_oracles(checks):
     bases = _bases(np.stack([red for red, _ in forms]), [pivots for _, pivots in forms], p)
     lattices = construction_a(checks)
     for H, basis, form, lat, (red, pivots) in zip(checks, bases, _sorted_qr(bases), lattices, forms):
-        alone = _rref(np.hstack([H.array, np.eye(H.rows, dtype=np.int64)]), p)
+        alone = rref_alone(np.hstack([H.array, np.eye(H.rows, dtype=np.int64)]), p)
         assert np.array_equal(red, alone[0]) and pivots == alone[1]
         assert np.array_equal(basis, construction_a_basis(red, pivots, p))
-        alone = _sorted_qr_one(basis)
+        alone = sorted_qr_alone(basis)
         for got in (form, lat._sorted):
             assert np.array_equal(got.basis, alone.basis)
             assert np.array_equal(got.q_t, alone.q_t)
             assert got.r == alone.r
         assert np.array_equal(lat._basis, basis)
         assert np.array_equal(lat._reduced[0], red) and lat._reduced[1] == pivots
+
+
+@settings(max_examples=40, deadline=None)
+@given(check_batches(sizes=[1]))
+def test_sorted_qr_of_a_stack_of_one_is_the_pass_alone(checks):
+    """A standalone lattice's basis, factored as a stack of one by the
+    stacked pass, gets the one-basis pass's factors to the bit."""
+    from lda_lab.lattice import _sorted_qr
+
+    lat = ConstructionALattice(checks[0])
+    basis = lat._basis
+    alone = sorted_qr_alone(basis)
+    for got in (_sorted_qr(basis[None])[0], lat._sorted):
+        assert np.array_equal(got.basis, alone.basis)
+        assert np.array_equal(got.q_t, alone.q_t)
+        assert got.r == alone.r
