@@ -399,17 +399,15 @@ class VerifyReport:
         return f"[{status}] {self.name}: measured {self.measured:.6g} vs bound {self.bound:.6g} ({self.detail})"
 
 
-def _refuse_oversized_noise(n: int) -> None:
+def _refuse_noise(n: int, sigma: float) -> None:
+    """Refuse noise draws of more than MAX_NOISE_BYTES, and a sigma (inf
+    included) at which a noise vector's squared norm, about sigma^2 n,
+    overflows float64: every norm and window would be inf, and the verdict
+    would check nothing."""
     need = NOISE_BYTES_PER_SAMPLE * n
     if need > MAX_NOISE_BYTES:
         raise ValueError(f"n = {n} noise samples need about {need} bytes of arrays per draw, "
                          f"over the allowed {MAX_NOISE_BYTES} bytes")
-
-
-def _refuse_overflowing_noise(n: int, sigma: float) -> None:
-    """Refuse a sigma (inf included) at which a noise vector's squared norm,
-    about sigma^2 n, overflows float64: every norm and window would be inf,
-    and the verdict would check nothing."""
     if not math.isfinite(sigma * sigma * n):
         raise ValueError(f"sigma = {sigma} at n = {n} gives noise whose squared norm, about "
                          "sigma^2 n, overflows float64")
@@ -423,8 +421,7 @@ def verify_noise(n: int = 10_000, sigma: float = 1.0, eps: float = 0.05,
     _require(0, strict=True, sigma=sigma)
     if not 0 < eps < 1:  # at eps >= 1 the window checks nothing; at eps <= 0 it is empty
         raise ValueError(f"eps = {eps} must be inside (0, 1)")
-    _refuse_oversized_noise(n)
-    _refuse_overflowing_noise(n, sigma)
+    _refuse_noise(n, sigma)
     lo = sigma * math.sqrt(n) * (1 - eps)
     hi = sigma * math.sqrt(n) * (1 + eps)
     inside = 0
@@ -449,8 +446,7 @@ def verify_ortho(n: int = 10_000, sigma: float = 1.0, trials: int = 10_000,
     _require(2, n=n)
     _require(1, trials=trials)
     _require(0, strict=True, sigma=sigma)
-    _refuse_oversized_noise(n)
-    _refuse_overflowing_noise(n, sigma)
+    _refuse_noise(n, sigma)
     f = math.log(n)
     x = rng.gaussian(master_seed, "verify-ortho-x", size=n)
     xnorm = math.sqrt(float(x @ x))

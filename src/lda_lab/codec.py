@@ -50,25 +50,19 @@ MAX_BP_BYTES = 2**30
 
 
 @dataclass(frozen=True)
-class LdaInfo:
-    fine_graph: TannerGraph
-    upper_graph: TannerGraph
-
-    delta_p = property(lambda self: self.fine_graph.delta)
-
-
-@dataclass(frozen=True)
 class NestedLatticePair:
     """A nested pair read off its stacked parity check: the shaping lattice
     is the kernel of the full stack, the fine lattice that of its lower
     block, and the ensemble kind is "lda" exactly when the pair carries its
-    LDA graphs.  The two lattices, ``fine`` and ``shaping``, are handed over
-    by :func:`_set_up`, which computes them from the stack."""
+    LDA check degree ``delta_p``.  Its skeleton graphs are not stored:
+    (n, block rows, delta_p, seed) fix them (:func:`_skeleton`).  The two
+    lattices, ``fine`` and ``shaping``, are handed over by :func:`_set_up`,
+    which computes them from the stack."""
 
     stack: StackedParityCheck
     seed: int
     regenerations: int
-    lda: LdaInfo | None
+    delta_p: int | None
     lattices: InitVar[tuple[ConstructionALattice, ConstructionALattice]]
 
     def __post_init__(self, lattices: tuple[ConstructionALattice, ConstructionALattice]) -> None:
@@ -79,7 +73,7 @@ class NestedLatticePair:
     p = property(lambda self: self.stack.p)
     R = property(lambda self: self.stack.R)
     R_f = property(lambda self: self.stack.R_f)
-    kind = property(lambda self: "dense" if self.lda is None else "lda")
+    kind = property(lambda self: "dense" if self.delta_p is None else "lda")
 
     @property
     def ell(self) -> int:
@@ -91,8 +85,8 @@ class NestedLatticePair:
         return self.p**self.ell
 
 
-def _set_up(drawn: list[tuple[StackedParityCheck, int, int, LdaInfo | None]]) -> list[NestedLatticePair]:
-    """The pairs of drawn stacks, given as (stack, seed, attempt, graphs).
+def _set_up(drawn: list[tuple[StackedParityCheck, int, int, int | None]]) -> list[NestedLatticePair]:
+    """The pairs of drawn stacks, given as (stack, seed, attempt, delta_p).
     The fine lattices share one set-up stack and the shaping lattices
     another, so each kind's reduced forms, bases and sorted QR factors are
     computed for all the pairs at once, each when the first lattice of the
@@ -134,20 +128,21 @@ def _check_ensemble(p: int, kind: str) -> None:
         raise ValueError(f"unknown ensemble kind {kind!r}")
 
 
-def _draws(n: int, p: int, ell: int, r: int, seeds: list[int], graphs: list[LdaInfo | None],
-           attempt: int) -> list[tuple[StackedParityCheck, int, int, LdaInfo | None]]:
+def _draws(n: int, p: int, ell: int, r: int, seeds: list[int], delta_p: int | None,
+           skeletons: list[tuple[TannerGraph, TannerGraph] | None],
+           attempt: int) -> list[tuple[StackedParityCheck, int, int, int | None]]:
     """Attempt ``attempt`` of each seed's stack, as :func:`_set_up` takes
-    it: dense entries, or (when the seeds carry graphs) labels on each
-    seed's LDA graphs."""
-    if graphs[0] is None:
+    it: dense entries, or (when delta_p is set) labels on each seed's
+    (fine, upper) skeletons."""
+    if delta_p is None:
         gens = [rng.generator(seed, "dense-H", attempt) for seed in seeds]
         stacks = [StackedParityCheck(GfMatrix.random(ell, n, p, gen), GfMatrix.random(r, n, p, gen))
                   for gen in gens]
     else:
         stacks = [StackedParityCheck(upper, lower) for upper, lower in zip(
-            _label_graphs([lda.upper_graph for lda in graphs], p, seeds, "upper", attempt),
-            _label_graphs([lda.fine_graph for lda in graphs], p, seeds, "fine", attempt))]
-    return [(stack, seed, attempt, lda) for stack, seed, lda in zip(stacks, seeds, graphs)]
+            _label_graphs([upper for _fine, upper in skeletons], p, seeds, "upper", attempt),
+            _label_graphs([fine for fine, _upper in skeletons], p, seeds, "fine", attempt))]
+    return [(stack, seed, attempt, delta_p) for stack, seed in zip(stacks, seeds)]
 
 
 def build_pairs(
@@ -183,20 +178,22 @@ def build_pairs(
     ell, r = block_heights(n, R, R_f)
     if kind == "lda" and delta_p is None:
         raise ValueError("LDA pairs need delta_p")
+    delta_p = delta_p if kind == "lda" else None
     chunk = max(1, SETUP_BYTES // (SETUP_BYTES_PER_ENTRY * n * n))
     seeds = iter(seeds)
     while part := list(itertools.islice(seeds, chunk)):
-        graphs = [None if kind == "dense" else
-                  LdaInfo(_skeleton(n, r, delta_p, seed, "fine"), _skeleton(n, ell, delta_p, seed, "upper"))
-                  for seed in part]
-        for seed, lda, pair in zip(part, graphs, _set_up(_draws(n, p, ell, r, part, graphs, 0))):
+        skeletons = [None if delta_p is None else
+                     (_skeleton(n, r, delta_p, seed, "fine"), _skeleton(n, ell, delta_p, seed, "upper"))
+                     for seed in part]
+        drawn = _draws(n, p, ell, r, part, delta_p, skeletons, 0)
+        for seed, skeleton, pair in zip(part, skeletons, _set_up(drawn)):
             # The rank is read off the one row reduction the encoder needs anyway.
             while n - pair.shaping.k_eff != ell + r:
                 attempt = pair.regenerations + 1
                 if attempt == MAX_RANK_ATTEMPTS:
                     raise RuntimeError(f"no full-rank draw after {MAX_RANK_ATTEMPTS} attempts "
                                        f"(seed {seed})")
-                pair, = _set_up(_draws(n, p, ell, r, [seed], [lda], attempt))
+                pair, = _set_up(_draws(n, p, ell, r, [seed], delta_p, [skeleton], attempt))
             yield pair
 
 
@@ -476,20 +473,19 @@ def pair_to_text(pair: NestedLatticePair) -> str:
     """Graph-plus-labels text format; round-trips bit-exactly.
 
     Each block is the ``expander.export_text`` of its Tanner graph followed
-    by 'edge_index label' lines.  A dense block's graph is its nonzero
-    pattern, with multiplicity 1 everywhere.
+    by 'edge_index label' lines.  An LDA block's graph is its skeleton,
+    rebuilt from the pair's seed and delta_p; a dense block's graph is its
+    nonzero pattern, with multiplicity 1 everywhere.
     """
     lines = [
         "ldapair v1",
         f"n={pair.n} p={pair.p} R={pair.R} Rf={pair.R_f} kind={pair.kind} "
-        f"seed={pair.seed} deltap={pair.lda.delta_p if pair.lda else 0} "
-        f"regen={pair.regenerations}",
+        f"seed={pair.seed} deltap={pair.delta_p or 0} regen={pair.regenerations}",
     ]
-    for name, block, graph in (
-        ("upper", pair.stack.upper, pair.lda.upper_graph if pair.lda else None),
-        ("fine", pair.stack.lower, pair.lda.fine_graph if pair.lda else None),
-    ):
-        if graph is None:
+    for name, block in (("upper", pair.stack.upper), ("fine", pair.stack.lower)):
+        if pair.delta_p is not None:
+            graph = _skeleton(pair.n, block.rows, pair.delta_p, pair.seed, name)
+        else:
             rows, cols = np.nonzero(block.array)
             graph = TannerGraph.from_edges(block.cols, block.rows, list(zip(cols.tolist(), rows.tolist())))
         lines += [f"block {name}", export_text(graph).rstrip("\n"), "labels"]
@@ -502,11 +498,12 @@ def pair_from_text(text: str) -> NestedLatticePair:
     """Inverse of :func:`pair_to_text`.  Each block's graph is read by
     ``expander.import_text`` and must be n x (block rows).  Malformed input
     (empty, truncated, a graph ``import_text`` refuses, of the wrong shape
-    or of a check degree other than the header's deltap, an LDA graph whose
-    seed is not the one ``build_pair`` derives from the header's seed, an
-    edge index or a label out of range, labels that skip, repeat or miss an
-    edge) raises ValueError naming the line.  Labels list every edge once,
-    in order; ``regen`` is taken as recorded."""
+    or of a check degree other than the header's deltap, an LDA graph that
+    is not the skeleton ``build_pair`` draws from the header's n, deltap
+    and seed or whose rebuild is refused, an edge index or a label out of
+    range, labels that skip, repeat or miss an edge) raises ValueError
+    naming the line.  Labels list every edge once, in order; ``regen`` is
+    taken as recorded."""
     lines = [ln.rstrip() for ln in text.strip().splitlines()]
     i = 0
     try:
@@ -521,7 +518,7 @@ def pair_from_text(text: str) -> NestedLatticePair:
         _check_ensemble(p, kind)
         check_modulus(p, ell + r, n)
         delta_p, regen = int(head["deltap"]), int(head["regen"])
-        blocks: dict[str, tuple[GfMatrix, TannerGraph]] = {}
+        blocks: dict[str, GfMatrix] = {}
         i = 2
         rows_by_name = {"upper": ell, "fine": r}
         while lines[i] != "end":
@@ -542,14 +539,9 @@ def pair_from_text(text: str) -> NestedLatticePair:
                                  f"is {n} x {rows}")
             if graph.delta != delta_p:
                 raise ValueError(f"graph check degree {graph.delta} differs from deltap = {delta_p}")
-            degrees = np.bincount(graph.edges[:, 1], weights=graph.edges[:, 2], minlength=rows)
-            off = np.flatnonzero(degrees != delta_p)
-            if kind == "lda" and off.size:
-                raise ValueError(f"check {off[0]} has degree {int(degrees[off[0]])}, "
-                                 f"not deltap = {delta_p}")
-            if kind == "lda" and graph.seed != rng.derive_key(seed, f"skeleton-{name}"):
-                raise ValueError(f"graph seed {graph.seed} is not the skeleton-{name} key "
-                                 f"of seed = {seed}")
+            if kind == "lda" and graph != _skeleton(n, rows, delta_p, seed, name):
+                raise ValueError(f"graph is not the {name} skeleton of n = {n}, deltap = {delta_p}, "
+                                 f"seed = {seed}")
             i = labels_at + 1
             arr = np.zeros((rows, n), dtype=np.int64)
             edges = graph.edges.tolist()
@@ -568,11 +560,10 @@ def pair_from_text(text: str) -> NestedLatticePair:
                 i += 1
             if labelled != len(edges):
                 raise ValueError(f"labels end after {labelled} of {len(edges)} edges")
-            blocks[name] = (GfMatrix(arr, p), graph)
-        stack = StackedParityCheck(upper=blocks["upper"][0], lower=blocks["fine"][0])
-    except (IndexError, KeyError, ValueError, ZeroDivisionError) as exc:
+            blocks[name] = GfMatrix(arr, p)
+        stack = StackedParityCheck(upper=blocks["upper"], lower=blocks["fine"])
+    except (BudgetExceededError, IndexError, KeyError, ValueError, ZeroDivisionError) as exc:
         if i >= len(lines):
             raise ValueError(f"bad pair file: truncated after line {len(lines)}") from exc
         raise ValueError(f"bad pair file at line {i + 1}: {type(exc).__name__}: {exc}") from exc
-    lda = LdaInfo(blocks["fine"][1], blocks["upper"][1]) if kind == "lda" else None
-    return _set_up([(stack, seed, regen, lda)])[0]
+    return _set_up([(stack, seed, regen, delta_p if kind == "lda" else None)])[0]

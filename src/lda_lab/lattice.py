@@ -35,7 +35,6 @@ from functools import cached_property
 import numpy as np
 
 from .expander import BudgetExceededError, _column_masks
-from .fieldcore import is_prime
 from .gfmatrix import GfMatrix, NoSolutionError, _rank_stack, _rref_stack
 from .gfmatrix import rank  # noqa: F401  (re-exported: the benchmark traces ``lattice.rank``)
 
@@ -452,7 +451,7 @@ class ConstructionALattice:
         """``_stack`` is the set-up stack that holds H, and its place in it
         (see :func:`construction_a`); without it the lattice is a stack of
         one, set up on first use."""
-        if not is_prime(H.p) or H.p == 2:
+        if H.p == 2:  # H's GfMatrix has already checked that p is prime
             raise ValueError("lattice constructions require an odd prime")
         self.H = H
         self.p = H.p

@@ -413,9 +413,9 @@ def test_noise_verifiers_refuse_a_draw_past_their_byte_limit(command, capsys):
                    f"{cli.NOISE_BYTES_PER_SAMPLE * 10**12} bytes of arrays per draw, over the "
                    f"allowed {cli.MAX_NOISE_BYTES} bytes\n")
     n_max = cli.MAX_NOISE_BYTES // cli.NOISE_BYTES_PER_SAMPLE
-    cli._refuse_oversized_noise(n_max)  # the largest draw allowed; nothing is drawn
+    cli._refuse_noise(n_max, 1.0)  # the largest draw allowed; nothing is drawn
     with pytest.raises(ValueError, match=f"n = {n_max + 1} noise samples"):
-        cli._refuse_oversized_noise(n_max + 1)
+        cli._refuse_noise(n_max + 1, 1.0)
 
 
 @pytest.mark.parametrize("command", ["verify-noise", "verify-ortho"])

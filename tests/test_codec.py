@@ -13,7 +13,6 @@ from hypothesis import strategies as st
 
 from lda_lab import channel, codec, gfmatrix, rng
 from lda_lab.codec import (
-    LdaInfo,
     NestedLatticePair,
     _check_messages,
     _edges,
@@ -81,12 +80,13 @@ def test_build_pair_rejects_bad_rates():
 def test_lda_pair_regular_profile():
     # delta_p = 5 at R_f = 3/5 gives the (2,5)-regular fine profile.
     pair = build_pair(30, 11, Fraction(1, 5), Fraction(3, 5), "lda", seed=3, delta_p=5)
-    fine = pair.lda.fine_graph
-    assert degree_histogram(fine, "right") == {5: 12}
-    assert degree_histogram(fine, "left") == {2: 30}
-    upper = pair.lda.upper_graph
-    assert degree_histogram(upper, "right") == {5: 12}
-    assert degree_histogram(upper, "left") == {2: 30}
+    assert pair.delta_p == 5
+    for name, block in (("fine", pair.stack.lower), ("upper", pair.stack.upper)):
+        graph = codec._skeleton(30, 12, 5, 3, name)
+        assert degree_histogram(graph, "right") == {5: 12}
+        assert degree_histogram(graph, "left") == {2: 30}
+        # The labels sit on the skeleton's edges and nowhere else.
+        assert set(zip(*np.nonzero(block.array))) <= {(r, l) for l, r, _m in graph.edges.tolist()}
 
 
 def test_lda_pair_rejects_non_integral_degrees():
@@ -382,8 +382,7 @@ def test_serialization_round_trip_dense_and_lda():
         assert back.stack.full == pair.stack.full
         assert back.kind == pair.kind and back.seed == pair.seed
         assert pair_to_text(back) == text
-        if pair.kind == "lda":
-            assert back.lda == pair.lda
+        assert back.delta_p == pair.delta_p == (4 if pair.kind == "lda" else None)
 
 
 def _out_of_range_edge_index(text):
@@ -409,6 +408,21 @@ def _chain(*damages):
     return damage
 
 
+def _rewired_fine_graph(text):
+    # Fine edges (0, 0) and (1, 5) become (0, 5) and (1, 0): every degree,
+    # the sorted order, the edge count and the seed stay, but the H read
+    # back would not be the seed's.
+    lines = text.splitlines()
+    assert lines[31:35] == ["0 0 1", "0 2 1", "1 2 1", "1 5 1"]
+    lines[31:35] = ["0 2 1", "0 5 1", "1 0 1", "1 2 1"]
+    return "\n".join(lines) + "\n"
+
+
+def _set_deltap(value):
+    return _chain(_edit_line(2, lambda ln, _: [ln.replace("deltap=4", f"deltap={value}")]),
+                  *(_edit_line(k, lambda ln, _: [ln.replace(" 4 ", f" {value} ", 1)]) for k in (4, 31)))
+
+
 # lda_pair(17)'s upper block graph starts at line 4 (header '12 3 4 ...'),
 # its first edge line is line 5, its labels are lines 18-29, one per edge,
 # and the fine block graph starts at line 31.
@@ -428,13 +442,17 @@ def _chain(*damages):
      "at line 4: .*graph check degree 4 differs from deltap = 9"),
     (_edit_line(31, lambda ln, _: [ln.replace(" 4 ", " 9 ", 1)]),
      "at line 31: .*graph check degree 9 differs from deltap = 4"),
-    (_chain(_edit_line(2, lambda ln, _: [ln.replace("deltap=4", "deltap=9")]),
-            *(_edit_line(k, lambda ln, _: [ln.replace(" 4 ", " 9 ", 1)]) for k in (4, 31))),
-     "at line 4: .*check 0 has degree 4, not deltap = 9"),
+    # The skeleton rebuild refuses a deltap whose variable degree is not an
+    # integer, one whose skeleton has other edges, and one past MAX_SOCKETS.
+    (_set_deltap(9), "at line 4: .*variable degree f[*]delta = 9/4 is not a positive integer"),
+    (_set_deltap(8), "at line 4: .*graph is not the upper skeleton of n = 12, deltap = 8, seed = 17"),
+    (_set_deltap(2**30), "at line 4: BudgetExceededError: graph build refused: "
+     "n_right [*] delta = 3221225472 sockets, over the allowed 2097152"),
     (_edit_line(2, lambda ln, _: [ln.replace("seed=17", "seed=5")]),
-     "at line 4: .*graph seed [0-9]+ is not the skeleton-upper key of seed = 5"),
+     "at line 4: .*graph is not the upper skeleton of n = 12, deltap = 4, seed = 5"),
     (_edit_line(31, lambda ln, _: [ln.rsplit(" ", 1)[0] + " 5"]),
-     "at line 31: .*graph seed 5 is not the skeleton-fine key of seed = 17"),
+     "at line 31: .*graph is not the fine skeleton of n = 12, deltap = 4, seed = 17"),
+    (_rewired_fine_graph, "at line 31: .*graph is not the fine skeleton of n = 12, deltap = 4, seed = 17"),
     (_edit_line(19, lambda ln, _: []), "at line 19: .*edge index 2 is not the next edge, 1"),
     (_edit_line(19, lambda ln, _: ["0 " + ln.split()[1]]),
      "at line 19: .*edge index 0 is not the next edge, 1"),
@@ -473,15 +491,16 @@ def test_pair_from_text_refuses_or_round_trips_edited_files(text):
         event("refused")
         return
     event("read")
-    assert pair_from_text(pair_to_text(pair)) == pair
+    written = pair_to_text(pair)
+    back = pair_from_text(written)
+    assert back == pair and pair_to_text(back) == written
 
 
 def test_pair_is_read_off_its_stack():
     assert [f.name for f in dataclasses.fields(NestedLatticePair)] == [
-        "stack", "seed", "regenerations", "lda"]
+        "stack", "seed", "regenerations", "delta_p"]
     assert [f.name for f in dataclasses.fields(StackedParityCheck) if f.init] == ["upper", "lower"]
-    assert [f.name for f in dataclasses.fields(LdaInfo)] == ["fine_graph", "upper_graph"]
-    assert lda_pair(17).lda.delta_p == lda_pair(17).lda.fine_graph.delta == 4
+    assert (lda_pair(17).delta_p, small_pair(16).delta_p) == (4, None)
     for pair, kind in ((small_pair(16), "dense"), (lda_pair(17), "lda")):
         stack = pair.stack
         assert (pair.n, pair.p, pair.R, pair.R_f, pair.kind) == (
@@ -564,7 +583,7 @@ def test_build_fine_lattice_is_the_first_fine_block_of_build_pair(seed, shape):
     n, p, R, R_f, delta_p = shape
     pair = build_pair(n, p, R, R_f, "lda", seed, delta_p)
     lat, graph = build_fine_lattice(n, p, R_f, delta_p, seed)
-    assert graph == pair.lda.fine_graph
+    assert graph == codec._skeleton(n, pair.stack.r, pair.delta_p, pair.seed, "fine")
     if pair.regenerations == 0:
         assert lat.H == pair.stack.lower
 

@@ -187,6 +187,13 @@ def test_membership_and_volume():
     assert not lat.contains(np.array([1, 0, 0, 0])) or lat.H.mul_vec(np.array([1, 0, 0, 0])).sum() == 0
 
 
+def test_lattice_refuses_p_2_and_its_matrix_a_composite_modulus():
+    with pytest.raises(ValueError, match="lattice constructions require an odd prime"):
+        lattice_from([[1, 1]], 2)
+    with pytest.raises(ValueError, match="modulus 9 is not prime"):
+        lattice_from([[1, 1]], 9)
+
+
 def test_volume_identity_by_exhaustive_scan():
     # |Lambda ∩ [0,p)^n| = p^k_eff, counted over the whole residue grid.
     gen = rng.generator(8, "volume")
