@@ -35,6 +35,7 @@ from .lattice import (
     count_integer_points,
     lemma2_bounds,
     lemmaC_bound,
+    min_hamming_weights,
     volume_ratio_check,
 )
 
@@ -549,17 +550,18 @@ def verify_mindist(codes: int = 50, n: int = 30, p: int = 31,
                    R_f: Fraction = Fraction(3, 5), delta_p: int = 5,
                    w_max: int = 4, master_seed: int = 0) -> VerifyReport:
     """Bounded-weight codeword search over seeded LDA fine codes; passes only
-    when no code contains a nonzero codeword of weight <= w_max."""
+    when no code contains a nonzero codeword of weight <= w_max.  The codes
+    are built and searched as stacks (``codec.build_fine_lattices``,
+    ``lattice.min_hamming_weights``) of as many codes as one set-up chunk
+    of ``codec.build_pairs`` holds, one stack at a time."""
     _require(1, codes=codes)
-    offenders = 0
+    chunk = codec._setup_chunk(n)
     found: list[tuple[int, int]] = []
-    for c in range(codes):
-        lat, _graph = codec.build_fine_lattice(n, p, R_f, delta_p,
-                                               seed=rng.derive_key(master_seed, "mindist", c))
-        w = lat.min_hamming_weight(w_max)
-        if w is not None:
-            offenders += 1
-            found.append((c, w))
+    for lo in range(0, codes, chunk):
+        seeds = [rng.derive_key(master_seed, "mindist", c) for c in range(lo, min(codes, lo + chunk))]
+        lattices = [lat for lat, _graph in codec.build_fine_lattices(n, p, R_f, delta_p, seeds)]
+        found += [(c, w) for c, w in enumerate(min_hamming_weights(lattices, w_max), lo) if w is not None]
+    offenders = len(found)
     return VerifyReport(
         name="min-hamming-distance",
         passed=offenders == 0,

@@ -20,7 +20,8 @@ import numpy as np
 
 from . import rng
 from .channel import effective_noise_variance, wiener
-from .expander import BudgetExceededError, TannerGraph, build_graph, export_text, import_text
+from .expander import BudgetExceededError, TannerGraph, build_graphs, export_text, import_text
+from .expander import build_graph  # noqa: F401  (re-exported: the benchmark traces ``codec.build_graph``)
 from .fieldcore import is_prime
 from .gfmatrix import GfMatrix, StackedParityCheck, block_heights, check_modulus
 from .gfmatrix import rank, solve  # noqa: F401  (re-exported: the benchmark traces ``codec.rank``, ``codec.solve``)
@@ -55,7 +56,7 @@ class NestedLatticePair:
     is the kernel of the full stack, the fine lattice that of its lower
     block, and the ensemble kind is "lda" exactly when the pair carries its
     LDA check degree ``delta_p``.  Its skeleton graphs are not stored:
-    (n, block rows, delta_p, seed) fix them (:func:`_skeleton`).  The two
+    (n, block rows, delta_p, seed) fix them (:func:`_skeletons`).  The two
     lattices, ``fine`` and ``shaping``, are handed over by :func:`_set_up`,
     which computes them from the stack."""
 
@@ -83,6 +84,14 @@ class NestedLatticePair:
     def codebook_size(self) -> int:
         """M = p^(n(R_f - R)) for full-rank stacks."""
         return self.p**self.ell
+
+
+def _setup_chunk(n: int) -> int:
+    """The most pairs of length n set up in one chunk, and the most fine
+    codes a verifier stacks: as many as SETUP_BYTES holds at
+    SETUP_BYTES_PER_ENTRY bytes an entry of n x n, one at least (a length
+    below 1 is refused by the build)."""
+    return max(1, SETUP_BYTES // (SETUP_BYTES_PER_ENTRY * max(1, n * n)))
 
 
 def _set_up(drawn: list[tuple[StackedParityCheck, int, int, int | None]]) -> list[NestedLatticePair]:
@@ -114,10 +123,12 @@ def _label_graphs(graphs: list[TannerGraph], p: int, seeds: list[int], tag: str,
     return [GfMatrix(h, p) for h in H]
 
 
-def _skeleton(n: int, rows: int, delta_p: int, seed: int, tag: str) -> TannerGraph:
-    """The permutation-model skeleton of an LDA block of ``rows`` checks,
-    fixed by the seed: check degree delta_p, variable degree delta_p rows / n."""
-    return build_graph(n, Fraction(rows, n), delta_p, rng.derive_key(seed, f"skeleton-{tag}"))
+def _skeletons(n: int, rows: int, delta_p: int, seeds: list[int], tag: str) -> list[TannerGraph]:
+    """The permutation-model skeletons of LDA blocks of ``rows`` checks,
+    each fixed by its seed: check degree delta_p, variable degree delta_p
+    rows / n, built as one stack."""
+    keys = [rng.derive_key(seed, f"skeleton-{tag}") for seed in seeds]
+    return build_graphs(n, Fraction(rows, n), delta_p, keys)
 
 
 def _check_ensemble(p: int, kind: str) -> None:
@@ -179,12 +190,12 @@ def build_pairs(
     if kind == "lda" and delta_p is None:
         raise ValueError("LDA pairs need delta_p")
     delta_p = delta_p if kind == "lda" else None
-    chunk = max(1, SETUP_BYTES // (SETUP_BYTES_PER_ENTRY * n * n))
+    chunk = _setup_chunk(n)
     seeds = iter(seeds)
     while part := list(itertools.islice(seeds, chunk)):
-        skeletons = [None if delta_p is None else
-                     (_skeleton(n, r, delta_p, seed, "fine"), _skeleton(n, ell, delta_p, seed, "upper"))
-                     for seed in part]
+        # Every fine skeleton of the chunk is built before any upper one.
+        skeletons = [None] * len(part) if delta_p is None else list(zip(
+            _skeletons(n, r, delta_p, part, "fine"), _skeletons(n, ell, delta_p, part, "upper")))
         drawn = _draws(n, p, ell, r, part, delta_p, skeletons, 0)
         for seed, skeleton, pair in zip(part, skeletons, _set_up(drawn)):
             # The rank is read off the one row reduction the encoder needs anyway.
@@ -456,13 +467,26 @@ def bp_decode(
 def build_fine_lattice(
     n: int, p: int, R_f: Fraction | str, delta_p: int, seed: int = 0
 ) -> tuple[ConstructionALattice, TannerGraph]:
-    """A single LDA fine lattice (no shaping stack): the labeled
-    permutation-model code with check degree delta_p and variable degree
-    delta_p(1 - R_f).  The raw draw is kept, rank-deficient or not: it is
-    the fine block of ``build_pair``'s first attempt with the same seed."""
+    """The LDA fine lattice of one seed and its skeleton:
+    :func:`build_fine_lattices` of a stack of one."""
+    return build_fine_lattices(n, p, R_f, delta_p, [seed])[0]
+
+
+def build_fine_lattices(
+    n: int, p: int, R_f: Fraction | str, delta_p: int, seeds: list[int]
+) -> list[tuple[ConstructionALattice, TannerGraph]]:
+    """LDA fine lattices (no shaping stack), one per seed, each with its
+    skeleton: the labeled permutation-model code with check degree delta_p
+    and variable degree delta_p(1 - R_f).  The raw draw is kept,
+    rank-deficient or not: it is the fine block of ``build_pair``'s first
+    attempt with the same seed.  The skeletons are one stacked graph
+    build, their labels one scatter, and the lattices share one set-up
+    stack (:func:`construction_a`)."""
     _ell, r = block_heights(n, None, Fraction(R_f))
-    graph = _skeleton(n, r, delta_p, seed, "fine")
-    return ConstructionALattice(_label_graphs([graph], p, [seed], "fine", attempt=0)[0]), graph
+    graphs = _skeletons(n, r, delta_p, seeds, "fine")
+    if not graphs:
+        return []
+    return list(zip(construction_a(_label_graphs(graphs, p, seeds, "fine", attempt=0)), graphs))
 
 
 # ---------------------------------------------------------------------------
@@ -484,7 +508,7 @@ def pair_to_text(pair: NestedLatticePair) -> str:
     ]
     for name, block in (("upper", pair.stack.upper), ("fine", pair.stack.lower)):
         if pair.delta_p is not None:
-            graph = _skeleton(pair.n, block.rows, pair.delta_p, pair.seed, name)
+            graph, = _skeletons(pair.n, block.rows, pair.delta_p, [pair.seed], name)
         else:
             rows, cols = np.nonzero(block.array)
             graph = TannerGraph.from_edges(block.cols, block.rows, list(zip(cols.tolist(), rows.tolist())))
@@ -497,13 +521,14 @@ def pair_to_text(pair: NestedLatticePair) -> str:
 def pair_from_text(text: str) -> NestedLatticePair:
     """Inverse of :func:`pair_to_text`.  Each block's graph is read by
     ``expander.import_text`` and must be n x (block rows).  Malformed input
-    (empty, truncated, a graph ``import_text`` refuses, of the wrong shape
-    or of a check degree other than the header's deltap, an LDA graph that
-    is not the skeleton ``build_pair`` draws from the header's n, deltap
-    and seed or whose rebuild is refused, an edge index or a label out of
-    range, labels that skip, repeat or miss an edge) raises ValueError
-    naming the line.  Labels list every edge once, in order; ``regen`` is
-    taken as recorded."""
+    (empty, truncated, a dense header whose deltap is not 0, a graph
+    ``import_text`` refuses, of the wrong shape or of a check degree other
+    than the header's deltap, an LDA graph that is not the skeleton
+    ``build_pair`` draws from the header's n, deltap and seed or whose
+    rebuild is refused, an edge index or a label out of range, labels that
+    skip, repeat or miss an edge) raises ValueError naming the line.
+    Labels list every edge once, in order; ``regen`` is taken as
+    recorded."""
     lines = [ln.rstrip() for ln in text.strip().splitlines()]
     i = 0
     try:
@@ -518,6 +543,8 @@ def pair_from_text(text: str) -> NestedLatticePair:
         _check_ensemble(p, kind)
         check_modulus(p, ell + r, n)
         delta_p, regen = int(head["deltap"]), int(head["regen"])
+        if kind == "dense" and delta_p != 0:
+            raise ValueError(f"a dense pair has deltap = 0, not {delta_p}")
         blocks: dict[str, GfMatrix] = {}
         i = 2
         rows_by_name = {"upper": ell, "fine": r}
@@ -539,7 +566,7 @@ def pair_from_text(text: str) -> NestedLatticePair:
                                  f"is {n} x {rows}")
             if graph.delta != delta_p:
                 raise ValueError(f"graph check degree {graph.delta} differs from deltap = {delta_p}")
-            if kind == "lda" and graph != _skeleton(n, rows, delta_p, seed, name):
+            if kind == "lda" and [graph] != _skeletons(n, rows, delta_p, [seed], name):
                 raise ValueError(f"graph is not the {name} skeleton of n = {n}, deltap = {delta_p}, "
                                  f"seed = {seed}")
             i = labels_at + 1

@@ -2,8 +2,9 @@
 
 Graphs come from the permutation model: left sockets are wired to right
 sockets through one seeded permutation, so the edge multiset is a pure
-function of (n_left, f, delta, seed).  The build sorts the sockets' edge
-keys once with ``np.unique``; the socket-by-socket wiring is its oracle in
+function of (n_left, f, delta, seed).  A stack of graphs of one shape is
+built by sorting its sockets' (graph, left, right) edge keys once with
+``np.unique``; the socket-by-socket wiring of one graph is its oracle in
 ``tests/oracles.py``.  Expansion ("D-goodness") is checked by a randomized
 greedy falsifier that hunts for small subsets with compressed
 neighborhoods.  It draws its chains in blocks of CHAINS_PER_BLOCK and
@@ -82,22 +83,32 @@ class TannerGraph:
         return cls(n_left, n_right, delta, seed, edges)
 
 
-# The most sockets one permutation-model graph may wire.  The build holds
-# 64 bytes a socket at its peak by tracemalloc (the drawn int64
-# permutation, the int64 edge keys, and np.unique's sorted copy, flags and
-# counts), so 2^21 of them take about 134 MB.
+# The most sockets one permutation-model graph, and one pass of a stacked
+# build, may wire.  The build holds 64 bytes a socket at its peak by
+# tracemalloc (the drawn int64 permutations, the int64 edge keys, and
+# np.unique's sorted copy, flags and counts), so 2^21 of them take about
+# 134 MB.
 MAX_SOCKETS = 2**21
 
 
 def build_graph(n_left: int, f: Fraction, delta: int, seed: int) -> TannerGraph:
-    """Permutation-model graph: check degree delta, variable degree f*delta.
+    """The permutation-model graph of one seed: :func:`build_graphs` of a
+    stack of one."""
+    return build_graphs(n_left, f, delta, [seed])[0]
+
+
+def build_graphs(n_left: int, f: Fraction, delta: int, seeds: list[int]) -> list[TannerGraph]:
+    """Permutation-model graphs, one per seed: check degree delta, variable
+    degree f*delta.
 
     Both n_right = f*n_left and the variable degree f*delta must be
-    integers for the graph to be biregular, and a graph of more than
-    MAX_SOCKETS sockets is refused before it is drawn.  The edges are the
-    distinct keys left * n_right + right of the sockets, counted by one
-    ``np.unique`` in O(sockets) memory; ``build_graph_by_sockets`` in
-    ``tests/oracles.py`` wires them one socket at a time.
+    integers for a graph to be biregular, and a graph of more than
+    MAX_SOCKETS sockets is refused before any is drawn.  Each seed draws
+    its own permutation from its own stream, and the graphs are built in
+    passes of at most MAX_SOCKETS sockets: a pass's edges are the distinct
+    keys (graph, left, right) of its sockets, counted by one ``np.unique``
+    in O(sockets) memory.  ``build_graph_by_sockets`` in
+    ``tests/oracles.py`` wires one graph one socket at a time.
     """
     if n_left < 1:
         raise ValueError(f"n_left = {n_left} must be at least 1")
@@ -114,13 +125,28 @@ def build_graph(n_left: int, f: Fraction, delta: int, seed: int) -> TannerGraph:
     if sockets > MAX_SOCKETS:
         raise BudgetExceededError(f"graph build refused: n_right * delta = {sockets} sockets, "
                                   f"over the allowed {MAX_SOCKETS}")
-    perm = rng.generator(seed, "tanner-perm", n_left, n_right, delta).permutation(sockets)
-    # Left socket t is wired to right socket perm[t]; each (left, right)
-    # pair is one key, and the sorted distinct keys are the sorted edges.
-    keys = np.arange(sockets) // dv * n_right + perm // delta
-    keys, multiplicity = np.unique(keys, return_counts=True)
-    edges = np.stack([keys // n_right, keys % n_right, multiplicity], axis=1)
-    return TannerGraph(n_left, n_right, delta, seed, edges)
+    # Left socket t of a graph is wired to right socket perm[t]; each
+    # (graph, left, right) triple is one key, and the sorted distinct keys
+    # are each graph's sorted edges, the graphs in seed order.
+    cells = n_left * n_right
+    left = np.arange(sockets) // dv * n_right
+    per_pass = MAX_SOCKETS // sockets
+    graphs = []
+    for lo in range(0, len(seeds), per_pass):
+        part = seeds[lo:lo + per_pass]
+        keys = np.empty((len(part), sockets), dtype=np.int64)
+        for row, seed in zip(keys, part):
+            row[:] = rng.generator(seed, "tanner-perm", n_left, n_right, delta).permutation(sockets)
+        keys //= delta
+        keys += left
+        keys += cells * np.arange(len(part))[:, None]
+        keys, multiplicity = np.unique(keys, return_counts=True)
+        graph, cell = np.divmod(keys, cells)
+        edges = np.stack([*np.divmod(cell, n_right), multiplicity], axis=1)
+        ends = graph.searchsorted(np.arange(len(part) + 1)).tolist()
+        graphs += [TannerGraph(n_left, n_right, delta, seed, edges[a:b])
+                   for seed, a, b in zip(part, ends, ends[1:])]
+    return graphs
 
 
 def _column_masks(H: np.ndarray) -> np.ndarray:

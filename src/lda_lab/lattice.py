@@ -13,7 +13,9 @@ set up together share a ``SetUpStack``, which reduces, builds the bases of
 and factors all of them at once, each step when the first of them needs
 it; a standalone lattice is a stack of one, set up by the same kernels.
 Each stacked step must match, bit for bit, its one-lattice oracle in
-``tests/oracles.py``.  Closest-point and shortest-vector search are exact
+``tests/oracles.py``.  The bounded-weight support search runs a stack of
+codes at once too (``min_hamming_weights``), a single code as a stack of
+one.  Closest-point and shortest-vector search are exact
 Schnorr-Euchner depth-first enumerations on the factored basis (Agrell,
 Eriksson, Vardy and Zeger,
 "Closest point search in lattices", IEEE-IT 2002; Viterbo and Boutros,
@@ -353,17 +355,24 @@ def _search(r: list[list[float]], z: list[float], start: float, budget: int,
     return np.array([leaf for d, leaf in leaves if d <= bound], dtype=np.int64).reshape(-1, n)
 
 
-def _children(leads: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """The supports one column larger grown from a level of supports in lex
-    order, whose least columns ``leads`` therefore never decrease: column a
-    joins each support whose least column exceeds a, a suffix of the
-    level.  The children come a-major, so in lex order as well, as each
-    one's first column a and its parent's index in the level, each in the
-    smallest unsigned dtype that holds it."""
-    starts = np.cumsum(np.bincount(leads, minlength=n))  # the leads up to each a
-    first = np.repeat(np.arange(n, dtype=np.min_scalar_type(n)), len(leads) - starts)
-    level = np.arange(len(leads), dtype=np.min_scalar_type(len(leads)))
-    return first, np.concatenate([level[s:] for s in starts.tolist()])
+def _children(leads: np.ndarray, n: int, width: int) -> tuple[np.ndarray, np.ndarray]:
+    """The supports one column larger grown from a level of supports of a
+    stack of codes of length n, in (code, lex) order, whose least columns
+    ``leads`` (column j of code c numbered c n + j, ``width`` columns in
+    all) therefore never decrease: column a of code c joins each support
+    of code c whose least column exceeds a, a run of the level that ends
+    with code c's supports.  The children come code-major, then a-major,
+    so in (code, lex) order as well, as each one's first column a and its
+    parent's index in the level, each in the smallest unsigned dtype that
+    holds it."""
+    starts = np.cumsum(np.bincount(leads, minlength=width))  # the leads up to each a
+    lengths = np.repeat(starts[n - 1::n], n) - starts  # to the end of a's code
+    first = np.repeat(np.arange(width, dtype=np.min_scalar_type(width)), lengths)
+    kind = np.min_scalar_type(len(leads))
+    parent = np.repeat((starts - (np.cumsum(lengths) - lengths)).astype(kind), lengths)
+    np.add(parent, np.arange(len(parent), dtype=np.min_scalar_type(len(parent))), out=parent,
+           casting="unsafe")
+    return first, parent
 
 
 def _grow_masks(masks: np.ndarray, once: np.ndarray, twice: np.ndarray, first: np.ndarray,
@@ -390,58 +399,122 @@ def _support_columns(levels, w: int, index: np.ndarray) -> np.ndarray:
     return columns
 
 
-def _private_row_free_supports(H: np.ndarray, w_top: int):
+def _private_row_free_supports(columns: np.ndarray, n: int, w_top: int, done: np.ndarray):
     """Yield (w, supports), w <= w_top increasing, for the supports of size
-    w with no private row (a row touched by one of its columns only): the
-    columns of each, in increasing order, as a (count, w) array, the
-    supports in lex order across the yields of one w, at most SUPPORT_CHUNK
-    a yield.
+    w with no private row (a row touched by one of its columns only) of
+    each code of a stack of codes of length n, whose columns are the rows
+    of ``columns``, column j of code c at row c n + j: the columns of each
+    support, in increasing order and numbered so, as a (count, w) array,
+    the supports in (code, lex) order across the yields of one w.  A
+    level's supports are yielded as they are found, once at least
+    SUPPORT_CHUNK have gathered (so fewer than 2 SUPPORT_CHUNK a yield),
+    and once at the level's end.  A code whose entry of ``done`` the
+    caller has set by the last yield of a level is not grown further: its
+    supports leave the stack.
 
-    Each level is grown from the one below it by ``_children``.  A
-    support's descendants add at most w_top - w columns of at most d_max
-    rows each (d_max: the most rows of one column), and a descendant with
-    no private row covers all the support's private rows; so a support
-    with more than (w_top - w) d_max of them is not grown, and every
-    private-row-free support of size <= w_top is still reached.  Each
-    support's rows touched once and twice or more are packed column masks,
-    grown from its parent's with one gather each, SUPPORT_CHUNK supports
-    per pass; only the masks of the level below are held whole."""
-    n = H.shape[1]
-    masks = _column_masks(H)
-    d_max = int(np.bitwise_count(masks).sum(axis=0).max(initial=0))
+    Each level is grown from the one below it by ``_children``, for every
+    code still in the stack at once.  A support's descendants add at most
+    w_top - w columns of at most d_max rows each (d_max: the most rows of
+    one column of its code), and a descendant with no private row covers
+    all the support's private rows; so a support with more than (w_top -
+    w) d_max of them is not grown, and every private-row-free support of
+    size <= w_top is still reached.  Each support's rows touched once and
+    twice or more are packed column masks, in the smallest unsigned type
+    that holds the rows when one word does, grown from its parent's with
+    one gather each, SUPPORT_CHUNK supports per pass.  A level's links are
+    built whole; of the level below, only the kept supports' links and
+    masks are held."""
+    width, rows = columns.shape
+    masks = _column_masks(columns.T)
+    if len(masks) == 1:
+        masks = masks.astype(np.min_scalar_type((1 << rows) - 1))
+    count = np.min_scalar_type(rows)  # a support's private rows
+    d_max = np.bitwise_count(masks).sum(axis=0).reshape(-1, n).max(axis=1)
     # Level 1, each column alone, grows from the empty support, which
     # touches no row.
-    levels, first = [], np.arange(n, dtype=np.min_scalar_type(n))
-    parent = np.zeros(n, dtype=np.uint8)
-    once = twice = np.zeros((len(masks), 1), dtype=np.uint64)
+    levels = []
+    first, parent = np.arange(width, dtype=np.min_scalar_type(width)), np.zeros(width, dtype=np.uint8)
+    once = twice = np.zeros((len(masks), 1), dtype=masks.dtype)
     for w in range(1, w_top + 1):
-        if w > 1:
-            first, parent = _children(levels[-1][0], n)
-            if not len(first):
-                return
         levels.append((first, parent))
         slack = (w_top - w) * d_max  # the private rows descendants can still cover
-        # w columns have at most w d_max private rows: at or below the slack
-        # no support of the level can be pruned, and none is counted.
-        prune = w < w_top and w * d_max > slack
-        kept, grown = [], []
+        # w columns have at most w d_max private rows: at or below its slack
+        # no support of a code can be pruned, and where no code's can, none
+        # is counted.
+        prune = w < w_top and bool((w * d_max > slack).any())
+        # By column, clipped to the rows: no support has more private rows.
+        slack = np.repeat(np.minimum(slack, rows).astype(count), n)
+        kept, grown, found = [], [], []
         for lo in range(0, len(first), SUPPORT_CHUNK):
             hi = lo + SUPPORT_CHUNK
             o, t, free = _grow_masks(masks, once, twice, first[lo:hi], parent[lo:hi])
-            if free.any():
-                yield w, _support_columns(levels, w, lo + np.flatnonzero(free))
+            found.append(lo + np.flatnonzero(free))
+            if hi >= len(first) or sum(map(len, found)) >= SUPPORT_CHUNK:
+                index = np.concatenate(found)
+                if len(index):
+                    yield w, _support_columns(levels, w, index)
+                found = []
+            if w == w_top:
+                continue
             if prune:
-                keep = np.flatnonzero(np.bitwise_count(o ^ t).sum(axis=0) <= slack)
+                keep = np.flatnonzero(np.bitwise_count(o ^ t).sum(axis=0, dtype=count)
+                                      <= slack[first[lo:hi]])
                 kept.append(lo + keep)
                 o, t = o[:, keep], t[:, keep]
-            if w < w_top:
-                grown.append((o, t))
+            grown.append((o, t))
+        if w == w_top:
+            return
+        once, twice = (np.concatenate(m, axis=1) for m in zip(*grown))
         if prune:
             kept = np.concatenate(kept)
-            levels[-1] = first[kept], parent[kept]
-        if w < w_top:
-            once = np.concatenate([o for o, _ in grown], axis=1)
-            twice = np.concatenate([t for _, t in grown], axis=1)
+            first, parent = first[kept], parent[kept]
+        if done.any():
+            live = ~done[first // n]
+            first, parent, once, twice = first[live], parent[live], once[:, live], twice[:, live]
+        levels[-1] = first, parent
+        del kept, grown  # the level's pass arrays go before the next level is grown
+        first, parent = _children(first, n, width)
+        if not len(first):
+            return
+
+
+def min_hamming_weights(lattices: list[ConstructionALattice], w_max: int,
+                        budget: int = DEFAULT_SUPPORT_BUDGET) -> list[int | None]:
+    """:meth:`ConstructionALattice.min_hamming_weight` of each lattice of a
+    stack of one shape and modulus, searched together: each level of
+    supports is grown for every code still in the stack at once
+    (``_private_row_free_supports``), and the survivors of all the codes
+    are rank-tested together, as stacks of at most RANK_STACK_BYTES
+    (``_rank_stack``).  A code leaves the stack at its first deficient
+    weight, and the weights come back in the lattices' order.  More than
+    ``budget`` supports per code (of every size up to w_max, pruned or
+    not) are refused before anything is built."""
+    if w_max < 1:
+        raise ValueError(f"w_max = {w_max} must be at least 1")
+    if len({(lat.H.array.shape, lat.p) for lat in lattices}) > 1:
+        raise ValueError("a support-search stack needs lattices of one shape and modulus")
+    if not lattices:
+        return []
+    n, p = lattices[0].n, lattices[0].p
+    w_top = min(w_max, n)
+    total = sum(math.comb(n, w) for w in range(1, w_top + 1))
+    if total > budget:
+        raise BudgetExceededError(
+            f"support enumeration refused: {total} supports exceed budget {budget}"
+        )
+    columns = np.concatenate([lat.H.array.T for lat in lattices])  # column j of code c at c n + j
+    weights: list[int | None] = [None] * len(lattices)
+    done = np.zeros(len(lattices), dtype=bool)
+    per_stack = max(1, RANK_STACK_BYTES // max(1, 8 * columns.shape[1] * w_top))
+    for w, supports in _private_row_free_supports(columns, n, w_top, done):
+        supports = supports[~done[supports[:, 0] // n]]
+        for lo in range(0, len(supports), per_stack):
+            part = supports[lo:lo + per_stack]
+            for c in (part[_rank_stack(columns[part], p) < w, 0] // n).tolist():
+                weights[c], done[c] = w, True
+        if done.all():
+            break
+    return weights
 
 
 class ConstructionALattice:
@@ -616,23 +689,10 @@ class ConstructionALattice:
         stacks of at most RANK_STACK_BYTES (``_rank_stack``); the first
         deficient support is the first survivor whose rank is below w.
         More than ``budget`` supports in all (of every size up to w_max,
-        pruned or not) are refused before anything is built.
+        pruned or not) are refused before anything is built.  The search
+        is :func:`min_hamming_weights` of a stack of one.
         """
-        if w_max < 1:
-            raise ValueError(f"w_max = {w_max} must be at least 1")
-        n, Harr = self.n, self.H.array
-        w_top = min(w_max, n)
-        total = sum(math.comb(n, w) for w in range(1, w_top + 1))
-        if total > budget:
-            raise BudgetExceededError(
-                f"support enumeration refused: {total} supports exceed budget {budget}"
-            )
-        per_stack = max(1, RANK_STACK_BYTES // max(1, 8 * Harr.shape[0] * w_top))
-        for w, supports in _private_row_free_supports(Harr, w_top):
-            for lo in range(0, len(supports), per_stack):
-                if (_rank_stack(Harr.T[supports[lo:lo + per_stack]], self.p) < w).any():
-                    return w
-        return None
+        return min_hamming_weights([self], w_max, budget)[0]
 
     def min_euclidean_distance(
         self, w_max: int, budget: int = DEFAULT_SUPPORT_BUDGET

@@ -817,6 +817,38 @@ def test_verify_mindist_clean_profile():
     assert report.passed
 
 
+def _traced_verify_mindist(codes: int) -> tuple[int, int]:
+    """(peak, held) traced bytes of one verify_mindist run of ``codes``
+    criterion-6 supplement codes (n = 30, p = 31, R_f = 1/2, delta_p = 8,
+    w_max = 4), the benchmark's profile."""
+    tracemalloc.start()
+    try:
+        verify_mindist(codes=codes, n=30, p=31, R_f=Fraction(1, 2), delta_p=8, w_max=4,
+                       master_seed=606)
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return peak, held
+
+
+def test_a_stacked_verify_mindist_run_holds_its_codes_and_levels_once():
+    # Ten codes, built and searched as one stack: their checks, each code's
+    # column masks and the links of one level of supports of all ten.
+    # About 405 KiB at the peak, and nothing held after it returns.
+    peak, held = _traced_verify_mindist(10)
+    assert peak < 512 * 1024 and held < 16 * 1024, (peak, held)
+
+
+def test_a_many_code_verify_mindist_run_holds_one_chunk_at_a_time():
+    # Codes are stacked as many as a set-up chunk holds (18 at n = 30):
+    # three chunks peak where one does (about 870 KiB), not three times as
+    # high.
+    chunk = codec._setup_chunk(30)
+    one, _ = _traced_verify_mindist(chunk)
+    three, _ = _traced_verify_mindist(3 * chunk)
+    assert three < 1.1 * one, (one, three)
+
+
 def test_cli_verify_exit_codes():
     assert main(["verify-counts", "--cases", "10"]) == 0
     assert main(["thresholds", "--D", "2", "--f", "1/2", "--Rf", "3/4"]) == 0
@@ -1101,8 +1133,8 @@ def _budget_raise_sites() -> set[str]:
 def _budget_refusals(monkeypatch) -> list[tuple[str, object, str, str, str]]:
     """(raise site, call, layer, requested size, allowed size) of one
     refusal at each site, with the layer as the message's start."""
-    from lda_lab.expander import MAX_CHECK_BYTES, MAX_SOCKETS, TannerGraph, build_graph, check_d_good
-    from lda_lab.lattice import BallSpec, count_integer_points, lemma2_bounds
+    from lda_lab.expander import MAX_CHECK_BYTES, MAX_SOCKETS, TannerGraph, build_graphs, check_d_good
+    from lda_lab.lattice import BallSpec, count_integer_points, lemma2_bounds, min_hamming_weights
 
     ball = BallSpec(np.zeros(4), 10.0, 4)
     bound = lemma2_bounds(ball)[1]
@@ -1126,9 +1158,9 @@ def _budget_refusals(monkeypatch) -> list[tuple[str, object, str, str, str]]:
          "lattice shortest-vector search refused: ", "2 search nodes", "budget of 1"),
         ("lattice.codewords", lambda: pair.fine.codewords(budget=10),
          "codeword enumeration refused: ", f"p^k = {table}", "budget 10"),
-        ("lattice.min_hamming_weight", lambda: pair.fine.min_hamming_weight(3, budget=100),
+        ("lattice.min_hamming_weights", lambda: min_hamming_weights([pair.fine] * 2, 3, budget=100),
          "support enumeration refused: ", f"{supports} supports", "budget 100"),
-        ("expander.build_graph", lambda: build_graph(2**20, Fraction(1, 2), 8, seed=0),
+        ("expander.build_graphs", lambda: build_graphs(2**20, Fraction(1, 2), 8, [0, 1]),
          "graph build refused: ", f"{2**22} sockets", f"allowed {MAX_SOCKETS}"),
         ("expander.refuse_oversized_check", lambda: check_d_good(huge, 2.0),
          "expansion check refused: ", f"{9 * 10**23} bytes", f"allowed {MAX_CHECK_BYTES} bytes"),

@@ -20,6 +20,7 @@ from lda_lab.codec import (
     bp_decode,
     bp_decode_batch,
     build_fine_lattice,
+    build_fine_lattices,
     build_pair,
     build_pairs,
     encode,
@@ -34,6 +35,7 @@ from lda_lab.lattice import ConstructionALattice
 from oracles import (
     _check_node_messages,
     all_messages,
+    build_graph_by_sockets,
     construction_a_basis,
     degree_histogram,
     edited_texts,
@@ -82,7 +84,7 @@ def test_lda_pair_regular_profile():
     pair = build_pair(30, 11, Fraction(1, 5), Fraction(3, 5), "lda", seed=3, delta_p=5)
     assert pair.delta_p == 5
     for name, block in (("fine", pair.stack.lower), ("upper", pair.stack.upper)):
-        graph = codec._skeleton(30, 12, 5, 3, name)
+        graph, = codec._skeletons(30, 12, 5, [3], name)
         assert degree_histogram(graph, "right") == {5: 12}
         assert degree_histogram(graph, "left") == {2: 30}
         # The labels sit on the skeleton's edges and nowhere else.
@@ -423,6 +425,18 @@ def _set_deltap(value):
                   *(_edit_line(k, lambda ln, _: [ln.replace(" 4 ", f" {value} ", 1)]) for k in (4, 31)))
 
 
+def _dense_deltap(value):
+    # This case damages the dense small_pair(16) in place of the LDA pair:
+    # deltap and both block graph deltas (lines 4 and 29) set to ``value``.
+    def damage(_text):
+        lines = pair_to_text(small_pair(16)).splitlines()
+        lines[1] = lines[1].replace("deltap=0", f"deltap={value}")
+        for k in (3, 28):
+            lines[k] = lines[k].replace(" 0 0", f" {value} 0")
+        return "\n".join(lines) + "\n"
+    return damage
+
+
 # lda_pair(17)'s upper block graph starts at line 4 (header '12 3 4 ...'),
 # its first edge line is line 5, its labels are lines 18-29, one per edge,
 # and the fine block graph starts at line 31.
@@ -448,6 +462,7 @@ def _set_deltap(value):
     (_set_deltap(8), "at line 4: .*graph is not the upper skeleton of n = 12, deltap = 8, seed = 17"),
     (_set_deltap(2**30), "at line 4: BudgetExceededError: graph build refused: "
      "n_right [*] delta = 3221225472 sockets, over the allowed 2097152"),
+    (_dense_deltap(5), "at line 2: .*a dense pair has deltap = 0, not 5"),
     (_edit_line(2, lambda ln, _: [ln.replace("seed=17", "seed=5")]),
      "at line 4: .*graph is not the upper skeleton of n = 12, deltap = 4, seed = 5"),
     (_edit_line(31, lambda ln, _: [ln.rsplit(" ", 1)[0] + " 5"]),
@@ -583,9 +598,37 @@ def test_build_fine_lattice_is_the_first_fine_block_of_build_pair(seed, shape):
     n, p, R, R_f, delta_p = shape
     pair = build_pair(n, p, R, R_f, "lda", seed, delta_p)
     lat, graph = build_fine_lattice(n, p, R_f, delta_p, seed)
-    assert graph == codec._skeleton(n, pair.stack.r, pair.delta_p, pair.seed, "fine")
+    assert [graph] == codec._skeletons(n, pair.stack.r, pair.delta_p, [pair.seed], "fine")
     if pair.regenerations == 0:
         assert lat.H == pair.stack.lower
+
+
+@settings(max_examples=40, deadline=None)
+@given(seeds=st.lists(st.integers(0, 2**64), min_size=1, max_size=6), shape=st.sampled_from([
+    (10, 3, Fraction(1, 2), 4),
+    (12, 7, Fraction(1, 2), 8),
+    (12, 5, Fraction(2, 3), 6),
+    (30, 31, Fraction(1, 2), 8),
+]))
+def test_build_fine_lattices_is_each_seed_built_alone(seeds, shape):
+    # One stacked graph build and one label scatter give each seed the
+    # skeleton wired one socket at a time and the H labelled alone, bit for
+    # bit; the lattices share one set-up stack.
+    n, p, R_f, delta_p = shape
+    built = build_fine_lattices(n, p, R_f, delta_p, seeds)
+    assert len(built) == len(seeds) and len({id(lat._stack[0]) for lat, _ in built}) == 1
+    r = int(n * (1 - R_f))
+    for seed, (lat, graph) in zip(seeds, built):
+        alone = build_graph_by_sockets(n, Fraction(r, n), delta_p, rng.derive_key(seed, "skeleton-fine"))
+        assert graph == alone and graph.edges.tolist() == alone.edges.tolist()
+        H, = codec._label_graphs([alone], p, [seed], "fine", attempt=0)
+        assert lat.H.array.dtype == H.array.dtype and lat.H.array.tobytes() == H.array.tobytes()
+
+
+def test_build_fine_lattices_of_no_seed_is_empty():
+    assert build_fine_lattices(30, 31, Fraction(1, 2), 8, []) == []
+    with pytest.raises(ValueError, match="n = 0 must be at least 1"):
+        build_fine_lattices(0, 31, Fraction(1, 2), 8, [])
 
 
 def test_build_fine_lattice_profile():

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
-from lda_lab import rng
+from lda_lab import expander, rng
 from lda_lab.cli import planted_counterexample
 from lda_lab.expander import (
     CHAINS_PER_BLOCK,
@@ -24,6 +24,7 @@ from lda_lab.expander import (
     biadjacency,
     binary_entropy,
     build_graph,
+    build_graphs,
     check_d_good,
     delta_threshold,
     delta_threshold_two_sided,
@@ -88,6 +89,23 @@ def test_build_graph_matches_socket_wiring(args):
     g, oracle = build_graph(*args), build_graph_by_sockets(*args)
     assert g == oracle and g.edges.tolist() == oracle.edges.tolist()
     event("parallel edges" if (g.edges[:, 2] > 1).any() else "simple")
+
+
+@settings(max_examples=40, deadline=None)
+@given(graph_arguments(), st.lists(st.integers(0, 2**64), max_size=5), st.integers(1, 3))
+def test_stacked_graph_build_matches_socket_wiring_pass_by_pass(args, more, per_pass):
+    # MAX_SOCKETS cut to the sockets of per_pass graphs, so a stack of up
+    # to six is built in several passes; each graph is the one wired alone.
+    n_left, f, delta, seed = args
+    seeds = [seed, *more]
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(expander, "MAX_SOCKETS", int(f * n_left) * delta * per_pass)
+        graphs = build_graphs(n_left, f, delta, seeds)
+    event(f"{-(-len(seeds) // per_pass)} passes")
+    assert len(graphs) == len(seeds)
+    for s, g in zip(seeds, graphs):
+        oracle = build_graph_by_sockets(n_left, f, delta, s)
+        assert g == oracle and g.edges.tolist() == oracle.edges.tolist()
 
 
 def test_degree_conservation_over_seeds():

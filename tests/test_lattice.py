@@ -29,6 +29,7 @@ from lda_lab.lattice import (
     lemma2_bounds,
     lemmaC_bound,
     log_ball_volume,
+    min_hamming_weights,
     volume_ratio_check,
 )
 from oracles import construction_a_basis, rref_alone, sorted_columns, sorted_qr_alone
@@ -327,13 +328,17 @@ def support_loop_min_weight(lat: ConstructionALattice, w_max: int) -> int | None
 
 
 @st.composite
-def support_search_cases(draw):
+def support_search_cases(draw, shape=None):
     """A random parity check small enough to enumerate its code: n <= 8,
     p in {3, 5, 7}, up to n + 1 rows or 63-70 rows (two mask words), and
-    sometimes an all-zero column or a column proportional to another."""
-    p = draw(st.sampled_from([3, 5, 7]))
-    n = draw(st.integers(1, {3: 8, 5: 6, 7: 5}[p]))
-    rows = draw(st.one_of(st.integers(1, n + 1), st.integers(63, 70)))
+    sometimes an all-zero column or a column proportional to another.
+    ``shape`` = (p, n, rows) fixes the modulus and the shape."""
+    if shape is None:
+        p = draw(st.sampled_from([3, 5, 7]))
+        n = draw(st.integers(1, {3: 8, 5: 6, 7: 5}[p]))
+        rows = draw(st.one_of(st.integers(1, n + 1), st.integers(63, 70)))
+    else:
+        p, n, rows = shape
     H = np.array(draw(st.lists(st.integers(0, p - 1), min_size=rows * n,
                                max_size=rows * n))).reshape(rows, n)
     j = draw(st.integers(0, n - 1))
@@ -357,10 +362,68 @@ def test_support_search_agrees_with_the_loop_and_the_code(lat):
         assert lat.min_hamming_weight(w_max) == support_loop_min_weight(lat, w_max) == expect
 
 
+@st.composite
+def support_search_stacks(draw):
+    """One to six checks of one modulus and shape, each drawn as
+    ``support_search_cases`` draws one, so that the codes stop at
+    different weights."""
+    first = draw(support_search_cases())
+    shape = (first.p, first.n, first.H.rows)
+    return [first, *(draw(support_search_cases(shape)) for _ in range(draw(st.integers(0, 5))))]
+
+
+def least_weight(lat: ConstructionALattice) -> int | None:
+    """The least weight of a nonzero codeword, read off the whole code."""
+    weights = np.count_nonzero(lat.codewords(), axis=1)
+    return int(weights[weights > 0].min()) if weights.any() else None
+
+
+@settings(max_examples=100, deadline=None)
+@given(support_search_stacks())
+def test_stacked_support_search_agrees_with_each_code_alone(lats):
+    # Every code of the stack gets the weight the loop and the codeword
+    # enumeration give it alone, whatever the weights of the others.
+    n = lats[0].n
+    least = [least_weight(lat) for lat in lats]
+    assert [support_loop_min_weight(lat, n) for lat in lats] == least
+    event(f"{len(lats)} codes, {len(set(least))} least weights")
+    for w_max in range(1, n + 3):
+        assert min_hamming_weights(lats, w_max) == [
+            w if w is not None and w <= w_max else None for w in least]
+    # Each level's survivors of each code are the ones the loop keeps for
+    # it alone, in (code, lex) order; a code that has stopped (its entry of
+    # ``done`` set at its least weight) yields none past that weight.
+    columns = np.concatenate([lat.H.array.T for lat in lats])
+    kept = [{w: [J for J in combinations(range(n), w) if private_row_free(row_masks(lat.H.array), J)]
+             for w in range(1, n + 1)} for lat in lats]
+    for w_top, stop in product(range(1, n + 1), (False, True)):
+        done = np.zeros(len(lats), dtype=bool)
+        found: dict[int, list[tuple[int, ...]]] = {}
+        for w, supports in _private_row_free_supports(columns, n, w_top, done):
+            code = supports[:, 0] // n
+            assert (supports // n == code[:, None]).all()
+            found.setdefault(w, []).extend((c, *J) for c, J in zip(code.tolist(), (supports % n).tolist()))
+            if stop:
+                done |= [v is not None and v <= w for v in least]
+        expect = {w: [(c, *J) for c, code_kept in enumerate(kept) for J in code_kept[w]
+                      if not (stop and least[c] is not None and least[c] < w)]
+                  for w in range(1, w_top + 1)}
+        assert found == {w: got for w, got in expect.items() if got}, (w_top, stop)
+
+
+def test_a_support_search_stack_is_of_one_shape_and_modulus():
+    assert min_hamming_weights([], 2) == []
+    with pytest.raises(ValueError, match="one shape and modulus"):
+        min_hamming_weights([lattice_from([[1, 2]], 3), lattice_from([[1, 2]], 5)], 2)
+    with pytest.raises(ValueError, match="one shape and modulus"):
+        min_hamming_weights([lattice_from([[1, 2]], 3), lattice_from([[1, 2, 1]], 3)], 2)
+
+
 def survivors_by_size(H: np.ndarray, w_top: int) -> dict[int, list[list[int]]]:
-    """The supports ``_private_row_free_supports`` yields, joined per size."""
+    """The supports ``_private_row_free_supports`` yields for H alone, a
+    stack of one, joined per size."""
     found = {}
-    for w, supports in _private_row_free_supports(H, w_top):
+    for w, supports in _private_row_free_supports(H.T, H.shape[1], w_top, np.zeros(1, dtype=bool)):
         found.setdefault(w, []).extend(supports.tolist())
     return found
 

@@ -18,8 +18,9 @@ def test_every_public_name_resolves_and_none_repeats():
 
 def test_the_benchmark_tracer_wraps_and_restores_the_package(monkeypatch):
     # perfbench/spans.py wraps functions where their callers look them up,
-    # some of them (codec.rank, codec.solve) kept for it alone; install
-    # fails on a name that is gone, and uninstall must put each one back.
+    # some of them (codec.rank, codec.solve, codec.build_graph) kept for it
+    # alone; install fails on a name that is gone, and uninstall must put
+    # each one back.
     monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
     import spans
 
@@ -33,8 +34,8 @@ def test_the_benchmark_tracer_wraps_and_restores_the_package(monkeypatch):
                    for name, value in vars(owner).items() if ids.get(name) != id(value)}
     finally:
         tracer.uninstall()
-    assert {("lda_lab.codec", "rank"), ("lda_lab.codec", "solve"), ("lda_lab.lattice", "rank"),
-            ("ConstructionALattice", "codewords")} <= wrapped
+    assert {("lda_lab.codec", "rank"), ("lda_lab.codec", "solve"), ("lda_lab.codec", "build_graph"),
+            ("lda_lab.lattice", "rank"), ("ConstructionALattice", "codewords")} <= wrapped
     assert [{name: id(value) for name, value in vars(owner).items()} for owner in owners] == before
 
 
