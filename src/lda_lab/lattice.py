@@ -421,9 +421,9 @@ def _private_row_free_supports(columns: np.ndarray, n: int, w_top: int, done: np
     size <= w_top is still reached.  Each support's rows touched once and
     twice or more are packed column masks, in the smallest unsigned type
     that holds the rows when one word does, grown from its parent's with
-    one gather each, SUPPORT_CHUNK supports per pass.  A level's links are
-    built whole; of the level below, only the kept supports' links and
-    masks are held."""
+    one gather each, in equal passes of at most SUPPORT_CHUNK supports.  A
+    level's links are built whole; of the level below, only the kept
+    supports' links and masks are held."""
     width, rows = columns.shape
     masks = _column_masks(columns.T)
     if len(masks) == 1:
@@ -445,8 +445,11 @@ def _private_row_free_supports(columns: np.ndarray, n: int, w_top: int, done: np
         # By column, clipped to the rows: no support has more private rows.
         slack = np.repeat(np.minimum(slack, rows).astype(count), n)
         kept, grown, found = [], [], []
-        for lo in range(0, len(first), SUPPORT_CHUNK):
-            hi = lo + SUPPORT_CHUNK
+        # Equal passes: a short last pass would leave small arrays of a new
+        # size in numpy's small-block cache on most calls.
+        passes = -(-len(first) // SUPPORT_CHUNK)
+        bounds = [len(first) * i // passes for i in range(passes + 1)]
+        for lo, hi in zip(bounds, bounds[1:]):
             o, t, free = _grow_masks(masks, once, twice, first[lo:hi], parent[lo:hi])
             found.append(lo + np.flatnonzero(free))
             if hi >= len(first) or sum(map(len, found)) >= SUPPORT_CHUNK:
